@@ -197,8 +197,9 @@ def _cmd_run(cfg: CliConfig) -> int:
             if p.typed:
                 sys.stdout.write(_typed_store_lines(p, lambda n: out.words[n]))
             else:
+                # untyped values are read as signed words, like i32
                 sys.stdout.write(
-                    "".join(f"{k}={v}\n" for k, v in sorted(out.words.items()))
+                    "".join(f"{k}={to_signed(v)}\n" for k, v in sorted(out.words.items()))
                 )
             return 0
         if isinstance(out, BudgetExhausted):

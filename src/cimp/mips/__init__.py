@@ -23,7 +23,6 @@ from .sim import (
     BudgetExhausted,
     DATA_BASE,
     Halted,
-    MipsState,
     STACK_TOP,
     Trap,
     simulate,
@@ -39,7 +38,6 @@ __all__ = [
     "Mem",
     "MipsInstr",
     "MipsProgram",
-    "MipsState",
     "MulNotSupported",
     "REGISTERS",
     "SHAPES",

@@ -6,18 +6,27 @@ at DATA_BASE with one word per data label in declaration order, and $sp
 starts at STACK_TOP growing downward.  Execution begins at main and
 stops at break, when the instruction budget runs out, or on a trap
 (unaligned access or the pc escaping the text segment).
+
+Each call first runs the load-time checks (main present, labels unique,
+every branch target and data label defined) and only then pre-decodes
+the text once: labels become instruction indices, registers become list
+slots, data labels become absolute addresses and mnemonics become small
+integer opcodes.  The decoded program runs in one flat dispatch loop.
+Labels take no room in the decoded program, so they consume no budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
-from .isa import SHAPES, Ins, LabelDef, Mem, MipsProgram
+from .isa import REGISTERS, SHAPES, Ins, LabelDef, Mem, MipsProgram
 
 DATA_BASE = 0x10000000
 STACK_TOP = 0x7FFFF000
 
 _MASK = 0xFFFFFFFF
+_SIGN = 0x80000000
 
 
 @dataclass(frozen=True)
@@ -40,140 +49,189 @@ class Trap:
     reason: str
 
 
-@dataclass
-class MipsState:
-    regs: dict = field(default_factory=dict)
-    mem: dict = field(default_factory=dict)
-    pc: int = 0
-    halted: bool = False
-
-
-def _to_signed(w: int) -> int:
-    return w - 0x100000000 if w & 0x80000000 else w
-
-
 def _var_name(label: str) -> str:
     return label[4:] if label.startswith("var_") else label
+
+
+# Decoded instructions are (opcode, a, b, c) tuples of ints.  Register
+# operands are slots of the register list; a write to $zero goes to the
+# extra slot _SINK, which nothing reads, so slot 0 stays zero.
+_SLOT = {name: i for i, name in enumerate(REGISTERS)}
+_SINK = len(REGISTERS)
+
+# Opcodes, numbered in the order the dispatch chain tests them, which is
+# their dynamic frequency in generated code (multiplication emulation and
+# stack traffic dominate).  li and lui share _LI, their constant being
+# computed at decode time; _LW/_SW take an absolute address, _LWR/_SWR
+# an offset from a register.
+(
+    _ADDIU, _BEQ, _ADDU, _SWR, _LWR, _SLL, _LW, _J, _LI, _SRL, _SW, _SLT,
+    _BNE, _SUBU, _SLTU, _ORI, _NOR, _AND, _OR, _XOR, _SLLV, _SRLV, _BREAK,
+    _END,
+) = range(24)
+
+# mnemonic -> opcode for the three-register forms, d := s op t
+_RRR = {
+    "addu": _ADDU, "subu": _SUBU, "slt": _SLT, "sltu": _SLTU, "and": _AND,
+    "or": _OR, "xor": _XOR, "nor": _NOR, "sllv": _SLLV, "srlv": _SRLV,
+}
+# mnemonic -> opcode for d := s op immediate
+_RRI = {"addiu": _ADDIU, "ori": _ORI, "sll": _SLL, "srl": _SRL}
+
+
+def _decode(text, target: dict, addr_of: dict) -> list[tuple]:
+    """The checked text as opcode tuples, ending in an _END sentinel.
+
+    target maps each text label to the index of the instruction after it.
+    """
+
+    def dst(r: str) -> int:
+        return _SLOT[r] or _SINK
+
+    code = []
+    for item in text:
+        if isinstance(item, LabelDef):
+            continue
+        op, args = item.op, item.args
+        if op in _RRR:
+            code.append((_RRR[op], dst(args[0]), _SLOT[args[1]], _SLOT[args[2]]))
+        elif op in _RRI:
+            code.append((_RRI[op], dst(args[0]), _SLOT[args[1]], args[2]))
+        elif op == "lw" or op == "sw":
+            reg = dst(args[0]) if op == "lw" else _SLOT[args[0]]
+            where = args[1]
+            if isinstance(where, Mem):
+                code.append((_LWR if op == "lw" else _SWR, reg, _SLOT[where.base], where.offset))
+            else:
+                code.append((_LW if op == "lw" else _SW, reg, addr_of[where], 0))
+        elif op == "li":
+            code.append((_LI, dst(args[0]), args[1] & _MASK, 0))
+        elif op == "lui":
+            code.append((_LI, dst(args[0]), (args[1] << 16) & _MASK, 0))
+        elif op == "beq" or op == "bne":
+            branch = _BEQ if op == "beq" else _BNE
+            code.append((branch, _SLOT[args[0]], _SLOT[args[1]], target[args[2]]))
+        elif op == "j":
+            code.append((_J, target[args[0]], 0, 0))
+        else:
+            code.append((_BREAK, 0, 0, 0))
+    code.append((_END, 0, 0, 0))
+    return code
 
 
 def simulate(prog: MipsProgram, init: dict | None = None, budget: int = 10**6):
     """Run prog from main; init maps variable names to starting words.
 
     Names in init without a matching data label are ignored.  Returns
-    Halted with the final data words, BudgetExhausted, or Trap.
+    Halted with the final data words, BudgetExhausted, or Trap.  Raises
+    ValueError before running anything when main is missing, a label is
+    duplicated or undefined, or an instruction has an unknown mnemonic,
+    the wrong operand count or an unknown register.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    labels: dict[str, int] = {}
-    for idx, item in enumerate(prog.text):
+    target: dict[str, int] = {}
+    n_ins = 0
+    for item in prog.text:
         if isinstance(item, LabelDef):
-            if item.name in labels:
+            if item.name in target:
                 raise ValueError(f"duplicate label {item.name!r}")
-            labels[item.name] = idx
-    if "main" not in labels:
+            target[item.name] = n_ins
+        else:
+            n_ins += 1
+    if "main" not in target:
         raise ValueError("no main label")
 
     init = init or {}
     addr_of: dict[str, int] = {}
-    state = MipsState()
+    mem: dict[int, int] = {}
     for i, (label, word) in enumerate(prog.data):
         addr = DATA_BASE + 4 * i
         addr_of[label] = addr
-        state.mem[addr] = init.get(_var_name(label), word) & _MASK
+        mem[addr] = init.get(_var_name(label), word) & _MASK
     for item in prog.text:
         if not isinstance(item, Ins):
             continue
-        for kind, arg in zip(SHAPES.get(item.op, ()), item.args):
-            if kind == "label" and arg not in labels:
+        shape = SHAPES.get(item.op)
+        if shape is None:
+            raise ValueError(f"unknown mnemonic {item.op!r}")
+        if len(item.args) != len(shape):
+            raise ValueError(f"{item.op} takes {len(shape)} operands, got {len(item.args)}")
+        for kind, arg in zip(shape, item.args):
+            if kind == "label" and arg not in target:
                 raise ValueError(f"undefined branch target {arg!r}")
             if kind == "addr" and isinstance(arg, str) and arg not in addr_of:
                 raise ValueError(f"undefined data label {arg!r}")
-    state.regs = {"$sp": STACK_TOP}
-    state.pc = labels["main"]
+            if kind == "addr" and isinstance(arg, Mem):
+                kind, arg = "reg", arg.base
+            if kind == "reg" and arg not in _SLOT:
+                raise ValueError(f"unknown register {arg!r}")
 
-    regs, mem, text = state.regs, state.mem, prog.text
-
-    def read(r: str) -> int:
-        return regs.get(r, 0)
-
-    def write(r: str, v: int) -> None:
-        if r != "$zero":
-            regs[r] = v & _MASK
-
-    def resolve(arg) -> int:
-        if isinstance(arg, Mem):
-            return (read(arg.base) + arg.offset) & _MASK
-        return addr_of[arg]
-
-    while True:
-        pc = state.pc
-        if not 0 <= pc < len(text):
-            state.halted = True
-            return Trap(f"pc {pc} outside the text segment")
-        item = text[pc]
-        if isinstance(item, LabelDef):
-            state.pc = pc + 1
-            continue
-        if budget == 0:
-            return BudgetExhausted()
-        budget -= 1
-        op, args = item.op, item.args
-        state.pc = pc + 1
-        if op == "li":
-            write(args[0], args[1])
-        elif op == "lui":
-            write(args[0], args[1] << 16)
-        elif op == "ori":
-            write(args[0], read(args[1]) | args[2])
-        elif op == "addiu":
-            write(args[0], read(args[1]) + args[2])
-        elif op == "lw":
-            addr = resolve(args[1])
-            if addr % 4:
-                state.halted = True
-                return Trap(f"unaligned load at {addr:#010x}")
-            write(args[0], mem.get(addr, 0))
-        elif op == "sw":
-            addr = resolve(args[1])
-            if addr % 4:
-                state.halted = True
+    code = _decode(prog.text, target, addr_of)
+    regs = [0] * (_SINK + 1)
+    regs[_SLOT["$sp"]] = STACK_TOP
+    pc = target["main"]
+    for _ in repeat(None, budget):
+        op, a, b, c = code[pc]
+        pc += 1
+        if op == _ADDIU:
+            regs[a] = (regs[b] + c) & _MASK
+        elif op == _BEQ:
+            if regs[a] == regs[b]:
+                pc = c
+        elif op == _ADDU:
+            regs[a] = (regs[b] + regs[c]) & _MASK
+        elif op == _SWR:
+            addr = (regs[b] + c) & _MASK
+            if addr & 3:
                 return Trap(f"unaligned store at {addr:#010x}")
-            mem[addr] = read(args[0])
-        elif op == "addu":
-            write(args[0], read(args[1]) + read(args[2]))
-        elif op == "subu":
-            write(args[0], read(args[1]) - read(args[2]))
-        elif op == "and":
-            write(args[0], read(args[1]) & read(args[2]))
-        elif op == "or":
-            write(args[0], read(args[1]) | read(args[2]))
-        elif op == "xor":
-            write(args[0], read(args[1]) ^ read(args[2]))
-        elif op == "nor":
-            write(args[0], ~(read(args[1]) | read(args[2])))
-        elif op == "sll":
-            write(args[0], read(args[1]) << args[2])
-        elif op == "srl":
-            write(args[0], read(args[1]) >> args[2])
-        elif op == "sllv":
-            write(args[0], read(args[1]) << (read(args[2]) & 31))
-        elif op == "srlv":
-            write(args[0], read(args[1]) >> (read(args[2]) & 31))
-        elif op == "slt":
-            write(args[0], int(_to_signed(read(args[1])) < _to_signed(read(args[2]))))
-        elif op == "sltu":
-            write(args[0], int(read(args[1]) < read(args[2])))
-        elif op == "beq":
-            if read(args[0]) == read(args[1]):
-                state.pc = labels[args[2]]
-        elif op == "bne":
-            if read(args[0]) != read(args[1]):
-                state.pc = labels[args[2]]
-        elif op == "j":
-            state.pc = labels[args[0]]
+            mem[addr] = regs[a]
+        elif op == _LWR:
+            addr = (regs[b] + c) & _MASK
+            if addr & 3:
+                return Trap(f"unaligned load at {addr:#010x}")
+            regs[a] = mem.get(addr, 0)
+        elif op == _SLL:
+            regs[a] = (regs[b] << c) & _MASK
+        elif op == _LW:
+            regs[a] = mem[b]
+        elif op == _J:
+            pc = a
+        elif op == _LI:
+            regs[a] = b
+        elif op == _SRL:
+            regs[a] = regs[b] >> c
+        elif op == _SW:
+            mem[b] = regs[a]
+        elif op == _SLT:
+            # flipping the sign bit maps signed order onto unsigned order
+            regs[a] = int(regs[b] ^ _SIGN < regs[c] ^ _SIGN)
+        elif op == _BNE:
+            if regs[a] != regs[b]:
+                pc = c
+        elif op == _SUBU:
+            regs[a] = (regs[b] - regs[c]) & _MASK
+        elif op == _SLTU:
+            regs[a] = int(regs[b] < regs[c])
+        elif op == _ORI:
+            regs[a] = (regs[b] | c) & _MASK
+        elif op == _NOR:
+            regs[a] = ~(regs[b] | regs[c]) & _MASK
+        elif op == _AND:
+            regs[a] = regs[b] & regs[c]
+        elif op == _OR:
+            regs[a] = regs[b] | regs[c]
+        elif op == _XOR:
+            regs[a] = regs[b] ^ regs[c]
+        elif op == _SLLV:
+            regs[a] = (regs[b] << (regs[c] & 31)) & _MASK
+        elif op == _SRLV:
+            regs[a] = regs[b] >> (regs[c] & 31)
+        elif op == _BREAK:
+            return Halted({_var_name(label): mem[addr_of[label]] for label, _ in prog.data})
         else:
-            assert op == "break", f"unhandled mnemonic {op!r}"
-            state.halted = True
-            return Halted(
-                {_var_name(label): mem[addr_of[label]] for label, _ in prog.data}
-            )
+            return Trap(f"pc {len(prog.text)} outside the text segment")
+    # budget spent; a pc that has already left the text still traps
+    if code[pc][0] == _END:
+        return Trap(f"pc {len(prog.text)} outside the text segment")
+    return BudgetExhausted()

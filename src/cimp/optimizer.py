@@ -20,6 +20,8 @@ recurses through them untouched.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 from .syntax import (
     AExpr,
     And,
@@ -314,6 +316,30 @@ def _opt_com(c: Com, wrap: bool) -> Com:
     raise TypeError(f"not a Com: {c!r}")
 
 
+def _same_tree(a, b) -> bool:
+    """Structural equality of two ASTs, as dataclass ``==`` defines it.
+
+    Walks an explicit stack instead of recursing through ``__eq__``, so
+    long statement sequences cannot exhaust the recursion limit.  Shared
+    subtrees (``a is b``) are skipped without descending.
+    """
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if not is_dataclass(x):
+            if x != y:
+                return False
+            continue
+        for f in fields(x):
+            if f.compare:
+                todo.append((getattr(x, f.name), getattr(y, f.name)))
+    return True
+
+
 def optimize(p: Program, level: int) -> Program:
     """Apply the level's rewrites to a fixed point; level 0 is identity."""
     if level not in OPT_LEVELS:
@@ -326,6 +352,6 @@ def optimize(p: Program, level: int) -> Program:
         out = _opt_com(body, wrap)
         if level >= 2:
             out = dead_code(out)
-        if out == body:
+        if _same_tree(out, body):
             return Program(p.decls, out)
         body = out

@@ -7,9 +7,14 @@ Two interchangeable executions are provided:
   straight-line code is free.  A loop entered with zero fuel reports
   ``OutOfFuel`` before even testing its guard, so ``ceval_fuel(0, c, s)``
   can complete only for loop-free ``c``.
-* ``step`` / ``run_small``: a small-step transition relation over
-  (command, store) configurations, with expressions evaluated atomically.
-  ``run_small`` drives it for a bounded number of steps.
+* ``step``: a small-step transition relation over (command, store)
+  configurations, with expressions evaluated atomically.
+* ``run_small``: a continuation-stack driver for that relation.  It
+  never builds intermediate terms, yet it takes exactly the transitions
+  ``step`` would (Assign 1, ``Seq(Skip, c)`` 1, If 1, 2 per While guard
+  test), so a budget of max_steps yields the same outcome as iterating
+  ``step`` max_steps times.  ``step`` is kept as the textbook relation
+  and the tests use it as the oracle for ``run_small``.
 
 Both agree on ``Done`` results; the property tests and the differential
 harness lean on that.
@@ -279,17 +284,59 @@ def step(c: Com, s: Store) -> StepResult:
 
 
 def run_small(max_steps: int, c: Com, s: Store) -> Outcome:
-    """Drive step for at most max_steps transitions.
+    """Run c for at most max_steps transitions of ``step``.
 
-    Done is returned as soon as a Terminal result appears; reaching the
-    budget first yields OutOfFuel.  The minimal sufficient budget for a
-    terminating program is therefore observable by bisection.
+    Done is returned when the configuration reaches Skip after T
+    transitions with T < max_steps (the check that finds Skip terminal
+    is itself one of the budgeted calls); otherwise OutOfFuel.  The
+    minimal sufficient budget for a terminating program is therefore
+    observable by bisection.
+
+    Instead of rebuilding the term at every transition, the driver keeps
+    an explicit continuation stack of the commands still to run (a CEK
+    machine without environments).  Each stack entry stands for the
+    ``Seq(Skip, rest)`` transition that resumes it, and a While guard
+    test is the relation's two transitions (unfold, then If), so the
+    count matches ``step`` exactly, as do the points where expression
+    evaluation happens.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    for _ in range(max_steps):
-        r = step(c, s)
-        if isinstance(r, Terminal):
+    fuel = max_steps
+    rest: list[Com] = []
+    s = Store(s._bindings)  # private copy, updated in place
+    env = s._bindings
+    while True:
+        t = type(c)
+        if t is Seq:
+            rest.append(c.second)
+            c = c.first
+            continue
+        if t is Assign:
+            if not fuel:
+                return OUT_OF_FUEL
+            fuel -= 1
+            env[c.var] = aeval(s, c.rhs)
+        elif t is While:
+            if fuel < 2:
+                return OUT_OF_FUEL
+            fuel -= 2
+            if beval(s, c.cond):
+                rest.append(c)
+                c = c.body
+                continue
+        elif t is If:
+            if not fuel:
+                return OUT_OF_FUEL
+            fuel -= 1
+            c = c.then_branch if beval(s, c.cond) else c.else_branch
+            continue
+        elif t is not Skip:
+            raise TypeError(f"not a Com: {c!r}")
+        # c has reduced to Skip: resume the innermost pending command
+        if not fuel:
+            return OUT_OF_FUEL
+        if not rest:
             return Done(s)
-        c, s = r.com, r.store
-    return OUT_OF_FUEL
+        fuel -= 1
+        c = rest.pop()

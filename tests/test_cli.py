@@ -69,6 +69,23 @@ def test_run_all_untyped_engines_agree(tmp_path, capsys):
     assert outs == {"x=10\n"}
 
 
+def test_run_untyped_negative_agrees_on_every_engine(tmp_path, capsys):
+    path = _src(tmp_path, "x := 0 - 1\n")
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        code, out, _ = _run(capsys, "run", path, "--engine", engine)
+        assert (code, out) == (0, "x=-1\n"), engine
+
+
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_run_optimized_long_sequence(tmp_path, capsys, level):
+    # 600 statements: deep enough that a recursive fixed-point test in
+    # the optimizer overflows, well inside the parser's limit
+    path = _src(tmp_path, "x := x + 1;\n" * 599 + "x := x + 1\n")
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        code, out, _ = _run(capsys, "run", path, "-O", level, "--engine", engine)
+        assert (code, out) == (0, "x=600\n"), engine
+
+
 def test_run_typed_signed_display(tmp_path, capsys):
     code, out, _ = _run(capsys, "run", _src(tmp_path, TYPED_WRAP))
     assert code == 0

@@ -274,6 +274,37 @@ def test_simulate_budget_counts_instructions_not_labels():
     assert simulate(prog, budget=2) == BudgetExhausted()
 
 
+def test_simulate_loop_budget_is_exact():
+    # 2 setup instructions, 3 per trip, then the exit test and break
+    trips = 5
+    prog = parse_asm(
+        f"main:\n\tli $t0, {trips}\n\tli $t1, 0\n"
+        "loop:\n\tbeq $t0, $zero, done\n\taddiu $t0, $t0, -1\n"
+        "\tj loop\ndone:\n\tsw $t0, var_x\n\tbreak\n"
+        ".data\nvar_x: .word 9"
+    )
+    need = 2 + 3 * trips + 1 + 2
+    assert simulate(prog, budget=need) == Halted({"x": 0})
+    assert simulate(prog, budget=need - 1) == BudgetExhausted()
+
+
+def test_simulate_trap_branch_to_end_of_text():
+    prog = MipsProgram(
+        text=(LabelDef("main"), ins("beq", "$zero", "$zero", "end"), LabelDef("end"))
+    )
+    out = simulate(prog)
+    assert isinstance(out, Trap)
+    assert "text segment" in out.reason
+    # leaving the text traps even when the budget ran out on the branch
+    assert simulate(prog, budget=1) == out
+
+
+def test_simulate_rejects_malformed_instructions():
+    for bad in (Ins("mult", ("$t0", "$t1")), Ins("addu", ("$t0",)), Ins("li", ("$k0", 1))):
+        with pytest.raises(ValueError):
+            simulate(MipsProgram(text=(LabelDef("main"), bad, ins("break"))))
+
+
 def test_simulate_requires_main():
     with pytest.raises(ValueError):
         simulate(MipsProgram(text=(ins("break"),)))

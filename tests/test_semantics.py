@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 import strategies as gen
 from cimp import syntax as sx
 from cimp.frontend import parse_program
+from cimp.generator import GenSpec, gen_program
 from cimp.semantics import (
     Done,
     Next,
@@ -231,6 +234,61 @@ def test_run_small_minimal_steps_observable():
     s = Store()
     need = next(k for k in range(50) if run_small(k, c, s) == Done(Store({"x": 2})))
     assert run_small(need - 1, c, s) == OutOfFuel()
+
+
+def _iterate_step(max_steps, c, s):
+    """The textbook driver: call step at most max_steps times."""
+    for _ in range(max_steps):
+        r = step(c, s)
+        if isinstance(r, Terminal):
+            return Done(s)
+        c, s = r.com, r.store
+    return OutOfFuel()
+
+
+def _min_budget(run, c, s, hi):
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(run(mid, c, s), Done):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_run_small_budget_matches_iterated_step():
+    rng = random.Random(11)
+    for _ in range(80):
+        spec = GenSpec(seed=rng.getrandbits(64), max_depth=rng.choice([1, 2, 3]))
+        c = gen_program(spec).body
+        s = Store({"a": rng.randint(-9, 9), "b": rng.randint(-9, 9)})
+        hi = 10**5
+        assert isinstance(run_small(hi, c, s), Done)
+        need = _min_budget(run_small, c, s, hi)
+        assert need == _min_budget(_iterate_step, c, s, hi)
+        for k in range(max(need - 3, 0), need + 3):
+            assert run_small(k, c, s) == _iterate_step(k, c, s), k
+
+
+def test_run_small_counts_each_transition_kind():
+    # Assign 1 + Skip test 1; Seq(Skip, c) 1; If 1; a While guard test 2
+    assert _min_budget(run_small, prog("x := 1"), Store(), 50) == 2
+    assert _min_budget(run_small, prog("skip; x := 1"), Store(), 50) == 3
+    assert _min_budget(run_small, prog("if true then skip else skip end"), Store(), 50) == 2
+    assert _min_budget(run_small, prog("while false do skip done"), Store(), 50) == 3
+    # one iteration: 2 (test) + 1 (x := 1) + 1 (Seq(Skip, loop)) + 2 (test) + 1
+    loop = prog("while x < 1 do x := 1 done")
+    assert _min_budget(run_small, loop, Store(), 50) == 7
+
+
+def test_run_small_evaluates_only_within_budget():
+    # the failing assignment is the third transition: a budget of two
+    # stops before it, three performs it
+    c = sx.Seq(sx.Assign("x", sx.IntLit(1)), sx.Assign("y", sx.BitNot(sx.Var("x"))))
+    assert run_small(2, c, Store()) == OutOfFuel()
+    with pytest.raises(UnsupportedNode):
+        run_small(3, c, Store())
 
 
 # ---------------------------------------------------------------------------
