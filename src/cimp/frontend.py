@@ -574,10 +574,6 @@ def _com_lines(c: Com, indent: int) -> list[str]:
     raise TypeError(f"not a Com: {c!r}")
 
 
-def pretty_com(c: Com) -> str:
-    return "\n".join(_com_lines(c, 0))
-
-
 def pretty(p: Program) -> str:
     lines = []
     for name, ty in p.decls:

@@ -53,6 +53,8 @@ from .syntax import (
     While,
     assertion_vars,
     bexpr_to_assertion,
+    transform,
+    walk,
 )
 
 
@@ -71,13 +73,9 @@ class HoareTriple:
     post: Assertion
 
 
-VC_ORIGINS = ("top", "init", "preservation", "exit")
-
-
 @dataclass(frozen=True)
 class VerificationCondition:
-    origin: str  # one of VC_ORIGINS ("init" is reserved; wlp folds
-    # invariant initialization into the top implication)
+    origin: str  # "top", "preservation" or "exit"
     formula: Assertion
 
 
@@ -121,41 +119,9 @@ def assertion_holds(s: Store, a: Assertion) -> bool:
     raise TypeError(f"not an Assertion: {a!r}")
 
 
-def _subst_aexpr(t: AExpr, x: str, e: AExpr) -> AExpr:
-    match t:
-        case IntLit():
-            return t
-        case Var(name):
-            return e if name == x else t
-        case Neg(operand):
-            return Neg(_subst_aexpr(operand, x, e))
-        case BitNot(operand):
-            return BitNot(_subst_aexpr(operand, x, e))
-        case Cast(target, operand):
-            return Cast(target, _subst_aexpr(operand, x, e))
-        case BinOp(op, left, right):
-            return BinOp(op, _subst_aexpr(left, x, e), _subst_aexpr(right, x, e))
-        case BitOp(op, left, right):
-            return BitOp(op, _subst_aexpr(left, x, e), _subst_aexpr(right, x, e))
-    raise TypeError(f"not an AExpr: {t!r}")
-
-
 def subst(a: Assertion, x: str, e: AExpr) -> Assertion:
     """Replace every occurrence of variable x in a by e."""
-    match a:
-        case ATrue() | AFalse():
-            return a
-        case ACmp(op, left, right):
-            return ACmp(op, _subst_aexpr(left, x, e), _subst_aexpr(right, x, e))
-        case ANot(operand):
-            return ANot(subst(operand, x, e))
-        case AAnd(left, right):
-            return AAnd(subst(left, x, e), subst(right, x, e))
-        case AOr(left, right):
-            return AOr(subst(left, x, e), subst(right, x, e))
-        case AImplies(left, right):
-            return AImplies(subst(left, x, e), subst(right, x, e))
-    raise TypeError(f"not an Assertion: {a!r}")
+    return transform(a, lambda n: e if type(n) is Var and n.name == x else n)
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +221,11 @@ def _is_const(e: AExpr) -> bool:
     return False
 
 
-def _nonlinear_aexpr(e: AExpr) -> bool:
-    match e:
-        case IntLit() | Var():
-            return False
-        case Neg(x) | BitNot(x) | Cast(_, x):
-            return _nonlinear_aexpr(x)
-        case BinOp("*", left, right):
-            if not (_is_const(left) or _is_const(right)):
-                return True
-            return _nonlinear_aexpr(left) or _nonlinear_aexpr(right)
-        case BinOp(_, left, right) | BitOp(_, left, right):
-            return _nonlinear_aexpr(left) or _nonlinear_aexpr(right)
-    raise TypeError(f"not an AExpr: {e!r}")
-
-
 def _nonlinear(a: Assertion) -> bool:
-    match a:
-        case ATrue() | AFalse():
-            return False
-        case ACmp(_, left, right):
-            return _nonlinear_aexpr(left) or _nonlinear_aexpr(right)
-        case ANot(operand):
-            return _nonlinear(operand)
-        case AAnd(left, right) | AOr(left, right) | AImplies(left, right):
-            return _nonlinear(left) or _nonlinear(right)
-    raise TypeError(f"not an Assertion: {a!r}")
+    return any(
+        type(n) is BinOp and n.op == "*" and not (_is_const(n.left) or _is_const(n.right))
+        for n in walk(a)
+    )
 
 
 def emit_smtlib(vc: VerificationCondition) -> str:

@@ -43,7 +43,10 @@ from ..syntax import (
     Ty,
     Var,
     While,
+    children,
     program_vars,
+    transform,
+    walk,
 )
 from ..typecheck import typecheck, word32
 from .isa import Ins, LabelDef, Mem, MipsInstr, MipsProgram, ins
@@ -117,113 +120,19 @@ def _pop(reg: str) -> list[Ins]:
     return [ins("lw", reg, _SP0), ins("addiu", "$sp", "$sp", 4)]
 
 
-def _strip_casts(e: AExpr) -> AExpr:
-    """Remove casts: they reinterpret bits and generate no code."""
-    if isinstance(e, Cast):
-        return _strip_casts(e.operand)
-    if isinstance(e, Neg):
-        return Neg(_strip_casts(e.operand), pos=e.pos)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _strip_casts(e.left), _strip_casts(e.right), pos=e.pos)
-    if isinstance(e, BitOp):
-        return BitOp(e.op, _strip_casts(e.left), _strip_casts(e.right), pos=e.pos)
-    if isinstance(e, BitNot):
-        return BitNot(_strip_casts(e.operand), pos=e.pos)
-    return e
+def _lowered_nodes(c: Com) -> list:
+    """Every node of the expressions codegen lowers, in program order.
 
-
-def _has_bits(e: AExpr) -> bool:
-    if isinstance(e, (BitOp, BitNot)):
-        return True
-    if isinstance(e, (Neg, Cast)):
-        return _has_bits(e.operand)
-    if isinstance(e, BinOp):
-        return _has_bits(e.left) or _has_bits(e.right)
-    return False
-
-
-def _mul_positions(c: Com) -> list:
-    found: list = []
-
-    def walk_aexp(e: AExpr) -> None:
-        if isinstance(e, BinOp):
-            if e.op == "*":
-                found.append(e.pos)
-            walk_aexp(e.left)
-            walk_aexp(e.right)
-        elif isinstance(e, BitOp):
-            walk_aexp(e.left)
-            walk_aexp(e.right)
-        elif isinstance(e, (Neg, BitNot, Cast)):
-            walk_aexp(e.operand)
-
-    def walk_bexp(b: BExpr) -> None:
-        if isinstance(b, Cmp):
-            walk_aexp(b.left)
-            walk_aexp(b.right)
-        elif isinstance(b, Not):
-            walk_bexp(b.operand)
-        elif isinstance(b, (And, Or)):
-            walk_bexp(b.left)
-            walk_bexp(b.right)
-
-    def walk_com(c: Com) -> None:
-        if isinstance(c, Assign):
-            walk_aexp(c.rhs)
-        elif isinstance(c, Seq):
-            walk_com(c.first)
-            walk_com(c.second)
-        elif isinstance(c, If):
-            walk_bexp(c.cond)
-            walk_com(c.then_branch)
-            walk_com(c.else_branch)
-        elif isinstance(c, While):
-            walk_bexp(c.cond)
-            walk_com(c.body)
-
-    walk_com(c)
-    return found
-
-
-def _check_core(c: Com) -> None:
-    """Untyped programs may not use bit operations or casts."""
-
-    def walk_aexp(e: AExpr) -> None:
-        if isinstance(e, (BitOp, BitNot, Cast)):
-            raise UnsupportedNode(
-                "bit operations and casts need a typed program", e.pos
-            )
-        if isinstance(e, Neg):
-            walk_aexp(e.operand)
-        elif isinstance(e, BinOp):
-            walk_aexp(e.left)
-            walk_aexp(e.right)
-
-    def walk_bexp(b: BExpr) -> None:
-        if isinstance(b, Cmp):
-            walk_aexp(b.left)
-            walk_aexp(b.right)
-        elif isinstance(b, Not):
-            walk_bexp(b.operand)
-        elif isinstance(b, (And, Or)):
-            walk_bexp(b.left)
-            walk_bexp(b.right)
-
-    def walk_com(c: Com) -> None:
-        if isinstance(c, Assign):
-            walk_aexp(c.rhs)
-        elif isinstance(c, Seq):
-            walk_com(c.first)
-            walk_com(c.second)
-        elif isinstance(c, If):
-            walk_bexp(c.cond)
-            walk_com(c.then_branch)
-            walk_com(c.else_branch)
-        elif isinstance(c, While):
-            walk_bexp(c.cond)
-            walk_com(c.body)
-
-    walk_com(c)
+    Loop invariants are annotations that generate no code, so only the
+    operands of assignments and comparisons count.
+    """
+    return [
+        n
+        for stmt in walk(c)
+        if type(stmt) is Assign or type(stmt) is Cmp
+        for e in children(stmt)
+        for n in walk(e)
+    ]
 
 
 _BINOP_INS = {"+": "addu", "-": "subu"}
@@ -278,8 +187,9 @@ class _Codegen:
 
     def tree_aexp(self, e: AExpr) -> list[MipsInstr]:
         """Register-allocated lowering; the value ends up in $t0."""
-        stripped = _strip_casts(e)
-        if _has_bits(stripped):
+        # casts reinterpret bits and generate no code
+        stripped = transform(e, lambda n: n.operand if type(n) is Cast else n)
+        if any(type(n) is BitOp or type(n) is BitNot for n in walk(stripped)):
             # the tree allocator covers core operators only
             return self.naive_aexp(stripped) + _pop("$t0")
         out: list[MipsInstr] = []
@@ -391,10 +301,16 @@ def codegen(
         tp = typecheck(p)
         ty_of = tp.ty_of
     else:
-        _check_core(p.body)
+        for n in _lowered_nodes(p.body):
+            if type(n) in (BitOp, BitNot, Cast):
+                raise UnsupportedNode(
+                    "bit operations and casts need a typed program", n.pos
+                )
         ty_of = lambda node: Ty.I32  # noqa: E731
     if not emulate_mul:
-        positions = _mul_positions(p.body)
+        positions = [
+            n.pos for n in _lowered_nodes(p.body) if type(n) is BinOp and n.op == "*"
+        ]
         if positions:
             raise MulNotSupported(positions)
     gen = _Codegen(ty_of, strategy, emulate_mul)

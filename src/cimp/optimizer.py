@@ -20,18 +20,13 @@ recurses through them untouched.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-
 from .syntax import (
     AExpr,
     And,
     Assign,
     BExpr,
     BinOp,
-    BitNot,
-    BitOp,
     BoolLit,
-    Cast,
     Cmp,
     Com,
     If,
@@ -42,8 +37,9 @@ from .syntax import (
     Program,
     Seq,
     Skip,
-    Var,
     While,
+    map_children,
+    transform,
 )
 
 OPT_LEVELS = (0, 1, 2)
@@ -94,8 +90,6 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
     operator node with two literal operands.
     """
     match e:
-        case IntLit() | Var():
-            return e
         case BinOp("+" | "-", _, _) | Neg(_):
             terms: list[tuple[int, AExpr]] = []
 
@@ -137,62 +131,75 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
             for sign, t in tail:
                 acc = BinOp("+" if sign > 0 else "-", acc, t)
             return acc if lead_const else _append_const(acc, total, wrap)
-        case BinOp("*", left, right):
-            lf = const_fold(left, wrap=wrap)
-            rf = const_fold(right, wrap=wrap)
-            lv, rv = _lit_value(lf), _lit_value(rf)
-            if lv is not None and rv is not None:
-                return _make_lit(lv * rv, wrap)
-            return BinOp("*", lf, rf)
-        case BitOp(op, left, right):
-            return BitOp(op, const_fold(left, wrap=wrap), const_fold(right, wrap=wrap))
-        case BitNot(operand):
-            return BitNot(const_fold(operand, wrap=wrap))
-        case Cast(target, operand):
-            return Cast(target, const_fold(operand, wrap=wrap))
-    raise TypeError(f"not an AExpr: {e!r}")
+    out = map_children(e, lambda k: const_fold(k, wrap=wrap))
+    if type(out) is BinOp:  # "*", folded only between literals
+        lv, rv = _lit_value(out.left), _lit_value(out.right)
+        if lv is not None and rv is not None:
+            return _make_lit(lv * rv, wrap)
+    return out
 
 
 def simplify_structural(e: AExpr) -> AExpr:
     """Structural identity and unit laws; every rule is wrap-safe."""
-    match e:
-        case IntLit() | Var():
-            return e
-        case Neg(operand):
-            return Neg(simplify_structural(operand))
-        case BitNot(operand):
-            return BitNot(simplify_structural(operand))
-        case Cast(target, operand):
-            return Cast(target, simplify_structural(operand))
-        case BitOp(op, left, right):
-            return BitOp(op, simplify_structural(left), simplify_structural(right))
-        case BinOp(op, left, right):
-            l = simplify_structural(left)
-            r = simplify_structural(right)
-            zero, one = IntLit(0), IntLit(1)
-            if op == "-":
-                if l == r:
-                    return zero
-                if r == zero:
-                    return l
-            elif op == "+":
-                if l == zero:
-                    return r
-                if r == zero:
-                    return l
-            else:  # "*"
-                if l == zero or r == zero:
-                    return zero
-                if l == one:
-                    return r
-                if r == one:
-                    return l
-            return BinOp(op, l, r)
-    raise TypeError(f"not an AExpr: {e!r}")
+    e = map_children(e, simplify_structural)
+    if type(e) is not BinOp:
+        return e
+    op, l, r = e.op, e.left, e.right
+    zero, one = IntLit(0), IntLit(1)
+    if op == "-":
+        if l == r:
+            return zero
+        if r == zero:
+            return l
+    elif op == "+":
+        if l == zero:
+            return r
+        if r == zero:
+            return l
+    else:  # "*"
+        if l == zero or r == zero:
+            return zero
+        if l == one:
+            return r
+        if r == one:
+            return l
+    return e
 
 
 def _cmp_holds(op: str, a: int, b: int) -> bool:
     return {"=": a == b, "<=": a <= b, "<": a < b}[op]
+
+
+def _bool_step(b: BExpr, wrap: bool) -> BExpr:
+    t = type(b)
+    if t is Not:
+        if type(b.operand) is BoolLit:
+            return BoolLit(not b.operand.value)
+    elif t is And:
+        l, r = b.left, b.right
+        if l == BoolLit(False) or r == BoolLit(False):
+            return BoolLit(False)
+        if l == BoolLit(True):
+            return r
+        if r == BoolLit(True):
+            return l
+    elif t is Or:
+        l, r = b.left, b.right
+        if l == BoolLit(True) or r == BoolLit(True):
+            return BoolLit(True)
+        if l == BoolLit(False):
+            return r
+        if r == BoolLit(False):
+            return l
+    elif t is Cmp:
+        lv, rv = _lit_value(b.left), _lit_value(b.right)
+        if lv is not None and rv is not None:
+            # In wrapping mode the outcome depends on the operands'
+            # signedness unless both constants sit where the signed
+            # and unsigned orders coincide.
+            if not wrap or (0 <= lv < _HALF and 0 <= rv < _HALF):
+                return BoolLit(_cmp_holds(b.op, lv, rv))
+    return b
 
 
 def simplify_bool(b: BExpr, *, wrap: bool = False) -> BExpr:
@@ -201,70 +208,29 @@ def simplify_bool(b: BExpr, *, wrap: bool = False) -> BExpr:
     Arithmetic operands are expected to be pre-simplified; this pass
     only inspects them for literal-vs-literal comparisons.
     """
-    match b:
-        case BoolLit():
-            return b
-        case Not(operand):
-            inner = simplify_bool(operand, wrap=wrap)
-            if isinstance(inner, BoolLit):
-                return BoolLit(not inner.value)
-            return Not(inner)
-        case And(left, right):
-            l = simplify_bool(left, wrap=wrap)
-            r = simplify_bool(right, wrap=wrap)
-            if l == BoolLit(False) or r == BoolLit(False):
-                return BoolLit(False)
-            if l == BoolLit(True):
-                return r
-            if r == BoolLit(True):
-                return l
-            return And(l, r)
-        case Or(left, right):
-            l = simplify_bool(left, wrap=wrap)
-            r = simplify_bool(right, wrap=wrap)
-            if l == BoolLit(True) or r == BoolLit(True):
-                return BoolLit(True)
-            if l == BoolLit(False):
-                return r
-            if r == BoolLit(False):
-                return l
-            return Or(l, r)
-        case Cmp(op, left, right):
-            lv, rv = _lit_value(left), _lit_value(right)
-            if lv is not None and rv is not None:
-                # In wrapping mode the outcome depends on the operands'
-                # signedness unless both constants sit where the signed
-                # and unsigned orders coincide.
-                if not wrap or (0 <= lv < _HALF and 0 <= rv < _HALF):
-                    return BoolLit(_cmp_holds(op, lv, rv))
-            return b
-    raise TypeError(f"not a BExpr: {b!r}")
+    return transform(b, lambda n: _bool_step(n, wrap))
+
+
+def _dead_step(c: Com) -> Com:
+    t = type(c)
+    if t is Seq:
+        if isinstance(c.first, Skip):
+            return c.second
+        if isinstance(c.second, Skip):
+            return c.first
+    elif t is If:
+        if c.cond == BoolLit(True):
+            return c.then_branch
+        if c.cond == BoolLit(False):
+            return c.else_branch
+    elif t is While and c.cond == BoolLit(False):
+        return Skip()
+    return c
 
 
 def dead_code(c: Com) -> Com:
     """Remove decided conditionals, never-entered loops, and Skips."""
-    match c:
-        case Skip() | Assign():
-            return c
-        case Seq(first, second):
-            f = dead_code(first)
-            s = dead_code(second)
-            if isinstance(f, Skip):
-                return s
-            if isinstance(s, Skip):
-                return f
-            return Seq(f, s)
-        case If(cond, then_branch, else_branch):
-            if cond == BoolLit(True):
-                return dead_code(then_branch)
-            if cond == BoolLit(False):
-                return dead_code(else_branch)
-            return If(cond, dead_code(then_branch), dead_code(else_branch))
-        case While(cond, invariant, body):
-            if cond == BoolLit(False):
-                return Skip()
-            return While(cond, invariant, dead_code(body))
-    raise TypeError(f"not a Com: {c!r}")
+    return transform(c, _dead_step)
 
 
 # ---------------------------------------------------------------------------
@@ -275,83 +241,41 @@ def _opt_aexp(e: AExpr, wrap: bool) -> AExpr:
     while True:
         out = simplify_structural(const_fold(e, wrap=wrap))
         if out == e:
-            return out
+            return e
         e = out
 
 
-def _opt_bexp(b: BExpr, wrap: bool) -> BExpr:
-    match b:
-        case BoolLit():
-            mapped = b
-        case Cmp(op, left, right):
-            mapped = Cmp(op, _opt_aexp(left, wrap), _opt_aexp(right, wrap))
-        case Not(operand):
-            mapped = Not(_opt_bexp(operand, wrap))
-        case And(left, right):
-            mapped = And(_opt_bexp(left, wrap), _opt_bexp(right, wrap))
-        case Or(left, right):
-            mapped = Or(_opt_bexp(left, wrap), _opt_bexp(right, wrap))
-        case _:
-            raise TypeError(f"not a BExpr: {b!r}")
-    return simplify_bool(mapped, wrap=wrap)
-
-
-def _opt_com(c: Com, wrap: bool) -> Com:
-    match c:
-        case Skip():
-            return c
-        case Assign(var, rhs):
-            return Assign(var, _opt_aexp(rhs, wrap))
-        case Seq(first, second):
-            return Seq(_opt_com(first, wrap), _opt_com(second, wrap))
-        case If(cond, then_branch, else_branch):
-            return If(
-                _opt_bexp(cond, wrap),
-                _opt_com(then_branch, wrap),
-                _opt_com(else_branch, wrap),
-            )
-        case While(cond, invariant, body):
-            # invariants are specification text, not executed code
-            return While(_opt_bexp(cond, wrap), invariant, _opt_com(body, wrap))
-    raise TypeError(f"not a Com: {c!r}")
-
-
-def _same_tree(a, b) -> bool:
-    """Structural equality of two ASTs, as dataclass ``==`` defines it.
-
-    Walks an explicit stack instead of recursing through ``__eq__``, so
-    long statement sequences cannot exhaust the recursion limit.  Shared
-    subtrees (``a is b``) are skipped without descending.
-    """
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if not is_dataclass(x):
-            if x != y:
-                return False
-            continue
-        for f in fields(x):
-            if f.compare:
-                todo.append((getattr(x, f.name), getattr(y, f.name)))
-    return True
-
-
 def optimize(p: Program, level: int) -> Program:
-    """Apply the level's rewrites to a fixed point; level 0 is identity."""
+    """Apply the level's rewrites to a fixed point; level 0 is identity.
+
+    Every rewrite returns the node it was given when no rule applies,
+    so the fixed point is reached when a pass returns the body itself.
+    """
     if level not in OPT_LEVELS:
         raise ValueError(f"optimization level must be one of {OPT_LEVELS}")
     if level == 0:
         return p
     wrap = p.typed
+    opt_aexp = lambda e: _opt_aexp(e, wrap)  # noqa: E731
+
+    def step(n):
+        # Arithmetic is optimized whole where code consumes it, at
+        # assignments and comparisons; invariants are specification
+        # text, not executed code, so their arithmetic stays as written.
+        t = type(n)
+        if t is Assign:
+            return map_children(n, opt_aexp)
+        if t is Cmp:
+            return _bool_step(map_children(n, opt_aexp), wrap)
+        if t is Not or t is And or t is Or:
+            return _bool_step(n, wrap)
+        if level >= 2 and (t is Seq or t is If or t is While):
+            return _dead_step(n)
+        return n
+
     body = p.body
     while True:
-        out = _opt_com(body, wrap)
-        if level >= 2:
-            out = dead_code(out)
-        if _same_tree(out, body):
+        out = transform(body, step)
+        if out is body:
             return Program(p.decls, out)
         body = out

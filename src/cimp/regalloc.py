@@ -1,7 +1,8 @@
 """Register allocation for expression trees.
 
 Ershov (Sethi-Ullman) numbering assigns each tree node the number of
-registers needed to evaluate it without touching memory.  `alloc_codegen`
+registers needed to evaluate it without touching memory; the labels are
+computed once per node, bottom-up, before code generation.  `alloc_codegen`
 turns a core arithmetic expression into straight-line register code for a
 machine with k general registers, evaluating the heavier subtree first and
 spilling to a LIFO stack only when both subtrees need every available
@@ -15,7 +16,7 @@ from typing import Optional, Union
 
 from .errors import CimpError, UnsupportedNode
 from .semantics import Store
-from .syntax import AExpr, BinOp, IntLit, Neg, Var
+from .syntax import AExpr, BinOp, IntLit, Neg, Var, transform, walk
 
 
 class MalformedCode(CimpError):
@@ -62,42 +63,45 @@ def _join(left: int, right: int) -> int:
     return max(left, right) if left != right else left + 1
 
 
+def _labels(e: AExpr) -> dict[int, int]:
+    """Ershov number of every node of e, keyed by id, in one bottom-up pass."""
+    labels: dict[int, int] = {}
+    for n in reversed(list(walk(e))):  # every node after its subtrees
+        t = type(n)
+        if t is IntLit or t is Var:
+            labels[id(n)] = 1
+        elif t is Neg:
+            labels[id(n)] = _join(1, labels[id(n.operand)])
+        elif t is BinOp:
+            labels[id(n)] = _join(labels[id(n.left)], labels[id(n.right)])
+        else:
+            raise UnsupportedNode(
+                "register allocation covers + - * and negation only", n.pos
+            )
+    return labels
+
+
 def ershov(e: AExpr) -> int:
     """Registers needed to evaluate `e` with no spills.
 
     Leaves (variables and constants alike) are labeled 1.  Negation is
     labeled as if written 0 - e.
     """
-    if isinstance(e, (IntLit, Var)):
-        return 1
-    if isinstance(e, Neg):
-        return _join(1, ershov(e.operand))
-    if isinstance(e, BinOp):
-        return _join(ershov(e.left), ershov(e.right))
-    raise UnsupportedNode(getattr(e, "pos", None))
-
-
-def _desugar(e: AExpr) -> AExpr:
-    # Rewrite Neg into the binary form the labeling already assumes.
-    if isinstance(e, (IntLit, Var)):
-        return e
-    if isinstance(e, Neg):
-        return BinOp("-", IntLit(0), _desugar(e.operand))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _desugar(e.left), _desugar(e.right))
-    raise UnsupportedNode(getattr(e, "pos", None))
+    return _labels(e)[id(e)]
 
 
 def alloc_codegen(e: AExpr, k: int) -> RegCode:
     """Compile `e` to register code; the result lands in register 0."""
     if k < 2:
         raise ValueError("need at least 2 registers")
+    # Neg becomes the binary form the labeling already assumes
+    e = transform(e, lambda n: BinOp("-", IntLit(0), n.operand) if type(n) is Neg else n)
     out: list[RegInstr] = []
-    _gen(_desugar(e), k, 0, out)
+    _gen(e, _labels(e), k, 0, out)
     return tuple(out)
 
 
-def _gen(e: AExpr, k: int, lo: int, out: list[RegInstr]) -> None:
+def _gen(e: AExpr, labels: dict[int, int], k: int, lo: int, out: list[RegInstr]) -> None:
     # Result goes to register lo; registers lo..k-1 are free.
     if isinstance(e, IntLit):
         out.append(LoadConst(lo, e.value))
@@ -107,24 +111,24 @@ def _gen(e: AExpr, k: int, lo: int, out: list[RegInstr]) -> None:
         return
     assert isinstance(e, BinOp)
     kind = OP_KINDS[e.op]
-    ll, lr = ershov(e.left), ershov(e.right)
+    ll, lr = labels[id(e.left)], labels[id(e.right)]
     avail = k - lo
     if ll >= avail and lr >= avail:
         # Neither side fits while the other's value is pinned: evaluate the
         # right operand, park it on the spill stack, then redo the left with
         # every register free and bring the right back into a scratch.
-        _gen(e.right, k, lo, out)
+        _gen(e.right, labels, k, lo, out)
         out.append(Spill(lo))
-        _gen(e.left, k, lo, out)
+        _gen(e.left, labels, k, lo, out)
         out.append(Reload(lo + 1))
         out.append(Op(kind, lo, lo, lo + 1))
     elif lr > ll:
-        _gen(e.right, k, lo, out)
-        _gen(e.left, k, lo + 1, out)
+        _gen(e.right, labels, k, lo, out)
+        _gen(e.left, labels, k, lo + 1, out)
         out.append(Op(kind, lo, lo + 1, lo))
     else:
-        _gen(e.left, k, lo, out)
-        _gen(e.right, k, lo + 1, out)
+        _gen(e.left, labels, k, lo, out)
+        _gen(e.right, labels, k, lo + 1, out)
         out.append(Op(kind, lo, lo, lo + 1))
 
 

@@ -1,12 +1,16 @@
 """Reference semantics for imp over unbounded integers.
 
-Two interchangeable executions are provided:
+Three executions are provided:
 
-* ``ceval_fuel``: big-step evaluation with a fuel budget.  Fuel is an
-  iteration budget: only loop unfoldings consume it (one unit each),
-  straight-line code is free.  A loop entered with zero fuel reports
-  ``OutOfFuel`` before even testing its guard, so ``ceval_fuel(0, c, s)``
-  can complete only for loop-free ``c``.
+* ``run_fueled``: big-step evaluation with a fuel budget, taking the
+  expression semantics as parameters.  ``ceval_fuel`` runs it with
+  ``aeval``/``beval``; ``typecheck.ceval_fixed`` runs it with the 32-bit
+  evaluators.  Fuel is an iteration budget: only loop unfoldings
+  consume it (one unit each), straight-line code is free.  A loop
+  entered with zero fuel reports ``OutOfFuel`` before even testing its
+  guard, so ``ceval_fuel(0, c, s)`` can complete only for loop-free
+  ``c``.  It keeps an explicit stack of pending commands, so long
+  sequences need no recursion.
 * ``step``: a small-step transition relation over (command, store)
   configurations, with expressions evaluated atomically.
 * ``run_small``: a continuation-stack driver for that relation.  It
@@ -16,8 +20,8 @@ Two interchangeable executions are provided:
   ``step`` max_steps times.  ``step`` is kept as the textbook relation
   and the tests use it as the oracle for ``run_small``.
 
-Both agree on ``Done`` results; the property tests and the differential
-harness lean on that.
+The big-step and small-step executions agree on ``Done`` results; the
+property tests and the differential harness lean on that.
 
 Stores are immutable total maps: absent names read as 0, and equality
 compares the induced function (an explicit ``x = 0`` binding equals no
@@ -28,7 +32,7 @@ evaluation of a core expression always yields an integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import UnsupportedNode
 from .syntax import (
@@ -215,44 +219,56 @@ def beval(s: Store, b: BExpr) -> bool:
 # Big-step evaluation with fuel
 
 
-def _ceval(fuel: int, c: Com, s: Store) -> Optional[tuple[int, Store]]:
-    """Returns (remaining fuel, final store), or None when fuel ran out."""
-    match c:
-        case Skip():
-            return fuel, s
-        case Assign(var, rhs):
-            return fuel, s.set(var, aeval(s, rhs))
-        case Seq(first, second):
-            r = _ceval(fuel, first, s)
-            if r is None:
-                return None
-            return _ceval(r[0], second, r[1])
-        case If(cond, then_branch, else_branch):
-            taken = then_branch if beval(s, cond) else else_branch
-            return _ceval(fuel, taken, s)
-        case While(cond, _, body):
-            # Iterative on purpose: recursion depth must not scale with
-            # the iteration count.
-            while True:
-                if fuel == 0:
-                    return None
-                if not beval(s, cond):
-                    return fuel, s
-                r = _ceval(fuel - 1, body, s)
-                if r is None:
-                    return None
-                fuel, s = r
-    raise TypeError(f"not a Com: {c!r}")
+def run_fueled(
+    fuel: int,
+    c: Com,
+    s: Store,
+    aeval: Callable[[Store, AExpr], int],
+    beval: Callable[[Store, BExpr], bool],
+) -> Outcome:
+    """Big-step execution of c under the given expression semantics.
+
+    Fuel bounds the number of loop unfoldings: a loop checks its fuel
+    before testing its guard and spends one unit per entry into its
+    body; straight-line code is free.  The loop keeps an explicit
+    stack of the commands still to run and updates a private copy of
+    the store in place, so neither sequence length nor iteration count
+    deepens the Python stack.
+    """
+    if fuel < 0:
+        raise ValueError("fuel must be nonnegative")
+    rest: list[Com] = []
+    s = Store(s._bindings)
+    env = s._bindings
+    while True:
+        t = type(c)
+        if t is Seq:
+            rest.append(c.second)
+            c = c.first
+            continue
+        if t is Assign:
+            env[c.var] = aeval(s, c.rhs)
+        elif t is If:
+            c = c.then_branch if beval(s, c.cond) else c.else_branch
+            continue
+        elif t is While:
+            if not fuel:
+                return OUT_OF_FUEL
+            if beval(s, c.cond):
+                fuel -= 1
+                rest.append(c)
+                c = c.body
+                continue
+        elif t is not Skip:
+            raise TypeError(f"not a Com: {c!r}")
+        if not rest:
+            return Done(s)
+        c = rest.pop()
 
 
 def ceval_fuel(fuel: int, c: Com, s: Store) -> Outcome:
     """Big-step evaluation; fuel bounds the number of loop unfoldings."""
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
-    r = _ceval(fuel, c, s)
-    if r is None:
-        return OUT_OF_FUEL
-    return Done(r[1])
+    return run_fueled(fuel, c, s, aeval, beval)
 
 
 # ---------------------------------------------------------------------------

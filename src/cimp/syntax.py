@@ -18,13 +18,21 @@ All nodes are frozen dataclasses, so structural equality and hashing
 come for free.  Source positions are carried in a ``pos`` field that is
 excluded from comparison: two trees that differ only in positions are
 equal, which is what round-trip and optimizer tests rely on.
+
+Analyses that only need to reach every node use the generic traversal defined
+below instead of a walker per node class.  At import,
+each class's subtree fields are read off its dataclass fields (those
+whose annotation names a node type), and ``children``, ``map_children``,
+``walk`` and ``transform`` are driven by that table, so a new node class
+needs no edit to any of them or to the folds built on them
+(``com_vars``, ``node_count``, substitution, the optimizer's passes).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterator, Optional, Union, get_args, get_type_hints
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,6 @@ class Cast:
 
 AExpr = Union[IntLit, Var, Neg, BinOp, BitOp, BitNot, Cast]
 
-CORE_BINOPS = ("+", "-", "*")
-BIT_BINOPS = ("&", "|", "^", "<<", ">>")
-
 
 # ---------------------------------------------------------------------------
 # Boolean expressions
@@ -154,8 +159,6 @@ class Or:
 
 
 BExpr = Union[BoolLit, Cmp, Not, And, Or]
-
-CMP_OPS = ("=", "<=", "<")
 
 
 # ---------------------------------------------------------------------------
@@ -276,63 +279,107 @@ def program(body: Com) -> Program:
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+
+
+def _subtree_fields(cls: type) -> tuple[str, ...]:
+    hints = get_type_hints(cls)
+    return tuple(
+        f.name
+        for f in fields(cls)
+        if f.compare and _NODE_CLASSES & {hints[f.name], *get_args(hints[f.name])}
+    )
+
+
+_NODE_CLASSES = frozenset(
+    get_args(AExpr) + get_args(BExpr) + get_args(Assertion) + get_args(Com)
+)
+# the fields of each class that hold subtrees, in declaration order
+_SUBTREES = {cls: _subtree_fields(cls) for cls in (*_NODE_CLASSES, Program)}
+_READY = object()
+
+
+def children(node) -> tuple:
+    """The subtrees of node in field order (an absent invariant is skipped)."""
+    kids = []
+    for name in _SUBTREES[type(node)]:
+        k = getattr(node, name)
+        if k is not None:
+            kids.append(k)
+    return tuple(kids)
+
+
+def map_children(node, f):
+    """node with f applied to each subtree; node itself when f changed none."""
+    changed = None
+    for name in _SUBTREES[type(node)]:
+        old = getattr(node, name)
+        if old is not None:
+            new = f(old)
+            if new is not old:
+                if changed is None:
+                    changed = {}
+                changed[name] = new
+    return node if changed is None else replace(node, **changed)
+
+
+def walk(node) -> Iterator:
+    """node and every node below it in pre-order, leftmost subtree first.
+
+    Iterative, so depth is not limited by recursion; a subtree shared by
+    several parents is visited once per occurrence.
+    """
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        for name in reversed(_SUBTREES[type(n)]):
+            k = getattr(n, name)
+            if k is not None:
+                todo.append(k)
+
+
+def transform(node, f):
+    """Bottom-up rewrite: f gets each node once its subtrees are rewritten.
+
+    Iterative like ``walk``.  f must depend on the node alone, not on its
+    context: a subtree shared by several parents is rewritten once and
+    the result is shared in turn, and ``map_children`` keeps every
+    unchanged node, so rewriting touches only the paths that change.
+    """
+    done: dict[int, object] = {}
+    lookup = lambda k: done[id(k)]  # noqa: E731
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if n is _READY:  # every subtree of the node below is rewritten
+            n = todo.pop()
+            done[id(n)] = f(map_children(n, lookup))
+        elif id(n) not in done:
+            todo += (n, _READY)
+            for name in reversed(_SUBTREES[type(n)]):
+                k = getattr(n, name)
+                if k is not None and id(k) not in done:
+                    todo.append(k)
+    return done[id(node)]
+
+
+# ---------------------------------------------------------------------------
 # Structural helpers
 
 
-def aexpr_vars(e: AExpr) -> frozenset[str]:
-    match e:
-        case IntLit():
-            return frozenset()
-        case Var(name):
-            return frozenset((name,))
-        case Neg(operand) | BitNot(operand) | Cast(_, operand):
-            return aexpr_vars(operand)
-        case BinOp(_, left, right) | BitOp(_, left, right):
-            return aexpr_vars(left) | aexpr_vars(right)
-    raise TypeError(f"not an AExpr: {e!r}")
+def com_vars(node) -> frozenset[str]:
+    """Variables read or written anywhere in a node, invariants included."""
+    names = set()
+    for n in walk(node):
+        if type(n) is Var:
+            names.add(n.name)
+        elif type(n) is Assign:
+            names.add(n.var)
+    return frozenset(names)
 
 
-def bexpr_vars(b: BExpr) -> frozenset[str]:
-    match b:
-        case BoolLit():
-            return frozenset()
-        case Cmp(_, left, right):
-            return aexpr_vars(left) | aexpr_vars(right)
-        case Not(operand):
-            return bexpr_vars(operand)
-        case And(left, right) | Or(left, right):
-            return bexpr_vars(left) | bexpr_vars(right)
-    raise TypeError(f"not a BExpr: {b!r}")
-
-
-def assertion_vars(a: Assertion) -> frozenset[str]:
-    match a:
-        case ATrue() | AFalse():
-            return frozenset()
-        case ACmp(_, left, right):
-            return aexpr_vars(left) | aexpr_vars(right)
-        case ANot(operand):
-            return assertion_vars(operand)
-        case AAnd(left, right) | AOr(left, right) | AImplies(left, right):
-            return assertion_vars(left) | assertion_vars(right)
-    raise TypeError(f"not an Assertion: {a!r}")
-
-
-def com_vars(c: Com) -> frozenset[str]:
-    """Variables read or written anywhere in a command."""
-    match c:
-        case Skip():
-            return frozenset()
-        case Assign(var, rhs):
-            return frozenset((var,)) | aexpr_vars(rhs)
-        case Seq(first, second):
-            return com_vars(first) | com_vars(second)
-        case If(cond, then_branch, else_branch):
-            return bexpr_vars(cond) | com_vars(then_branch) | com_vars(else_branch)
-        case While(cond, invariant, body):
-            inv = assertion_vars(invariant) if invariant is not None else frozenset()
-            return bexpr_vars(cond) | inv | com_vars(body)
-    raise TypeError(f"not a Com: {c!r}")
+aexpr_vars = assertion_vars = com_vars
 
 
 def program_vars(p: Program) -> frozenset[str]:
@@ -340,48 +387,8 @@ def program_vars(p: Program) -> frozenset[str]:
 
 
 def node_count(node) -> int:
-    """Number of AST nodes in an expression, command, or assertion."""
-    match node:
-        case IntLit() | Var() | BoolLit() | ATrue() | AFalse() | Skip():
-            return 1
-        case Neg(x) | BitNot(x) | Cast(_, x) | Not(x) | ANot(x):
-            return 1 + node_count(x)
-        case (
-            BinOp(_, l, r)
-            | BitOp(_, l, r)
-            | Cmp(_, l, r)
-            | ACmp(_, l, r)
-            | And(l, r)
-            | Or(l, r)
-            | AAnd(l, r)
-            | AOr(l, r)
-            | AImplies(l, r)
-            | Seq(l, r)
-        ):
-            return 1 + node_count(l) + node_count(r)
-        case Assign(_, rhs):
-            return 1 + node_count(rhs)
-        case If(cond, t, e):
-            return 1 + node_count(cond) + node_count(t) + node_count(e)
-        case While(cond, _, body):
-            return 1 + node_count(cond) + node_count(body)
-        case Program(_, body):
-            return node_count(body)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def is_core_aexpr(e: AExpr) -> bool:
-    """True if the expression avoids every fixed-width-only node."""
-    match e:
-        case IntLit() | Var():
-            return True
-        case Neg(operand):
-            return is_core_aexpr(operand)
-        case BinOp(_, left, right):
-            return is_core_aexpr(left) and is_core_aexpr(right)
-        case BitOp() | BitNot() | Cast():
-            return False
-    raise TypeError(f"not an AExpr: {e!r}")
+    """Number of AST nodes in node; a shared subtree counts at each occurrence."""
+    return sum(1 for _ in walk(node))
 
 
 def bexpr_to_assertion(b: BExpr) -> Assertion:

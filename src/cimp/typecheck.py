@@ -6,23 +6,26 @@ of their context (defaulting to i32), and the only bridge between signed
 and unsigned is an explicit cast, which reinterprets bits.  Arithmetic
 wraps modulo 2^32 for both types; signedness only changes how comparisons
 order words.
+
+``typecheck`` is one pre-order pass over the program that types the
+right-hand side of every assignment and the operands of every comparison,
+in loop conditions and invariants alike.  ``ceval_fixed`` is
+``semantics.run_fueled`` with the 32-bit evaluators ``eval_fixed`` and
+``beval_fixed``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, Optional, Union
 
 from .errors import CimpError
-from .semantics import OUT_OF_FUEL, Done, Outcome, Store
+from .semantics import Outcome, Store, run_fueled
 from .syntax import (
     ACmp,
     AExpr,
-    AFalse,
-    ANot,
-    Assertion,
-    Assign,
-    ATrue,
     And,
+    Assign,
     BExpr,
     BinOp,
     BitNot,
@@ -30,18 +33,14 @@ from .syntax import (
     BoolLit,
     Cast,
     Cmp,
-    Com,
-    If,
     IntLit,
     Neg,
     Not,
     Program,
-    Seq,
-    Skip,
     SrcPos,
     Ty,
     Var,
-    While,
+    walk,
 )
 
 MASK = 0xFFFFFFFF
@@ -158,14 +157,10 @@ class _Checker:
     def _adopt(self, e: AExpr, t: Ty) -> None:
         # e synthesized as polymorphic, so it is built solely from
         # IntLit, Neg and BinOp; stamp the whole spine with t
-        self.types[id(e)] = t
-        if isinstance(e, Neg):
-            self._adopt(e.operand, t)
-        elif isinstance(e, BinOp):
-            self._adopt(e.left, t)
-            self._adopt(e.right, t)
+        for n in walk(e):
+            self.types[id(n)] = t
 
-    def _common(self, left: AExpr, right: AExpr) -> Ty:
+    def common(self, left: AExpr, right: AExpr) -> Ty:
         tl = self.synth(left)
         tr = self.synth(right)
         if tl is None and tr is None:
@@ -182,59 +177,6 @@ class _Checker:
             raise TypeMismatch(_fmt(tl), _fmt(tr), right.pos)
         return tl
 
-    # -- booleans and assertions ------------------------------------------
-
-    def check_bexpr(self, b: BExpr) -> None:
-        if isinstance(b, BoolLit):
-            return
-        if isinstance(b, Cmp):
-            self.types[id(b)] = self._common(b.left, b.right)
-            return
-        if isinstance(b, Not):
-            self.check_bexpr(b.operand)
-            return
-        self.check_bexpr(b.left)
-        self.check_bexpr(b.right)
-
-    def check_assertion(self, a: Assertion) -> None:
-        if isinstance(a, (ATrue, AFalse)):
-            return
-        if isinstance(a, ACmp):
-            self.types[id(a)] = self._common(a.left, a.right)
-            return
-        if isinstance(a, ANot):
-            self.check_assertion(a.operand)
-            return
-        # AAnd, AOr and AImplies all carry left and right
-        self.check_assertion(a.left)
-        self.check_assertion(a.right)
-
-    # -- commands ----------------------------------------------------------
-
-    def check_com(self, c: Com) -> None:
-        if isinstance(c, Skip):
-            return
-        if isinstance(c, Assign):
-            declared = self.env.get(c.var)
-            if declared is None:
-                raise UndeclaredVariable(c.var, c.pos)
-            self.check(c.rhs, declared)
-            return
-        if isinstance(c, Seq):
-            self.check_com(c.first)
-            self.check_com(c.second)
-            return
-        if isinstance(c, If):
-            self.check_bexpr(c.cond)
-            self.check_com(c.then_branch)
-            self.check_com(c.else_branch)
-            return
-        assert isinstance(c, While)
-        self.check_bexpr(c.cond)
-        if c.invariant is not None:
-            self.check_assertion(c.invariant)
-        self.check_com(c.body)
-
 
 def typecheck(p: Program) -> TypedProgram:
     """Check a declared program; errors surface in leftmost-innermost order."""
@@ -242,7 +184,14 @@ def typecheck(p: Program) -> TypedProgram:
         raise ValueError("typecheck needs a program with declarations")
     env = {name: ty if ty is not None else Ty.I32 for name, ty in p.decls}
     checker = _Checker(env)
-    checker.check_com(p.body)
+    for n in walk(p.body):
+        if type(n) is Assign:
+            declared = env.get(n.var)
+            if declared is None:
+                raise UndeclaredVariable(n.var, n.pos)
+            checker.check(n.rhs, declared)
+        elif type(n) is Cmp or type(n) is ACmp:
+            checker.types[id(n)] = checker.common(n.left, n.right)
     return TypedProgram(p, env, checker.types)
 
 
@@ -311,40 +260,13 @@ def beval_fixed(tp: TypedProgram, s32: Store, b: BExpr) -> bool:
     return beval_fixed(tp, s32, b.left) or beval_fixed(tp, s32, b.right)
 
 
-def _ceval32(tp: TypedProgram, fuel: int, c: Com, s: Store) -> Optional[tuple[int, Store]]:
-    if isinstance(c, Skip):
-        return fuel, s
-    if isinstance(c, Assign):
-        return fuel, s.set(c.var, eval_fixed(tp.env, s, c.rhs))
-    if isinstance(c, Seq):
-        r = _ceval32(tp, fuel, c.first, s)
-        if r is None:
-            return None
-        return _ceval32(tp, r[0], c.second, r[1])
-    if isinstance(c, If):
-        branch = c.then_branch if beval_fixed(tp, s, c.cond) else c.else_branch
-        return _ceval32(tp, fuel, branch, s)
-    assert isinstance(c, While)
-    while True:
-        if fuel == 0:
-            return None
-        if not beval_fixed(tp, s, c.cond):
-            return fuel, s
-        r = _ceval32(tp, fuel - 1, c.body, s)
-        if r is None:
-            return None
-        fuel, s = r
-
-
 def ceval_fixed(fuel: int, tp: TypedProgram, s32: Store) -> Outcome:
     """Run a typed program's body with the fueled 32-bit semantics.
 
-    The fuel discipline matches the unbounded evaluator: only loop
-    unfoldings consume fuel, and a loop checks fuel before its guard.
+    This is ``run_fueled`` with the 32-bit evaluators, so the fuel
+    discipline is the unbounded evaluator's: only loop unfoldings
+    consume fuel, and a loop checks fuel before its guard.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
-    r = _ceval32(tp, fuel, tp.program.body, s32)
-    if r is None:
-        return OUT_OF_FUEL
-    return Done(r[1])
+    return run_fueled(
+        fuel, tp.program.body, s32, partial(eval_fixed, tp.env), partial(beval_fixed, tp)
+    )

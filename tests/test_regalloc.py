@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as gen
+from cimp import regalloc
 from cimp.errors import UnsupportedNode
 from oracles import min_registers
 from cimp.regalloc import (
@@ -19,7 +20,7 @@ from cimp.regalloc import (
     reg_exec,
 )
 from cimp.semantics import Store, aeval
-from cimp.syntax import BinOp, BitOp, IntLit, Neg, Var
+from cimp.syntax import BinOp, BitOp, IntLit, Neg, Var, node_count
 
 
 def V(n):
@@ -235,6 +236,19 @@ def test_nested_spills_respect_lifo():
     code = alloc_codegen(e, 2)
     assert sum(isinstance(i, Spill) for i in code) >= 2
     assert reg_exec(code, Store(), 2) == aeval(Store(), e)
+
+
+def test_each_node_is_labeled_once(monkeypatch):
+    # one label per node keeps allocation linear in the chain length
+    e = V("x0")
+    for i in range(1, 400):
+        e = add(e, V(f"x{i}"))
+    labels = []
+    join = regalloc._join
+    monkeypatch.setattr(regalloc, "_join", lambda l, r: labels.append(1) or join(l, r))
+    code = alloc_codegen(e, 8)
+    assert len(labels) <= node_count(e)
+    assert reg_exec(code, Store({f"x{i}": i for i in range(400)})) == sum(range(400))
 
 
 # ---------------------------------------------------------------------------

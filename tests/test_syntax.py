@@ -1,0 +1,190 @@
+from typing import get_args
+
+import pytest
+
+from cimp import syntax as sx
+from cimp.optimizer import optimize
+from cimp.semantics import Done, Store, ceval_fuel
+from cimp.syntax import (
+    AAnd,
+    ACmp,
+    AFalse,
+    AImplies,
+    ANot,
+    AOr,
+    ATrue,
+    And,
+    Assign,
+    BinOp,
+    BitNot,
+    BitOp,
+    BoolLit,
+    Cast,
+    Cmp,
+    If,
+    IntLit,
+    Neg,
+    Not,
+    Or,
+    Program,
+    Seq,
+    Skip,
+    SrcPos,
+    Ty,
+    Var,
+    While,
+    children,
+    map_children,
+    transform,
+    walk,
+)
+from cimp.typecheck import ceval_fixed, typecheck
+
+# The subtree fields of every AST class, written out by hand.
+SUBTREES = {
+    IntLit: (),
+    Var: (),
+    Neg: ("operand",),
+    BinOp: ("left", "right"),
+    BitOp: ("left", "right"),
+    BitNot: ("operand",),
+    Cast: ("operand",),
+    BoolLit: (),
+    Cmp: ("left", "right"),
+    Not: ("operand",),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    ATrue: (),
+    AFalse: (),
+    ACmp: ("left", "right"),
+    ANot: ("operand",),
+    AAnd: ("left", "right"),
+    AOr: ("left", "right"),
+    AImplies: ("left", "right"),
+    Skip: (),
+    Assign: ("rhs",),
+    Seq: ("first", "second"),
+    If: ("cond", "then_branch", "else_branch"),
+    While: ("cond", "invariant", "body"),
+    Program: ("body",),
+}
+
+# One node of every class whose subtrees are distinct leaves.
+SAMPLES = [
+    IntLit(1),
+    Var("x"),
+    Neg(Var("a")),
+    BinOp("+", Var("a"), IntLit(2)),
+    BitOp("&", Var("a"), IntLit(2)),
+    BitNot(Var("a")),
+    Cast(Ty.U32, Var("a")),
+    BoolLit(True),
+    Cmp("<", Var("a"), IntLit(2)),
+    Not(BoolLit(True)),
+    And(BoolLit(True), BoolLit(False)),
+    Or(BoolLit(True), BoolLit(False)),
+    ATrue(),
+    AFalse(),
+    ACmp("=", Var("a"), IntLit(2)),
+    ANot(ATrue()),
+    AAnd(ATrue(), AFalse()),
+    AOr(ATrue(), AFalse()),
+    AImplies(ATrue(), AFalse()),
+    Skip(),
+    Assign("x", IntLit(1)),
+    Seq(Skip(), Skip()),
+    If(BoolLit(True), Skip(), Skip()),
+    While(BoolLit(True), ATrue(), Skip()),
+    Program((("x", Ty.I32),), Skip()),
+]
+
+
+def test_samples_cover_every_ast_class():
+    classes = {Program}
+    for union in (sx.AExpr, sx.BExpr, sx.Assertion, sx.Com):
+        classes |= set(get_args(union))
+    assert {type(n) for n in SAMPLES} == classes == set(SUBTREES)
+
+
+def _same_objects(xs, ys):
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
+def test_traversal_yields_exactly_the_subtree_fields(node):
+    kids = [getattr(node, name) for name in SUBTREES[type(node)]]
+    assert _same_objects(children(node), kids)
+    assert _same_objects(walk(node), [node] + kids)
+    assert map_children(node, lambda k: k) is node
+
+
+def test_absent_invariant_is_not_a_child():
+    loop = While(BoolLit(True), None, Skip())
+    assert _same_objects(children(loop), [loop.cond, loop.body])
+    assert map_children(loop, lambda k: k) is loop
+
+
+def test_map_children_rebuilds_only_what_changed():
+    e = BinOp("*", Var("a"), Var("b"), pos=SrcPos(1, 2))
+    out = map_children(e, lambda k: IntLit(7) if k == Var("b") else k)
+    assert out == BinOp("*", Var("a"), IntLit(7))
+    assert out.pos == SrcPos(1, 2)
+    assert out.left is e.left
+
+
+def test_walk_is_preorder_leftmost_first():
+    c = sx.Seq(Assign("x", BinOp("-", Var("a"), IntLit(1))), Skip())
+    names = [type(n).__name__ for n in walk(c)]
+    assert names == ["Seq", "Assign", "BinOp", "Var", "IntLit", "Skip"]
+
+
+def test_transform_rewrites_a_shared_subtree_once():
+    shared = BinOp("+", Var("x"), IntLit(1))
+    e = BinOp("*", shared, shared)
+    seen = []
+
+    def f(n):
+        seen.append(n)
+        return IntLit(2) if n == Var("x") else n
+
+    out = transform(e, f)
+    assert out == BinOp("*", BinOp("+", IntLit(2), IntLit(1)), BinOp("+", IntLit(2), IntLit(1)))
+    assert out.left is out.right
+    assert len(seen) == 4  # x, 1, the shared sum, the product
+    assert sx.node_count(e) == 7  # counted at each occurrence
+
+
+# ---------------------------------------------------------------------------
+# 10^4-statement sequences: no tool may recurse once per statement
+
+N = 10_000
+
+
+def _increment():
+    return Assign("x", BinOp("+", Var("x"), IntLit(1)))
+
+
+def _right_nested():
+    c = _increment()
+    for _ in range(N - 1):
+        c = Seq(_increment(), c)
+    return c
+
+
+def _left_nested():
+    c = _increment()
+    for _ in range(N - 1):
+        c = Seq(c, _increment())
+    return c
+
+
+@pytest.mark.parametrize("build", [_right_nested, _left_nested])
+def test_long_sequences_finish(build):
+    c = build()
+    assert sx.node_count(c) == 4 * N + N - 1
+    assert sx.com_vars(c) == frozenset({"x"})
+    assert ceval_fuel(0, c, Store()) == Done(Store({"x": N}))
+    tp = typecheck(Program((("x", Ty.I32),), c))
+    assert ceval_fixed(0, tp, Store()) == Done(Store({"x": N}))
+    assert optimize(sx.program(c), 2).body is c
