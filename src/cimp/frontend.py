@@ -26,6 +26,14 @@ either a parenthesized boolean formula or the left operand of a
 comparison; both alternatives are tried and the error that made it
 furthest wins.
 
+Sequences and chains of binary operators are parsed in loops.  What
+nests opens one level each: a parenthesis (a cast's included), a unary
+``-``, ``~`` or ``!``, and an ``if`` or ``while`` statement.  At most
+``MAX_NESTING`` (100) levels may be open at once; the token that would
+open one more raises NestingError, a located CimpError, so the parser's
+recursion stays bounded and a program at the limit still runs on every
+engine and compiles on both backends.
+
 The pretty printer emits minimal parentheses, so ``parse`` after
 ``pretty`` reproduces the input AST structurally (positions are not
 compared).  Left-nested sequences are the one exception: ``pretty``
@@ -36,8 +44,7 @@ is semantically inert.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CimpError
 from .syntax import (
@@ -78,9 +85,16 @@ KEYWORDS = frozenset(
     "skip if then else end while do done true false var invariant i32 u32".split()
 )
 
+# Deepest nesting the parser accepts; see the module docstring.
+MAX_NESTING = 100
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
+    """One lexeme and the 1-based line and column of its first character.
+
+    A plain tuple underneath, so the lexer builds one cheaply per token.
+    """
+
     kind: str  # "keyword" | "ident" | "int" | "op" | "punct" | "eoi"
     lexeme: str
     line: int
@@ -100,6 +114,13 @@ class LexError(CimpError):
     def __init__(self, char: str, pos: SrcPos):
         super().__init__(f"unexpected character {char!r}", pos)
         self.char = char
+
+
+class NestingError(CimpError):
+    """Raised at the token that opens nesting level MAX_NESTING + 1."""
+
+    def __init__(self, pos: SrcPos):
+        super().__init__(f"nesting deeper than {MAX_NESTING} levels", pos)
 
 
 class ParseError(CimpError):
@@ -128,45 +149,37 @@ _TOKEN_RE = re.compile(
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|<<|>>|<=|&&|\|\||->|[+\-*&|^~=<!])
     | (?P<punct>[();:{}])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def lex(source: str) -> list[Token]:
-    """Tokenize; comments and whitespace are discarded.
+    """Tokenize in one scan; comments and whitespace are discarded.
 
-    The result always ends with an end-of-input token.  Any character
-    outside the token alphabet raises LexError at its position.
+    The result is a list of ``Token`` tuples that always ends with an
+    end-of-input token.  Any character outside the token alphabet
+    raises LexError at its position.  Only whitespace can span lines,
+    so positions are tracked from the offset where the current line
+    starts; a tab or a carriage return counts as one column.
     """
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        m = _TOKEN_RE.match(source, i)
-        if m is None:
-            raise LexError(source[i], SrcPos(line, col))
-        text = m.group()
-        kind = m.lastgroup
-        if kind == "int":
-            tokens.append(Token("int", text, line, col))
-        elif kind == "name":
-            tokens.append(
-                Token("keyword" if text in KEYWORDS else "ident", text, line, col)
-            )
-        elif kind == "op":
-            tokens.append(Token("op", text, line, col))
-        elif kind == "punct":
-            tokens.append(Token("punct", text, line, col))
-        # advance line/col over the lexeme (whitespace may span lines)
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rindex("\n")
-        else:
-            col += len(text)
-        i = m.end()
-    tokens.append(Token("eoi", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "name":
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif kind == "bad":
+            raise LexError(text, SrcPos(line, col))
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eoi", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -174,6 +187,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # nesting levels open at the current token
 
     # -- token plumbing ---------------------------------------------------
 
@@ -203,6 +217,12 @@ class _Parser:
             self.fail("an identifier")
         return self.advance()
 
+    def nest(self, opener: Token) -> None:
+        """Open one nesting level; the caller closes it with depth -= 1."""
+        if self.depth == MAX_NESTING:
+            raise NestingError(opener.pos)
+        self.depth += 1
+
     # -- arithmetic expressions -------------------------------------------
 
     def aexp(self) -> AExpr:
@@ -230,12 +250,12 @@ class _Parser:
         return left
 
     def aexp_unary(self) -> AExpr:
-        if self.at("-"):
+        if self.at("-", "~"):
             op = self.advance()
-            return Neg(self.aexp_unary(), pos=op.pos)
-        if self.at("~"):
-            op = self.advance()
-            return BitNot(self.aexp_unary(), pos=op.pos)
+            self.nest(op)
+            operand = self.aexp_unary()
+            self.depth -= 1
+            return (Neg if op.lexeme == "-" else BitNot)(operand, pos=op.pos)
         return self.aexp_atom()
 
     def aexp_atom(self) -> AExpr:
@@ -249,14 +269,16 @@ class _Parser:
             return Var(t.lexeme, pos=t.pos)
         if t.lexeme in ("i32", "u32") and t.kind == "keyword":
             self.advance()
-            self.expect("(")
+            self.nest(self.expect("("))
             inner = self.aexp()
             self.expect(")")
+            self.depth -= 1
             return Cast(Ty(t.lexeme), inner, pos=t.pos)
         if self.at("("):
-            self.advance()
+            self.nest(self.advance())
             inner = self.aexp()
             self.expect(")")
+            self.depth -= 1
             return inner
         self.fail("an integer literal", "an identifier", "'('")
 
@@ -281,7 +303,10 @@ class _Parser:
     def bexp_not(self) -> BExpr:
         if self.at("!"):
             op = self.advance()
-            return Not(self.bexp_not(), pos=op.pos)
+            self.nest(op)
+            operand = self.bexp_not()
+            self.depth -= 1
+            return Not(operand, pos=op.pos)
         return self.bexp_atom()
 
     def comparison(self) -> Cmp:
@@ -308,15 +333,16 @@ class _Parser:
         return self.comparison()
 
     def _paren_or_comparison(self, formula):
-        start = self.i
+        start, depth = self.i, self.depth
         try:
             return self.comparison()
         except ParseError as cmp_err:
-            self.i = start
+            self.i, self.depth = start, depth
             try:
-                self.advance()  # '('
+                self.nest(self.advance())  # '('
                 inner = formula()
                 self.expect(")")
+                self.depth -= 1
                 return inner
             except ParseError as paren_err:
                 raise (paren_err if paren_err.index >= cmp_err.index else cmp_err)
@@ -350,7 +376,10 @@ class _Parser:
     def assertion_not(self) -> Assertion:
         if self.at("!"):
             op = self.advance()
-            return ANot(self.assertion_not(), pos=op.pos)
+            self.nest(op)
+            operand = self.assertion_not()
+            self.depth -= 1
+            return ANot(operand, pos=op.pos)
         return self.assertion_atom()
 
     def assertion_atom(self) -> Assertion:
@@ -372,12 +401,16 @@ class _Parser:
     # -- commands and programs ----------------------------------------------
 
     def com(self) -> Com:
-        first = self.com_single()
-        if self.at(";"):
-            op = self.advance()
-            rest = self.com()  # ';' nests to the right
-            return Seq(first, rest, pos=op.pos)
-        return first
+        coms = [self.com_single()]
+        seps: list[Token] = []
+        while self.at(";"):
+            seps.append(self.advance())
+            coms.append(self.com_single())
+        # ';' nests to the right
+        c = coms.pop()
+        while seps:
+            c = Seq(coms.pop(), c, pos=seps.pop().pos)
+        return c
 
     def com_single(self) -> Com:
         t = self.peek()
@@ -385,16 +418,17 @@ class _Parser:
             self.advance()
             return Skip(pos=t.pos)
         if t.lexeme == "if" and t.kind == "keyword":
-            self.advance()
+            self.nest(self.advance())
             cond = self.bexp()
             self.expect("then")
             then_branch = self.com()
             self.expect("else")
             else_branch = self.com()
             self.expect("end")
+            self.depth -= 1
             return If(cond, then_branch, else_branch, pos=t.pos)
         if t.lexeme == "while" and t.kind == "keyword":
-            self.advance()
+            self.nest(self.advance())
             cond = self.bexp()
             invariant = None
             if self.at("invariant"):
@@ -405,6 +439,7 @@ class _Parser:
             self.expect("do")
             body = self.com()
             self.expect("done")
+            self.depth -= 1
             return While(cond, invariant, body, pos=t.pos)
         if t.kind == "ident":
             self.advance()

@@ -29,21 +29,32 @@ def _fmt_arg(arg) -> str:
     return str(arg)
 
 
+def _line(item) -> str:
+    if isinstance(item, LabelDef):
+        return f"{item.name}:"
+    if item.args:
+        return f"\t{item.op} " + ", ".join(_fmt_arg(a) for a in item.args)
+    return f"\t{item.op}"
+
+
 def emit_asm(prog: MipsProgram) -> str:
+    """The program as text; each distinct instruction object is formatted once.
+
+    Codegen shares the instructions whose operands never change, such as
+    the pushes and pops of the operand stack, so the text is mostly
+    repeats of a few objects.  The memo lives only for this call.
+    """
     lines = ["\t.data"]
     for label, word in prog.data:
         lines.append(f"{label}: .word {word}")
     lines.append("\t.text")
     lines.append("\t.globl main")
+    done: dict[int, str] = {}
     for item in prog.text:
-        if isinstance(item, LabelDef):
-            lines.append(f"{item.name}:")
-        else:
-            if item.args:
-                operands = ", ".join(_fmt_arg(a) for a in item.args)
-                lines.append(f"\t{item.op} {operands}")
-            else:
-                lines.append(f"\t{item.op}")
+        line = done.get(id(item))
+        if line is None:
+            line = done[id(item)] = _line(item)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

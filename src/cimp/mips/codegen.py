@@ -14,6 +14,12 @@ programs pick slt or sltu from the declared comparison type; untyped
 programs are core-only and compare signed.  Multiplication has no
 hardware instruction here: with emulate_mul a shift-and-add loop is
 inlined, otherwise MulNotSupported reports every ``*`` position.
+
+Every instruction passes the ``ins`` shape check: the fixed ones once,
+when this module is imported, after which each program shares them;
+the rest when they are emitted.  Lowering appends to one list and walks
+statements, conditions and naive expressions from explicit stacks, so
+a long sequence costs no recursion.
 """
 
 from __future__ import annotations
@@ -51,11 +57,55 @@ from ..syntax import (
 from ..typecheck import typecheck, word32
 from .isa import Ins, LabelDef, Mem, MipsInstr, MipsProgram, ins
 
-_SP0 = Mem(0, "$sp")
-
 STRATEGIES = ("naive", "regalloc")
 
 _MUL_CLOBBERS = ("$t8", "$t9", "$at")
+
+# Instructions whose operands never change are built here, once, by
+# ``ins``, so each is shape-checked at import and then shared by every
+# program that uses it.  Only instructions with a varying operand (an
+# li/lui/ori constant, an lw/sw of var_<name>, a branch to a fresh
+# label, a register chosen by a caller of emit_mul_emulation) call
+# ``ins`` where they are emitted.
+_SP0 = Mem(0, "$sp")
+_T = tuple(f"$t{i}" for i in range(8))  # the registers regalloc hands out
+_PUSH = tuple((ins("addiu", "$sp", "$sp", -4), ins("sw", r, _SP0)) for r in _T)
+_POP = tuple((ins("lw", r, _SP0), ins("addiu", "$sp", "$sp", 4)) for r in _T)
+_FROM_V0 = tuple(ins("addu", r, "$v0", "$zero") for r in _T)
+_MUL_LOW_BIT = ins("sll", "$at", "$t9", 31)
+_MUL_SHIFT_LHS = ins("sll", "$t8", "$t8", 1)
+_MUL_SHIFT_RHS = ins("srl", "$t9", "$t9", 1)
+_T1_FROM_T0 = ins("addu", "$t1", "$t0", "$zero")
+# regalloc's Op(kind, lo, lo, lo + 1) and Op(kind, lo, lo + 1, lo)
+_REG_OP = {
+    (kind, lo, a, b): ins(mnemonic, _T[lo], _T[a], _T[b])
+    for kind, mnemonic in (("add", "addu"), ("sub", "subu"))
+    for lo in range(7)
+    for a, b in ((lo, lo + 1), (lo + 1, lo))
+}
+# naive lowering: what follows an operator's operands, result pushed
+_OPERANDS_TO_T0_T1 = _POP[1] + _POP[0]
+_NAIVE_TAIL = {
+    op: _OPERANDS_TO_T0_T1 + (ins(mnemonic, "$t0", "$t0", "$t1"),) + _PUSH[0]
+    for op, mnemonic in (
+        ("+", "addu"), ("-", "subu"),
+        ("&", "and"), ("|", "or"), ("^", "xor"), ("<<", "sllv"), (">>", "srlv"),
+    )
+}
+_NAIVE_TAIL[Neg] = _POP[0] + (ins("subu", "$t0", "$zero", "$t0"),) + _PUSH[0]
+_NAIVE_TAIL[BitNot] = _POP[0] + (ins("nor", "$t0", "$t0", "$zero"),) + _PUSH[0]
+_MUL = object()  # naive lowering: multiply the two pushed operands
+# comparisons: $at := a test of $t0 against $t1 that is zero exactly
+# when left = right, left <= right (not right < left) or not left < right
+_CMP_TEST = {
+    (op, ty): ins(mnemonic, "$at", *regs)
+    for ty, slt in ((Ty.I32, "slt"), (Ty.U32, "sltu"))
+    for op, mnemonic, regs in (
+        ("=", "subu", ("$t0", "$t1")),
+        ("<=", slt, ("$t1", "$t0")),
+        ("<", slt, ("$t0", "$t1")),
+    )
+}
 
 
 class MulNotSupported(CimpError):
@@ -101,23 +151,15 @@ def emit_mul_emulation(dst: str, lhs: str, rhs: str, tag: int = 0) -> list[MipsI
         ins("addu", dst, "$zero", "$zero"),
         LabelDef(loop),
         ins("beq", "$t9", "$zero", done),
-        ins("sll", "$at", "$t9", 31),
+        _MUL_LOW_BIT,
         ins("beq", "$at", "$zero", skip),
         ins("addu", dst, dst, "$t8"),
         LabelDef(skip),
-        ins("sll", "$t8", "$t8", 1),
-        ins("srl", "$t9", "$t9", 1),
+        _MUL_SHIFT_LHS,
+        _MUL_SHIFT_RHS,
         ins("j", loop),
         LabelDef(done),
     ]
-
-
-def _push(reg: str) -> list[Ins]:
-    return [ins("addiu", "$sp", "$sp", -4), ins("sw", reg, _SP0)]
-
-
-def _pop(reg: str) -> list[Ins]:
-    return [ins("lw", reg, _SP0), ins("addiu", "$sp", "$sp", 4)]
 
 
 def _lowered_nodes(c: Com) -> list:
@@ -135,15 +177,21 @@ def _lowered_nodes(c: Com) -> list:
     ]
 
 
-_BINOP_INS = {"+": "addu", "-": "subu"}
-_BITOP_INS = {"&": "and", "|": "or", "^": "xor", "<<": "sllv", ">>": "srlv"}
-
-
 class _Codegen:
-    def __init__(self, ty_of, strategy: str, emulate_mul: bool):
+    """Lowers a program into one list, ``out``, in program order.
+
+    Statements, conditions and naive expressions are lowered from
+    explicit work stacks, so a long sequence or a deep expression needs
+    no recursion.  Besides the nodes still to lower, a stack holds the
+    instructions or labels to append once everything pushed after them
+    is done.
+    """
+
+    def __init__(self, ty_of, strategy: str, typed: bool):
         self.ty_of = ty_of
         self.strategy = strategy
-        self.emulate_mul = emulate_mul
+        self.typed = typed
+        self.out: list[MipsInstr] = []
         self._counter = 0
 
     def fresh(self, kind: str) -> str:
@@ -151,144 +199,158 @@ class _Codegen:
         self._counter += 1
         return name
 
-    def mul_into(self, dst: str, lhs: str, rhs: str) -> list[MipsInstr]:
-        return emit_mul_emulation(dst, lhs, rhs, tag=self._next_tag())
-
-    def _next_tag(self) -> int:
+    def mul_into(self, dst: str, lhs: str, rhs: str) -> None:
         tag = self._counter
         self._counter += 1
-        return tag
+        self.out += emit_mul_emulation(dst, lhs, rhs, tag=tag)
 
-    # expression lowering: value ends up pushed on the operand stack
-    def naive_aexp(self, e: AExpr) -> list[MipsInstr]:
-        if isinstance(e, IntLit):
-            return load_imm("$t0", e.value) + _push("$t0")
-        if isinstance(e, Var):
-            return [ins("lw", "$t0", f"var_{e.name}")] + _push("$t0")
-        if isinstance(e, Cast):
-            return self.naive_aexp(e.operand)
-        if isinstance(e, Neg):
-            code = self.naive_aexp(e.operand) + _pop("$t0")
-            return code + [ins("subu", "$t0", "$zero", "$t0")] + _push("$t0")
-        if isinstance(e, BitNot):
-            code = self.naive_aexp(e.operand) + _pop("$t0")
-            return code + [ins("nor", "$t0", "$t0", "$zero")] + _push("$t0")
-        assert isinstance(e, (BinOp, BitOp))
-        code = self.naive_aexp(e.left) + self.naive_aexp(e.right)
-        code += _pop("$t1") + _pop("$t0")
-        if isinstance(e, BitOp):
-            code.append(ins(_BITOP_INS[e.op], "$t0", "$t0", "$t1"))
-        elif e.op == "*":
-            code += self.mul_into("$v0", "$t0", "$t1")
-            code.append(ins("addu", "$t0", "$v0", "$zero"))
-        else:
-            code.append(ins(_BINOP_INS[e.op], "$t0", "$t0", "$t1"))
-        return code + _push("$t0")
-
-    def tree_aexp(self, e: AExpr) -> list[MipsInstr]:
-        """Register-allocated lowering; the value ends up in $t0."""
-        # casts reinterpret bits and generate no code
-        stripped = transform(e, lambda n: n.operand if type(n) is Cast else n)
-        if any(type(n) is BitOp or type(n) is BitNot for n in walk(stripped)):
-            # the tree allocator covers core operators only
-            return self.naive_aexp(stripped) + _pop("$t0")
-        out: list[MipsInstr] = []
-        for instr in alloc_codegen(stripped, 8):
-            if isinstance(instr, LoadConst):
-                out += load_imm(f"$t{instr.dst}", instr.value)
-            elif isinstance(instr, LoadVar):
-                out.append(ins("lw", f"$t{instr.dst}", f"var_{instr.name}"))
-            elif isinstance(instr, Spill):
-                out += _push(f"$t{instr.src}")
-            elif isinstance(instr, Reload):
-                out += _pop(f"$t{instr.dst}")
+    def naive_aexp(self, e: AExpr) -> None:
+        """Stack lowering: the value ends up pushed on the operand stack."""
+        out = self.out
+        todo = [e]
+        while todo:
+            n = todo.pop()
+            t = type(n)
+            if t is tuple:
+                out += n
+            elif t is IntLit:
+                out += load_imm("$t0", n.value)
+                out += _PUSH[0]
+            elif t is Var:
+                out.append(ins("lw", "$t0", f"var_{n.name}"))
+                out += _PUSH[0]
+            elif t is Cast:  # casts reinterpret bits and generate no code
+                todo.append(n.operand)
+            elif t is Neg or t is BitNot:
+                todo += (_NAIVE_TAIL[t], n.operand)
+            elif n is _MUL:
+                out += _OPERANDS_TO_T0_T1
+                self.mul_into("$v0", "$t0", "$t1")
+                out.append(_FROM_V0[0])
+                out += _PUSH[0]
             else:
-                assert isinstance(instr, Op)
-                dst, lhs, rhs = (f"$t{r}" for r in (instr.dst, instr.lhs, instr.rhs))
-                if instr.kind == "mul":
-                    out += self.mul_into("$v0", lhs, rhs)
-                    out.append(ins("addu", dst, "$v0", "$zero"))
-                else:
-                    mnemonic = "addu" if instr.kind == "add" else "subu"
-                    out.append(ins(mnemonic, dst, lhs, rhs))
-        return out
+                assert t is BinOp or t is BitOp
+                tail = _MUL if n.op == "*" else _NAIVE_TAIL[n.op]
+                todo += (tail, n.right, n.left)
 
-    def value_to_t0(self, e: AExpr) -> list[MipsInstr]:
+    def tree_aexp(self, e: AExpr) -> None:
+        """Register-allocated lowering; the value ends up in $t0."""
+        if self.typed:
+            # casts generate no code; the tree allocator covers core
+            # operators only, so bit operations go the naive way
+            bits = False
+
+            def strip(n):
+                nonlocal bits
+                t = type(n)
+                if t is Cast:
+                    return n.operand
+                if t is BitOp or t is BitNot:
+                    bits = True
+                return n
+
+            e = transform(e, strip)
+            if bits:
+                self.naive_aexp(e)
+                self.out += _POP[0]
+                return
+        out = self.out
+        for instr in alloc_codegen(e, 8):
+            t = type(instr)
+            if t is LoadConst:
+                out += load_imm(_T[instr.dst], instr.value)
+            elif t is LoadVar:
+                out.append(ins("lw", _T[instr.dst], f"var_{instr.name}"))
+            elif t is Spill:
+                out += _PUSH[instr.src]
+            elif t is Reload:
+                out += _POP[instr.dst]
+            elif instr.kind == "mul":
+                assert t is Op
+                self.mul_into("$v0", _T[instr.lhs], _T[instr.rhs])
+                out.append(_FROM_V0[instr.dst])
+            else:
+                out.append(_REG_OP[instr.kind, instr.dst, instr.lhs, instr.rhs])
+
+    def value_to_t0(self, e: AExpr) -> None:
         if self.strategy == "regalloc":
-            return self.tree_aexp(e)
-        return self.naive_aexp(e) + _pop("$t0")
+            self.tree_aexp(e)
+        else:
+            self.naive_aexp(e)
+            self.out += _POP[0]
 
-    # comparison operands end up left in $t0, right in $t1
-    def cmp_operands(self, b: Cmp) -> list[MipsInstr]:
-        if self.strategy == "regalloc":
-            code = self.value_to_t0(b.left) + _push("$t0")
-            code += self.value_to_t0(b.right)
-            code.append(ins("addu", "$t1", "$t0", "$zero"))
-            return code + _pop("$t0")
-        return (
-            self.naive_aexp(b.left)
-            + self.naive_aexp(b.right)
-            + _pop("$t1")
-            + _pop("$t0")
-        )
-
-    def cmp_branch(self, b: Cmp, cond: bool, target: str) -> list[MipsInstr]:
+    def cmp_branch(self, b: Cmp, cond: bool, target: str) -> None:
         """Branch to target when (left op right) == cond."""
-        slt_op = "slt" if self.ty_of(b) is Ty.I32 else "sltu"
-        if b.op == "=":
-            branch = "beq" if cond else "bne"
-            return [ins("subu", "$at", "$t0", "$t1"), ins(branch, "$at", "$zero", target)]
-        if b.op == "<=":
-            # left <= right iff not (right < left)
-            branch = "beq" if cond else "bne"
-            return [ins(slt_op, "$at", "$t1", "$t0"), ins(branch, "$at", "$zero", target)]
-        assert b.op == "<"
-        branch = "bne" if cond else "beq"
-        return [ins(slt_op, "$at", "$t0", "$t1"), ins(branch, "$at", "$zero", target)]
+        out = self.out
+        # comparison operands end up left in $t0, right in $t1
+        if self.strategy == "regalloc":
+            self.tree_aexp(b.left)
+            out += _PUSH[0]
+            self.tree_aexp(b.right)
+            out.append(_T1_FROM_T0)
+            out += _POP[0]
+        else:
+            self.naive_aexp(b.left)
+            self.naive_aexp(b.right)
+            out += _OPERANDS_TO_T0_T1
+        out.append(_CMP_TEST[b.op, self.ty_of(b)])
+        branch = "bne" if cond == (b.op == "<") else "beq"
+        out.append(ins(branch, "$at", "$zero", target))
 
-    def bexp(self, b: BExpr, cond: bool, target: str) -> list[MipsInstr]:
+    def bexp(self, b: BExpr, cond: bool, target: str) -> None:
         """Branch to target exactly when b evaluates to cond."""
-        if isinstance(b, BoolLit):
-            return [ins("j", target)] if b.value == cond else []
-        if isinstance(b, Not):
-            return self.bexp(b.operand, not cond, target)
-        if isinstance(b, And):
-            if cond:
-                skip = self.fresh("skip")
-                code = self.bexp(b.left, False, skip)
-                code += self.bexp(b.right, True, target)
-                return code + [LabelDef(skip)]
-            return self.bexp(b.left, False, target) + self.bexp(b.right, False, target)
-        if isinstance(b, Or):
-            if cond:
-                return self.bexp(b.left, True, target) + self.bexp(b.right, True, target)
-            skip = self.fresh("skip")
-            code = self.bexp(b.left, True, skip)
-            code += self.bexp(b.right, False, target)
-            return code + [LabelDef(skip)]
-        assert isinstance(b, Cmp)
-        return self.cmp_operands(b) + self.cmp_branch(b, cond, target)
+        out = self.out
+        todo: list = [(b, cond, target)]
+        while todo:
+            item = todo.pop()
+            if type(item) is LabelDef:
+                out.append(item)
+                continue
+            b, cond, target = item
+            t = type(b)
+            if t is BoolLit:
+                if b.value == cond:
+                    out.append(ins("j", target))
+            elif t is Not:
+                todo.append((b.operand, not cond, target))
+            elif t is Cmp:
+                self.cmp_branch(b, cond, target)
+            else:
+                assert t is And or t is Or
+                if cond == (t is Or):
+                    # either operand alone decides: both branch to target
+                    todo += ((b.right, cond, target), (b.left, cond, target))
+                else:
+                    # the left operand can only skip the right one
+                    skip = self.fresh("skip")
+                    todo += (LabelDef(skip), (b.right, cond, target),
+                             (b.left, not cond, skip))
 
-    def com(self, c: Com) -> list[MipsInstr]:
-        if isinstance(c, Skip):
-            return []
-        if isinstance(c, Assign):
-            return self.value_to_t0(c.rhs) + [ins("sw", "$t0", f"var_{c.var}")]
-        if isinstance(c, Seq):
-            return self.com(c.first) + self.com(c.second)
-        if isinstance(c, If):
-            else_l, end_l = self.fresh("else"), self.fresh("endif")
-            code = self.bexp(c.cond, False, else_l)
-            code += self.com(c.then_branch)
-            code += [ins("j", end_l), LabelDef(else_l)]
-            code += self.com(c.else_branch)
-            return code + [LabelDef(end_l)]
-        assert isinstance(c, While)
-        loop_l, end_l = self.fresh("loop"), self.fresh("endloop")
-        code = [LabelDef(loop_l)]
-        code += self.bexp(c.cond, False, end_l)
-        code += self.com(c.body)
-        return code + [ins("j", loop_l), LabelDef(end_l)]
+    def com(self, c: Com) -> None:
+        out = self.out
+        todo: list = [c]
+        while todo:
+            c = todo.pop()
+            t = type(c)
+            if t is tuple:
+                out += c
+            elif t is Seq:
+                todo += (c.second, c.first)
+            elif t is Assign:
+                self.value_to_t0(c.rhs)
+                out.append(ins("sw", "$t0", f"var_{c.var}"))
+            elif t is If:
+                else_l, end_l = self.fresh("else"), self.fresh("endif")
+                self.bexp(c.cond, False, else_l)
+                todo += ((LabelDef(end_l),), c.else_branch,
+                         (ins("j", end_l), LabelDef(else_l)), c.then_branch)
+            elif t is While:
+                loop_l, end_l = self.fresh("loop"), self.fresh("endloop")
+                out.append(LabelDef(loop_l))
+                self.bexp(c.cond, False, end_l)
+                todo += ((ins("j", loop_l), LabelDef(end_l)), c.body)
+            else:
+                assert t is Skip
 
 
 def codegen(
@@ -313,10 +375,10 @@ def codegen(
         ]
         if positions:
             raise MulNotSupported(positions)
-    gen = _Codegen(ty_of, strategy, emulate_mul)
-    body = gen.com(p.body)
+    gen = _Codegen(ty_of, strategy, p.typed)
+    gen.com(p.body)
     declared = [name for name, _ in p.decls]
     extras = sorted(program_vars(p) - set(declared))
     data = tuple((f"var_{name}", 0) for name in declared + extras)
-    text = (LabelDef("main"), *body, ins("break"))
+    text = (LabelDef("main"), *gen.out, ins("break"))
     return MipsProgram(data=data, text=text)

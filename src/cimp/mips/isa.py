@@ -116,7 +116,15 @@ def operand_ok(kind: str, arg) -> bool:
 
 
 def ins(op: str, *args) -> Ins:
-    """Build an instruction, checking the operand shape."""
+    """Build an instruction, checking the operand shape.
+
+    Every instruction codegen emits comes from here.  The ones whose
+    operands never change (stack pushes and pops, fixed ALU forms,
+    comparison tests, the register-only lines of the multiplication
+    loop) are built once when codegen is imported and then shared; the
+    ones with a varying operand (constants, variable loads and stores,
+    branches to fresh labels) are built, and checked, at each use.
+    """
     shape = SHAPES.get(op)
     if shape is None:
         raise ValueError(f"unknown mnemonic {op!r}")

@@ -38,6 +38,7 @@ from .syntax import (
     Seq,
     Skip,
     While,
+    equal,
     map_children,
     transform,
 )
@@ -87,50 +88,44 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
     terms; literal terms are summed and re-attached last, so
     ``a + 1 + 2`` becomes ``a + 3``.  Non-additive operators fold only
     when both operands are literal.  The result never contains a core
-    operator node with two literal operands.
+    operator node with two literal operands.  A spine that rebuilds into
+    an equal tree is returned as it was given, like every other rewrite.
     """
-    match e:
-        case BinOp("+" | "-", _, _) | Neg(_):
-            terms: list[tuple[int, AExpr]] = []
-
-            def flatten(x: AExpr, sign: int) -> None:
-                match x:
-                    case BinOp("+", left, right):
-                        flatten(left, sign)
-                        flatten(right, sign)
-                    case BinOp("-", left, right):
-                        flatten(left, sign)
-                        flatten(right, -sign)
-                    case Neg(operand):
-                        flatten(operand, -sign)
-                    case _:
-                        terms.append((sign, const_fold(x, wrap=wrap)))
-
-            flatten(e, 1)
-            total = 0
-            rest: list[tuple[int, AExpr]] = []
-            for sign, t in terms:
-                v = _lit_value(t)
-                if v is not None:
-                    total += sign * v
-                else:
-                    rest.append((sign, t))
-            if not rest:
-                return _make_lit(total, wrap)
-            # A negative leading term with a positive constant rebuilds
-            # as "k - ..." rather than "-t + k", which would add a node.
-            lead_const = rest[0][0] < 0 and (
-                total % _MOD != 0 if wrap else total > 0
-            )
-            if lead_const:
-                acc: AExpr = IntLit(total % _MOD if wrap else total)
-                tail = rest
+    if (type(e) is BinOp and e.op != "*") or type(e) is Neg:
+        # the signed terms of the spine, leftmost first
+        terms: list[tuple[int, AExpr]] = []
+        todo = [(e, 1)]
+        while todo:
+            x, sign = todo.pop()
+            t = type(x)
+            if t is BinOp and x.op != "*":
+                todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
+            elif t is Neg:
+                todo.append((x.operand, -sign))
             else:
-                acc = rest[0][1] if rest[0][0] > 0 else Neg(rest[0][1])
-                tail = rest[1:]
-            for sign, t in tail:
-                acc = BinOp("+" if sign > 0 else "-", acc, t)
-            return acc if lead_const else _append_const(acc, total, wrap)
+                terms.append((sign, const_fold(x, wrap=wrap)))
+        total = 0
+        rest: list[tuple[int, AExpr]] = []
+        for sign, t in terms:
+            v = _lit_value(t)
+            if v is not None:
+                total += sign * v
+            else:
+                rest.append((sign, t))
+        if not rest:
+            out = _make_lit(total, wrap)
+        # A negative leading term with a positive constant rebuilds
+        # as "k - ..." rather than "-t + k", which would add a node.
+        elif rest[0][0] < 0 and (total % _MOD != 0 if wrap else total > 0):
+            out = IntLit(total % _MOD if wrap else total)
+            for sign, t in rest:
+                out = BinOp("+" if sign > 0 else "-", out, t)
+        else:
+            out = rest[0][1] if rest[0][0] > 0 else Neg(rest[0][1])
+            for sign, t in rest[1:]:
+                out = BinOp("+" if sign > 0 else "-", out, t)
+            out = _append_const(out, total, wrap)
+        return e if equal(out, e) else out
     out = map_children(e, lambda k: const_fold(k, wrap=wrap))
     if type(out) is BinOp:  # "*", folded only between literals
         lv, rv = _lit_value(out.left), _lit_value(out.right)
@@ -139,15 +134,13 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
     return out
 
 
-def simplify_structural(e: AExpr) -> AExpr:
-    """Structural identity and unit laws; every rule is wrap-safe."""
-    e = map_children(e, simplify_structural)
+def _structural_step(e: AExpr) -> AExpr:
     if type(e) is not BinOp:
         return e
     op, l, r = e.op, e.left, e.right
     zero, one = IntLit(0), IntLit(1)
     if op == "-":
-        if l == r:
+        if equal(l, r):
             return zero
         if r == zero:
             return l
@@ -164,6 +157,11 @@ def simplify_structural(e: AExpr) -> AExpr:
         if r == one:
             return l
     return e
+
+
+def simplify_structural(e: AExpr) -> AExpr:
+    """Structural identity and unit laws; every rule is wrap-safe."""
+    return transform(e, _structural_step)
 
 
 def _cmp_holds(op: str, a: int, b: int) -> bool:
@@ -240,7 +238,7 @@ def dead_code(c: Com) -> Com:
 def _opt_aexp(e: AExpr, wrap: bool) -> AExpr:
     while True:
         out = simplify_structural(const_fold(e, wrap=wrap))
-        if out == e:
+        if out is e:
             return e
         e = out
 

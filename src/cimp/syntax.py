@@ -296,6 +296,11 @@ _NODE_CLASSES = frozenset(
 )
 # the fields of each class that hold subtrees, in declaration order
 _SUBTREES = {cls: _subtree_fields(cls) for cls in (*_NODE_CLASSES, Program)}
+# the compared fields that hold no subtree (operators, names, values)
+_LEAVES = {
+    cls: tuple(f.name for f in fields(cls) if f.compare and f.name not in subtrees)
+    for cls, subtrees in _SUBTREES.items()
+}
 _READY = object()
 
 
@@ -362,6 +367,28 @@ def transform(node, f):
                 if k is not None and id(k) not in done:
                     todo.append(k)
     return done[id(node)]
+
+
+def equal(a, b) -> bool:
+    """a == b, positions ignored, without recursion.
+
+    Subtrees that are the same object are not looked into, so comparing
+    a rewrite with its input costs only the paths the rewrite changed.
+    """
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b):
+            return False
+        for name in _LEAVES[t]:
+            if getattr(a, name) != getattr(b, name):
+                return False
+        for name in _SUBTREES[t]:
+            todo.append((getattr(a, name), getattr(b, name)))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,52 @@ def test_run_optimized_long_sequence(tmp_path, capsys, level):
         assert (code, out) == (0, "x=600\n"), engine
 
 
+_CHAIN = " + ".join(["y"] * 400)
+
+
+@pytest.mark.parametrize(
+    "rhs, value",
+    [(_CHAIN, 400), (f"({_CHAIN}) - ({_CHAIN})", 0)],
+    ids=["chain", "chain-minus-chain"],
+)
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_run_optimized_deep_expression(tmp_path, capsys, rhs, value, level):
+    # the optimizer's fixed point and its e - e test compare 400-deep
+    # trees; neither may recurse once per level
+    path = _src(tmp_path, f"y := 1;\nx := {rhs}\n")
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        code, out, _ = _run(capsys, "run", path, "-O", level, "--engine", engine)
+        assert (code, out) == (0, f"x={value}\ny=1\n"), engine
+
+
+def test_long_sequence_on_every_iterative_engine(tmp_path, capsys):
+    # 2,000 statements: the parser and MIPS codegen walk sequences in loops
+    path = _src(tmp_path, "x := x + 1;\n" * 1999 + "x := x + 1\n")
+    for engine in ("bigstep", "smallstep", "mips"):
+        code, out, _ = _run(capsys, "run", path, "--engine", engine)
+        assert (code, out) == (0, "x=2000\n"), engine
+    for regalloc in ("naive", "su"):
+        code, out, _ = _run(capsys, "compile", path, "--backend", "mips",
+                            "--regalloc", regalloc)
+        assert code == 0
+        assert simulate(parse_asm(out))["x"] == 2000
+
+
+def test_nesting_at_and_past_the_limit(tmp_path, capsys):
+    at = _src(tmp_path, "x := " + "(" * 100 + "1 + 2" + ")" * 100 + "\n", "at.imp")
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        code, out, _ = _run(capsys, "run", at, "--engine", engine)
+        assert (code, out) == (0, "x=3\n"), engine
+    for backend in (["--backend", "stack"], ["--backend", "mips", "--regalloc", "su"]):
+        code, _, _ = _run(capsys, "compile", at, *backend)
+        assert code == 0
+    past = _src(tmp_path, "x := " + "(" * 500 + "1" + ")" * 500 + "\n", "past.imp")
+    for argv in (["run", past, "--engine", "mips"], ["compile", past, "--backend", "mips"]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"{past}:1:106: error: nesting deeper than 100 levels\n"
+
+
 def test_run_typed_signed_display(tmp_path, capsys):
     code, out, _ = _run(capsys, "run", _src(tmp_path, TYPED_WRAP))
     assert code == 0

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 import strategies as gen
 from cimp import syntax as sx
 from cimp.frontend import (
+    MAX_NESTING,
     LexError,
+    NestingError,
     ParseError,
     Token,
     lex,
@@ -37,6 +39,7 @@ def test_lex_assignment():
 
 def test_lex_empty_input_is_just_eoi():
     assert kinds_and_lexemes("") == [("eoi", "")]
+    assert lex("")[0].pos == sx.SrcPos(1, 1)
 
 
 def test_lex_rejects_foreign_character():
@@ -69,6 +72,39 @@ def test_keywords_are_not_identifiers():
     assert lex("while")[0].kind == "keyword"
     assert lex("whilex")[0].kind == "ident"
     assert lex("i32")[0].kind == "keyword"
+
+
+def test_lex_tabs_count_one_column():
+    toks = lex("x\t:=\t\t7")
+    assert [(t.lexeme, t.line, t.col) for t in toks] == [
+        ("x", 1, 1), (":=", 1, 3), ("7", 1, 7), ("", 1, 8)
+    ]
+
+
+def test_lex_crlf_line_endings():
+    toks = lex("x := 1;\r\n  y := 2\r\n")
+    y = next(t for t in toks if t.lexeme == "y")
+    assert (y.line, y.col) == (2, 3)
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("eoi", 3, 1)
+
+
+def test_lex_comment_at_end_of_input_without_newline():
+    toks = lex("x := 1 // done")
+    assert [t.lexeme for t in toks] == ["x", ":=", "1", ""]
+    assert (toks[-1].line, toks[-1].col) == (1, 15)
+
+
+def test_lex_bad_character_after_comment_lines():
+    src = "// first\n// second, with @ inside\n  x := 1 // third\n\t  $"
+    with pytest.raises(LexError) as ei:
+        lex(src)
+    assert ei.value.char == "$"
+    assert ei.value.pos == sx.SrcPos(4, 4)
+
+
+def test_lex_token_is_a_plain_tuple():
+    assert tuple(lex("while")[0]) == ("keyword", "while", 1, 1)
+    assert lex("")[0].describe() == "end of input"
 
 
 def test_lexer_covers_input():
@@ -373,3 +409,81 @@ def test_hex_literals():
     # a bad hex body falls back to "0" then a stray identifier
     with pytest.raises(ParseError):
         parse_program("x := 0xZZ")
+
+
+# ---------------------------------------------------------------------------
+# Sequences are parsed in a loop; nesting is limited
+
+
+def test_long_sequence_parses_to_right_nested_chain():
+    n = 2000
+    c = body("x := x + 1;\n" * (n - 1) + "x := x + 1\n")
+    stmt = sx.Assign("x", sx.BinOp("+", sx.Var("x"), sx.IntLit(1)))
+    expected = stmt
+    for _ in range(n - 1):
+        expected = sx.Seq(stmt, expected)
+    assert sx.equal(c, expected)
+    # each Seq carries the position of its ';'
+    assert (c.pos, c.second.pos) == (sx.SrcPos(1, 11), sx.SrcPos(2, 11))
+
+
+def _parens(depth, inner="1"):
+    return "(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "x := {}",  # arithmetic parentheses
+        "x := i32({})",  # a cast opens a level
+        "if {} < 2 then skip else skip end",  # opens a level too
+        "while ({}) < 2 do skip done",
+    ],
+)
+def test_nesting_limit_in_expressions(template):
+    statement = template.startswith(("if", "while"))
+    levels = MAX_NESTING - template.count("(") - statement
+    parse_program(template.format(_parens(levels)))
+    src = template.format(_parens(levels + 1))
+    with pytest.raises(NestingError) as ei:
+        parse_program(src)
+    # located at the parenthesis that opens level MAX_NESTING + 1
+    opens = [col for col, ch in enumerate(src, start=1) if ch == "("]
+    assert ei.value.pos == sx.SrcPos(1, opens[MAX_NESTING - statement])
+
+
+def test_nesting_limit_in_conditions_and_assertions():
+    b = _parens(MAX_NESTING - 1, "x < 1")
+    parse_program(f"if {b} then skip else skip end")
+    with pytest.raises(NestingError):
+        parse_program(f"if ({b}) then skip else skip end")
+    a = _parens(MAX_NESTING, "x < 1")
+    assert parse_assertion_text(a) == sx.ACmp("<", sx.Var("x"), sx.IntLit(1))
+    with pytest.raises(NestingError):
+        parse_assertion_text(f"({a})")
+    with pytest.raises(NestingError):
+        parse_assertion_text("!" * (MAX_NESTING + 1) + "true")
+
+
+def test_nesting_limit_counts_unary_operators_and_statements():
+    e = rhs("x := " + "-~" * (MAX_NESTING // 2) + "y")
+    depth = 0
+    while not isinstance(e, sx.Var):
+        e, depth = e.operand, depth + 1
+    assert depth == MAX_NESTING
+    with pytest.raises(NestingError):
+        parse_program("x := -" + "-~" * (MAX_NESTING // 2) + "y")
+    nested = "skip"
+    for _ in range(MAX_NESTING):
+        nested = f"while x < 1 do {nested} done"
+    parse_program(nested)
+    with pytest.raises(NestingError) as ei:
+        parse_program(f"if true then {nested} else skip end")
+    assert ei.value.pos == sx.SrcPos(1, 1 + len("if true then ") + 99 * len("while x < 1 do "))
+
+
+def test_nesting_limit_is_restored_after_backtracking():
+    # the comparison alternative fails inside its parentheses; the
+    # formula alternative must start again from the same depth
+    b = _parens(MAX_NESTING - 1, "x < 1 && y < 2")
+    assert isinstance(parse_program(f"if {b} then skip else skip end").body.cond, sx.And)

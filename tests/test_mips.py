@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 import strategies as gen
 from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_program
+from cimp.generator import GenSpec, gen_program
+from cimp.optimizer import optimize
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
 from cimp.syntax import BinOp, IntLit, SrcPos
@@ -32,6 +35,11 @@ from cimp.mips import (
     simulate,
     well_formed,
 )
+
+
+# the modules, not the functions of the same name that cimp.mips exports
+mips_asm = importlib.import_module("cimp.mips.asm")
+mips_codegen = importlib.import_module("cimp.mips.codegen")
 
 
 def compile_run(src, init=None, strategy="naive", emulate_mul=False, budget=10**6):
@@ -212,6 +220,41 @@ def test_roundtrip_codegen_typed(p, strategy):
     prog = codegen(p, strategy=strategy, emulate_mul=True)
     assert parse_asm(emit_asm(prog)) == prog
     assert well_formed(prog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+def test_codegen_of_generated_programs_is_well_formed(seed, typed):
+    p = gen_program(GenSpec(seed=seed, typed=typed))
+    for level in (0, 2):
+        q = optimize(p, level)
+        for strategy in ("naive", "regalloc"):
+            prog = codegen(q, strategy=strategy, emulate_mul=True)
+            assert well_formed(prog)
+            assert parse_asm(emit_asm(prog)) == prog
+
+
+def test_fixed_instructions_are_built_once(monkeypatch):
+    # only the lw, li and sw of each statement have a varying operand
+    built = []
+    monkeypatch.setattr(mips_codegen, "ins", lambda *a: built.append(a) or ins(*a))
+    n = 50
+    p = parse_program("x := x + 1;\n" * (n - 1) + "x := x + 1")
+    for strategy in ("naive", "regalloc"):
+        built.clear()
+        prog = codegen(p, strategy=strategy)
+        assert len(built) == 3 * n + 1  # and the final break
+        assert simulate(prog)["x"] == n
+
+
+def test_emit_asm_formats_each_instruction_object_once(monkeypatch):
+    prog = codegen(parse_program("x := 1 + 2;\ny := x - 3"))
+    calls = []
+    real = mips_asm._line
+    monkeypatch.setattr(mips_asm, "_line", lambda item: calls.append(item) or real(item))
+    text = emit_asm(prog)
+    assert len(calls) == len({id(i) for i in prog.text}) < len(prog.text)
+    assert text.splitlines()[-len(prog.text):] == [real(i) for i in prog.text]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,35 @@ def test_const_fold_idempotent_and_nonincreasing(e):
     assert sx.node_count(folded) <= sx.node_count(e)
 
 
+@settings(max_examples=300)
+@given(gen.aexprs(), st.booleans())
+def test_rewrites_return_their_input_exactly_when_nothing_changes(e, wrap):
+    # the -O fixed point is an identity test, so a rewrite that finds
+    # nothing to do must hand back the very node it was given
+    folded = const_fold(e, wrap=wrap)
+    assert (folded is e) == (folded == e)
+    assert const_fold(folded, wrap=wrap) is folded
+    out = simplify_structural(e)
+    assert (out is e) == (out == e)
+
+
+def _deep_chain(n):
+    e = sx.Var("y")
+    for _ in range(n - 1):
+        e = sx.BinOp("+", e, sx.Var("y"))
+    return e
+
+
+def test_deep_expressions_optimize_without_recursion():
+    t = _deep_chain(2000)
+    p = sx.program(sx.Assign("x", sx.BinOp("-", t, _deep_chain(2000))))
+    for level in (1, 2):
+        assert optimize(sx.program(sx.Assign("x", t)), level).body.rhs is t
+        out = optimize(p, level).body.rhs  # flattened into one 4,000-term chain
+        assert sx.node_count(out) == 2 * 4000 - 1
+    assert simplify_structural(sx.BinOp("-", t, _deep_chain(2000))) == sx.IntLit(0)
+
+
 # ---------------------------------------------------------------------------
 # simplify_structural
 

@@ -1,8 +1,11 @@
 from typing import get_args
 
 import pytest
+from hypothesis import given, settings
 
+import strategies as gen
 from cimp import syntax as sx
+from cimp.mips import codegen, simulate
 from cimp.optimizer import optimize
 from cimp.semantics import Done, Store, ceval_fuel
 from cimp.syntax import (
@@ -34,6 +37,7 @@ from cimp.syntax import (
     Var,
     While,
     children,
+    equal,
     map_children,
     transform,
     walk,
@@ -156,6 +160,34 @@ def test_transform_rewrites_a_shared_subtree_once():
 
 
 # ---------------------------------------------------------------------------
+# equal
+
+
+@settings(max_examples=100)
+@given(gen.programs(bits=True, invariants=True), gen.programs(bits=True, invariants=True))
+def test_equal_agrees_with_dataclass_equality(p, q):
+    assert equal(p, q) == (p == q)
+    assert equal(p, p) and equal(p.body, sx.map_children(p.body, lambda k: k))
+
+
+def test_equal_ignores_positions_and_looks_at_every_field():
+    a = BinOp("+", Var("x", pos=SrcPos(1, 1)), IntLit(1), pos=SrcPos(1, 3))
+    assert equal(a, BinOp("+", Var("x"), IntLit(1)))
+    assert not equal(a, BinOp("-", Var("x"), IntLit(1)))
+    assert not equal(a, BinOp("+", Var("y"), IntLit(1)))
+    assert not equal(a, BitOp("+", Var("x"), IntLit(1)))
+    assert not equal(While(BoolLit(True), None, Skip()), While(BoolLit(True), ATrue(), Skip()))
+
+
+def test_equal_on_deep_trees():
+    a = b = Var("x")
+    for _ in range(10_000):
+        a, b = BinOp("+", a, IntLit(1)), BinOp("+", b, IntLit(1))
+    assert equal(a, b)
+    assert not equal(a, BinOp("+", a.left, IntLit(2)))
+
+
+# ---------------------------------------------------------------------------
 # 10^4-statement sequences: no tool may recurse once per statement
 
 N = 10_000
@@ -188,3 +220,10 @@ def test_long_sequences_finish(build):
     tp = typecheck(Program((("x", Ty.I32),), c))
     assert ceval_fixed(0, tp, Store()) == Done(Store({"x": N}))
     assert optimize(sx.program(c), 2).body is c
+
+
+@pytest.mark.parametrize("build", [_right_nested, _left_nested])
+@pytest.mark.parametrize("strategy", ["naive", "regalloc"])
+def test_long_sequences_compile_to_mips(build, strategy):
+    prog = codegen(sx.program(build()), strategy=strategy)
+    assert simulate(prog, budget=10**6)["x"] == N
