@@ -146,7 +146,7 @@ def _config_of(args) -> CliConfig:
 
 
 def _diagnostic(path: Optional[str], err: CimpError) -> str:
-    where = path or "cimp"
+    where = err.source or path or "cimp"
     if err.pos is not None:
         where = f"{where}:{err.pos.line}:{err.pos.col}"
     return f"{where}: error: {err.msg}"
@@ -233,10 +233,27 @@ def _cmd_run(cfg: CliConfig) -> int:
     return 0
 
 
+def _flag_formula(flag: str, text: str, p: Program):
+    """A --pre/--post formula, typed like an invariant in a typed program.
+
+    Its errors are located in the flag's text, not in the program file.
+    """
+    try:
+        f = parse_assertion_text(text)
+        if p.typed:
+            typecheck(p, f)
+        return f
+    except CimpError as err:
+        err.source = flag
+        raise
+
+
 def _cmd_vc(cfg: CliConfig, args) -> int:
     p = _read_program(cfg.input)
-    pre = parse_assertion_text(args.pre) if args.pre else ATrue()
-    post = parse_assertion_text(args.post)
+    if p.typed:
+        typecheck(p)
+    pre = _flag_formula("--pre", args.pre, p) if args.pre else ATrue()
+    post = _flag_formula("--post", args.post, p)
     vcs = vcgen(HoareTriple(pre, p.body, post))
 
     if args.smt2 is not None:

@@ -14,6 +14,10 @@ from .syntax import SrcPos
 
 
 class CimpError(Exception):
+    # the input that pos points into, when it is not the program file
+    # (a command-line flag such as --post)
+    source: Optional[str] = None
+
     def __init__(self, msg: str, pos: Optional[SrcPos] = None):
         super().__init__(msg)
         self.msg = msg

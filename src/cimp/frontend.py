@@ -5,15 +5,17 @@ Concrete syntax:
     program  := decl* com EOF
     decl     := "var" IDENT (":" ("i32" | "u32"))? ";"
     com      := "skip" | IDENT ":=" aexp | com ";" com
-              | "if" bexp "then" com "else" com "end"
-              | "while" bexp ("invariant" "{" assertion "}")? "do" com "done"
+              | "if" formula "then" com "else" com "end"
+              | "while" formula ("invariant" "{" formula "}")? "do" com "done"
+    formula  := disjunction ("->" formula)?
 
 Arithmetic precedence, low to high: ``+ -`` (left), ``*`` (left), the
 bit operators ``& | ^ << >>`` (left, one shared level), unary ``- ~``,
-casts ``i32(...)`` / ``u32(...)``, atoms.  Boolean precedence, low to
-high: ``||`` (left), ``&&`` (left), ``!``, then comparisons and
-parenthesized boolean expressions.  Assertions reuse the boolean
-grammar and add ``->`` (right-associative, lowest precedence).
+casts ``i32(...)`` / ``u32(...)``, atoms.  Formula precedence, low to
+high: ``->`` (right), ``||`` (left), ``&&`` (left), ``!``, then
+comparisons and parenthesized formulas.  Conditions and assertions
+share this one grammar, but ``->`` belongs to specifications: one in an
+``if`` or ``while`` condition is an error located at the ``->``.
 
 Integer literals are decimal or hexadecimal (``0x...``); the pretty
 printer always emits decimal.  Comments run from ``//`` to end of
@@ -21,10 +23,9 @@ line.  ``;`` is a separator, not a terminator, and sequences associate
 to the right structurally.
 
 The parser is recursive descent.  The only backtracking point is an
-opening parenthesis in boolean/assertion position, which may introduce
-either a parenthesized boolean formula or the left operand of a
-comparison; both alternatives are tried and the error that made it
-furthest wins.
+opening parenthesis in formula position, which may introduce either a
+parenthesized formula or the left operand of a comparison; both
+alternatives are tried and the error that made it furthest wins.
 
 Sequences and chains of binary operators are parsed in loops.  What
 nests opens one level each: a parenthesis (a cast's included), a unary
@@ -48,14 +49,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CimpError
 from .syntax import (
-    AAnd,
-    ACmp,
     AExpr,
-    AFalse,
-    AImplies,
-    ANot,
-    AOr,
-    ATrue,
     And,
     Assertion,
     Assign,
@@ -68,6 +62,7 @@ from .syntax import (
     Cmp,
     Com,
     If,
+    Implies,
     IntLit,
     Neg,
     Not,
@@ -188,6 +183,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0  # nesting levels open at the current token
+        self.guard = False  # parsing an if/while condition, where '->' is an error
 
     # -- token plumbing ---------------------------------------------------
 
@@ -282,32 +278,42 @@ class _Parser:
             return inner
         self.fail("an integer literal", "an identifier", "'('")
 
-    # -- boolean expressions ----------------------------------------------
+    # -- formulas -----------------------------------------------------------
 
-    def bexp(self) -> BExpr:
-        left = self.bexp_and()
+    def formula(self) -> Assertion:
+        left = self.disjunction()
+        if self.at("->"):
+            op = self.advance()
+            if self.guard:
+                raise CimpError("'->' may appear in specifications only", op.pos)
+            right = self.formula()  # right-associative
+            return Implies(left, right, pos=op.pos)
+        return left
+
+    def disjunction(self) -> Assertion:
+        left = self.conjunction()
         while self.at("||"):
             op = self.advance()
-            right = self.bexp_and()
+            right = self.conjunction()
             left = Or(left, right, pos=op.pos)
         return left
 
-    def bexp_and(self) -> BExpr:
-        left = self.bexp_not()
+    def conjunction(self) -> Assertion:
+        left = self.negation()
         while self.at("&&"):
             op = self.advance()
-            right = self.bexp_not()
+            right = self.negation()
             left = And(left, right, pos=op.pos)
         return left
 
-    def bexp_not(self) -> BExpr:
+    def negation(self) -> Assertion:
         if self.at("!"):
             op = self.advance()
             self.nest(op)
-            operand = self.bexp_not()
+            operand = self.negation()
             self.depth -= 1
             return Not(operand, pos=op.pos)
-        return self.bexp_atom()
+        return self.formula_atom()
 
     def comparison(self) -> Cmp:
         left = self.aexp()
@@ -317,7 +323,7 @@ class _Parser:
         right = self.aexp()
         return Cmp(op.lexeme, left, right, pos=op.pos)
 
-    def bexp_atom(self) -> BExpr:
+    def formula_atom(self) -> Assertion:
         t = self.peek()
         if t.lexeme == "true" and t.kind == "keyword":
             self.advance()
@@ -325,14 +331,11 @@ class _Parser:
         if t.lexeme == "false" and t.kind == "keyword":
             self.advance()
             return BoolLit(False, pos=t.pos)
-        if self.at("("):
-            # Either a parenthesized formula or a comparison whose left
-            # operand begins with '('.  Try both; report the failure
-            # that consumed more input.
-            return self._paren_or_comparison(self.bexp)
-        return self.comparison()
-
-    def _paren_or_comparison(self, formula):
+        if not self.at("("):
+            return self.comparison()
+        # Either a parenthesized formula or a comparison whose left
+        # operand begins with '('.  Try both; report the failure that
+        # consumed more input.
         start, depth = self.i, self.depth
         try:
             return self.comparison()
@@ -340,63 +343,19 @@ class _Parser:
             self.i, self.depth = start, depth
             try:
                 self.nest(self.advance())  # '('
-                inner = formula()
+                inner = self.formula()
                 self.expect(")")
                 self.depth -= 1
                 return inner
             except ParseError as paren_err:
                 raise (paren_err if paren_err.index >= cmp_err.index else cmp_err)
 
-    # -- assertions ---------------------------------------------------------
-
-    def assertion(self) -> Assertion:
-        left = self.assertion_or()
-        if self.at("->"):
-            op = self.advance()
-            right = self.assertion()  # right-associative
-            return AImplies(left, right, pos=op.pos)
-        return left
-
-    def assertion_or(self) -> Assertion:
-        left = self.assertion_and()
-        while self.at("||"):
-            op = self.advance()
-            right = self.assertion_and()
-            left = AOr(left, right, pos=op.pos)
-        return left
-
-    def assertion_and(self) -> Assertion:
-        left = self.assertion_not()
-        while self.at("&&"):
-            op = self.advance()
-            right = self.assertion_not()
-            left = AAnd(left, right, pos=op.pos)
-        return left
-
-    def assertion_not(self) -> Assertion:
-        if self.at("!"):
-            op = self.advance()
-            self.nest(op)
-            operand = self.assertion_not()
-            self.depth -= 1
-            return ANot(operand, pos=op.pos)
-        return self.assertion_atom()
-
-    def assertion_atom(self) -> Assertion:
-        t = self.peek()
-        if t.lexeme == "true" and t.kind == "keyword":
-            self.advance()
-            return ATrue(pos=t.pos)
-        if t.lexeme == "false" and t.kind == "keyword":
-            self.advance()
-            return AFalse(pos=t.pos)
-        if self.at("("):
-            got = self._paren_or_comparison(self.assertion)
-            if isinstance(got, Cmp):
-                return ACmp(got.op, got.left, got.right, pos=got.pos)
-            return got
-        c = self.comparison()
-        return ACmp(c.op, c.left, c.right, pos=c.pos)
+    def condition(self) -> BExpr:
+        """An if/while condition: a formula without '->'."""
+        self.guard = True
+        cond = self.formula()
+        self.guard = False
+        return cond
 
     # -- commands and programs ----------------------------------------------
 
@@ -419,7 +378,7 @@ class _Parser:
             return Skip(pos=t.pos)
         if t.lexeme == "if" and t.kind == "keyword":
             self.nest(self.advance())
-            cond = self.bexp()
+            cond = self.condition()
             self.expect("then")
             then_branch = self.com()
             self.expect("else")
@@ -429,12 +388,12 @@ class _Parser:
             return If(cond, then_branch, else_branch, pos=t.pos)
         if t.lexeme == "while" and t.kind == "keyword":
             self.nest(self.advance())
-            cond = self.bexp()
+            cond = self.condition()
             invariant = None
             if self.at("invariant"):
                 self.advance()
                 self.expect("{")
-                invariant = self.assertion()
+                invariant = self.formula()
                 self.expect("}")
             self.expect("do")
             body = self.com()
@@ -483,7 +442,7 @@ def parse(tokens: list[Token]) -> Program:
 
 def parse_assertion(tokens: list[Token]) -> Assertion:
     p = _Parser(tokens)
-    a = p.assertion()
+    a = p.formula()
     if p.peek().kind != "eoi":
         p.fail("end of input")
     return a
@@ -526,47 +485,25 @@ def _pa(e: AExpr, ctx: int) -> str:
     return f"({s})" if lvl < ctx else s
 
 
-_B_OR, _B_AND, _B_NOT, _B_ATOM = 1, 2, 3, 4
+_F_IMP, _F_OR, _F_AND, _F_NOT, _F_ATOM = 1, 2, 3, 4, 5
 
 
-def _pb(b: BExpr, ctx: int) -> str:
-    match b:
+def _pf(f: Assertion, ctx: int) -> str:
+    match f:
         case BoolLit(v):
-            s, lvl = ("true" if v else "false"), _B_ATOM
+            s, lvl = ("true" if v else "false"), _F_ATOM
         case Cmp(op, left, right):
-            s, lvl = f"{_pa(left, _A_ADD)} {op} {_pa(right, _A_ADD)}", _B_ATOM
+            s, lvl = f"{_pa(left, _A_ADD)} {op} {_pa(right, _A_ADD)}", _F_ATOM
         case Not(operand):
-            s, lvl = "!" + _pb(operand, _B_NOT), _B_NOT
+            s, lvl = "!" + _pf(operand, _F_NOT), _F_NOT
         case And(left, right):
-            s, lvl = f"{_pb(left, _B_AND)} && {_pb(right, _B_NOT)}", _B_AND
+            s, lvl = f"{_pf(left, _F_AND)} && {_pf(right, _F_NOT)}", _F_AND
         case Or(left, right):
-            s, lvl = f"{_pb(left, _B_OR)} || {_pb(right, _B_AND)}", _B_OR
+            s, lvl = f"{_pf(left, _F_OR)} || {_pf(right, _F_AND)}", _F_OR
+        case Implies(left, right):
+            s, lvl = f"{_pf(left, _F_OR)} -> {_pf(right, _F_IMP)}", _F_IMP
         case _:
-            raise TypeError(f"not a BExpr: {b!r}")
-    return f"({s})" if lvl < ctx else s
-
-
-_S_IMP, _S_OR, _S_AND, _S_NOT, _S_ATOM = 1, 2, 3, 4, 5
-
-
-def _ps(a: Assertion, ctx: int) -> str:
-    match a:
-        case ATrue():
-            s, lvl = "true", _S_ATOM
-        case AFalse():
-            s, lvl = "false", _S_ATOM
-        case ACmp(op, left, right):
-            s, lvl = f"{_pa(left, _A_ADD)} {op} {_pa(right, _A_ADD)}", _S_ATOM
-        case ANot(operand):
-            s, lvl = "!" + _ps(operand, _S_NOT), _S_NOT
-        case AAnd(left, right):
-            s, lvl = f"{_ps(left, _S_AND)} && {_ps(right, _S_NOT)}", _S_AND
-        case AOr(left, right):
-            s, lvl = f"{_ps(left, _S_OR)} || {_ps(right, _S_AND)}", _S_OR
-        case AImplies(left, right):
-            s, lvl = f"{_ps(left, _S_OR)} -> {_ps(right, _S_IMP)}", _S_IMP
-        case _:
-            raise TypeError(f"not an Assertion: {a!r}")
+            raise TypeError(f"not a formula: {f!r}")
     return f"({s})" if lvl < ctx else s
 
 
@@ -574,12 +511,8 @@ def pretty_aexpr(e: AExpr) -> str:
     return _pa(e, _A_ADD)
 
 
-def pretty_bexpr(b: BExpr) -> str:
-    return _pb(b, _B_OR)
-
-
 def pretty_assertion(a: Assertion) -> str:
-    return _ps(a, _S_IMP)
+    return _pf(a, _F_IMP)
 
 
 def _com_lines(c: Com, indent: int) -> list[str]:
@@ -595,14 +528,14 @@ def _com_lines(c: Com, indent: int) -> list[str]:
             return head + _com_lines(second, indent)
         case If(cond, then_branch, else_branch):
             return (
-                [f"{pad}if {pretty_bexpr(cond)} then"]
+                [f"{pad}if {pretty_assertion(cond)} then"]
                 + _com_lines(then_branch, indent + 1)
                 + [pad + "else"]
                 + _com_lines(else_branch, indent + 1)
                 + [pad + "end"]
             )
         case While(cond, invariant, body):
-            head = f"{pad}while {pretty_bexpr(cond)}"
+            head = f"{pad}while {pretty_assertion(cond)}"
             if invariant is not None:
                 head += f" invariant {{ {pretty_assertion(invariant)} }}"
             return [head + " do"] + _com_lines(body, indent + 1) + [pad + "done"]

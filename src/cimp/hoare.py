@@ -9,8 +9,11 @@ invariant.  ``vcgen`` prepends the top implication ``pre -> wlp``.
 The consequence rule is absorbed into the top and exit implications,
 so no dedicated operation exists for it.
 
-Assertions are quantifier-free, so substitution cannot capture, and
-a VC's validity means truth in every store over unbounded integers.
+Assertions are the formulas that conditions are made of, plus
+implication, so a VC holds the program's own condition nodes rather
+than copies, and ``semantics.beval`` decides its truth in a store.
+They are quantifier-free, so substitution cannot capture, and a VC's
+validity means truth in every store over unbounded integers.
 Two discharge routes are provided: ``emit_smtlib`` renders a VC as an
 SMT-LIB2 script whose unsatisfiability is equivalent to validity, and
 ``bounded_check`` enumerates all stores over a box [-bound, bound],
@@ -27,32 +30,30 @@ from pathlib import Path
 from typing import Union
 
 from .errors import CimpError, UnsupportedNode
-from .semantics import Store, aeval
+from .semantics import Store, beval
 from .syntax import (
-    AAnd,
-    ACmp,
     AExpr,
-    AFalse,
-    AImplies,
-    ANot,
-    AOr,
+    And,
     Assertion,
     Assign,
-    ATrue,
     BinOp,
     BitNot,
     BitOp,
+    BoolLit,
     Cast,
+    Cmp,
     Com,
     If,
+    Implies,
     IntLit,
     Neg,
+    Not,
+    Or,
     Seq,
     Skip,
     Var,
     While,
     assertion_vars,
-    bexpr_to_assertion,
     transform,
     walk,
 )
@@ -93,30 +94,7 @@ BoundedResult = Union[Valid, Counterexample]
 
 
 # ---------------------------------------------------------------------------
-# Assertion evaluation and substitution
-
-
-def assertion_holds(s: Store, a: Assertion) -> bool:
-    match a:
-        case ATrue():
-            return True
-        case AFalse():
-            return False
-        case ACmp("=", left, right):
-            return aeval(s, left) == aeval(s, right)
-        case ACmp("<=", left, right):
-            return aeval(s, left) <= aeval(s, right)
-        case ACmp("<", left, right):
-            return aeval(s, left) < aeval(s, right)
-        case ANot(operand):
-            return not assertion_holds(s, operand)
-        case AAnd(left, right):
-            return assertion_holds(s, left) and assertion_holds(s, right)
-        case AOr(left, right):
-            return assertion_holds(s, left) or assertion_holds(s, right)
-        case AImplies(left, right):
-            return (not assertion_holds(s, left)) or assertion_holds(s, right)
-    raise TypeError(f"not an Assertion: {a!r}")
+# Substitution
 
 
 def subst(a: Assertion, x: str, e: AExpr) -> Assertion:
@@ -145,22 +123,20 @@ def wlp(c: Com, q: Assertion) -> tuple[Assertion, list[VerificationCondition]]:
             w1, s1 = wlp(first, w2)
             return w1, s1 + s2
         case If(cond, then_branch, else_branch):
-            b = bexpr_to_assertion(cond)
             w1, s1 = wlp(then_branch, q)
             w2, s2 = wlp(else_branch, q)
-            return AAnd(AImplies(b, w1), AImplies(ANot(b), w2)), s1 + s2
+            return And(Implies(cond, w1), Implies(Not(cond), w2)), s1 + s2
         case While(cond, invariant, body):
             if invariant is None:
                 raise MissingInvariant(
                     "loop has no invariant annotation; vcgen requires one", c.pos
                 )
-            b = bexpr_to_assertion(cond)
             wbody, sides = wlp(body, invariant)
             preservation = VerificationCondition(
-                "preservation", AImplies(AAnd(invariant, b), wbody)
+                "preservation", Implies(And(invariant, cond), wbody)
             )
             exit_vc = VerificationCondition(
-                "exit", AImplies(AAnd(invariant, ANot(b)), q)
+                "exit", Implies(And(invariant, Not(cond)), q)
             )
             return invariant, sides + [preservation, exit_vc]
     raise TypeError(f"not a Com: {c!r}")
@@ -169,7 +145,7 @@ def wlp(c: Com, q: Assertion) -> tuple[Assertion, list[VerificationCondition]]:
 def vcgen(t: HoareTriple) -> list[VerificationCondition]:
     """All proof obligations of the triple: [top implication] + sides."""
     w, sides = wlp(t.com, t.post)
-    return [VerificationCondition("top", AImplies(t.pre, w))] + sides
+    return [VerificationCondition("top", Implies(t.pre, w))] + sides
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +171,17 @@ def _smt_aexpr(e: AExpr) -> str:
 
 def _smt_assertion(a: Assertion) -> str:
     match a:
-        case ATrue():
-            return "true"
-        case AFalse():
-            return "false"
-        case ACmp(op, left, right):
+        case BoolLit(v):
+            return "true" if v else "false"
+        case Cmp(op, left, right):
             return f"({op} {_smt_aexpr(left)} {_smt_aexpr(right)})"
-        case ANot(operand):
+        case Not(operand):
             return f"(not {_smt_assertion(operand)})"
-        case AAnd(left, right):
+        case And(left, right):
             return f"(and {_smt_assertion(left)} {_smt_assertion(right)})"
-        case AOr(left, right):
+        case Or(left, right):
             return f"(or {_smt_assertion(left)} {_smt_assertion(right)})"
-        case AImplies(left, right):
+        case Implies(left, right):
             return f"(=> {_smt_assertion(left)} {_smt_assertion(right)})"
     raise TypeError(f"not an Assertion: {a!r}")
 
@@ -285,6 +259,6 @@ def bounded_check(
     values = range(-bound, bound + 1)
     for assignment in itertools.product(values, repeat=len(names)):
         store = Store(dict(zip(names, assignment)))
-        if not assertion_holds(store, vc.formula):
+        if not beval(store, vc.formula):
             return Counterexample(store)
     return Valid()

@@ -49,7 +49,6 @@ from ..syntax import (
     Ty,
     Var,
     While,
-    children,
     program_vars,
     transform,
     walk,
@@ -159,21 +158,6 @@ def emit_mul_emulation(dst: str, lhs: str, rhs: str, tag: int = 0) -> list[MipsI
         _MUL_SHIFT_RHS,
         ins("j", loop),
         LabelDef(done),
-    ]
-
-
-def _lowered_nodes(c: Com) -> list:
-    """Every node of the expressions codegen lowers, in program order.
-
-    Loop invariants are annotations that generate no code, so only the
-    operands of assignments and comparisons count.
-    """
-    return [
-        n
-        for stmt in walk(c)
-        if type(stmt) is Assign or type(stmt) is Cmp
-        for e in children(stmt)
-        for n in walk(e)
     ]
 
 
@@ -363,7 +347,7 @@ def codegen(
         tp = typecheck(p)
         ty_of = tp.ty_of
     else:
-        for n in _lowered_nodes(p.body):
+        for n in walk(p.body, code_only=True):
             if type(n) in (BitOp, BitNot, Cast):
                 raise UnsupportedNode(
                     "bit operations and casts need a typed program", n.pos
@@ -371,7 +355,9 @@ def codegen(
         ty_of = lambda node: Ty.I32  # noqa: E731
     if not emulate_mul:
         positions = [
-            n.pos for n in _lowered_nodes(p.body) if type(n) is BinOp and n.op == "*"
+            n.pos
+            for n in walk(p.body, code_only=True)
+            if type(n) is BinOp and n.op == "*"
         ]
         if positions:
             raise MulNotSupported(positions)

@@ -6,6 +6,9 @@ folding with re-association over additive spines, structural identities
 adds trivial dead-code removal on commands (decided conditionals,
 never-entered loops, Skip elimination in sequences).
 
+Loop invariants are specification, not code: the -O pass skips them
+(``transform`` with ``code_only``), so they stay as written.
+
 A loop whose guard is literally ``true`` is never removed even though
 its continuation is unreachable: divergence is an observable outcome
 (OutOfFuel) that optimization must not erase.
@@ -244,10 +247,12 @@ def _opt_aexp(e: AExpr, wrap: bool) -> AExpr:
 
 
 def optimize(p: Program, level: int) -> Program:
-    """Apply the level's rewrites to a fixed point; level 0 is identity.
+    """Apply the level's rewrites in one pass; level 0 is identity.
 
-    Every rewrite returns the node it was given when no rule applies,
-    so the fixed point is reached when a pass returns the body itself.
+    The pass is bottom-up and optimizes each assignment's and
+    comparison's arithmetic to its own fixed point before the nodes
+    above see it, so its result is a fixed point: optimizing it again
+    returns the same body.
     """
     if level not in OPT_LEVELS:
         raise ValueError(f"optimization level must be one of {OPT_LEVELS}")
@@ -258,8 +263,7 @@ def optimize(p: Program, level: int) -> Program:
 
     def step(n):
         # Arithmetic is optimized whole where code consumes it, at
-        # assignments and comparisons; invariants are specification
-        # text, not executed code, so their arithmetic stays as written.
+        # assignments and comparisons.
         t = type(n)
         if t is Assign:
             return map_children(n, opt_aexp)
@@ -271,9 +275,4 @@ def optimize(p: Program, level: int) -> Program:
             return _dead_step(n)
         return n
 
-    body = p.body
-    while True:
-        out = transform(body, step)
-        if out is body:
-            return Program(p.decls, out)
-        body = out
+    return Program(p.decls, transform(p.body, step, code_only=True))

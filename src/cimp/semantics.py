@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import UnsupportedNode
 from .syntax import (
+    Assertion,
     Assign,
     BExpr,
     BinOp,
@@ -46,6 +47,7 @@ from .syntax import (
     Cmp,
     Com,
     If,
+    Implies,
     IntLit,
     Neg,
     Not,
@@ -196,7 +198,8 @@ def aeval(s: Store, e: AExpr) -> int:
     raise TypeError(f"not an AExpr: {e!r}")
 
 
-def beval(s: Store, b: BExpr) -> bool:
+def beval(s: Store, b: Assertion) -> bool:
+    """Truth of a condition, or of any formula such as a VC, in s."""
     match b:
         case BoolLit(v):
             return v
@@ -212,7 +215,9 @@ def beval(s: Store, b: BExpr) -> bool:
             return beval(s, left) and beval(s, right)
         case Or(left, right):
             return beval(s, left) or beval(s, right)
-    raise TypeError(f"not a BExpr: {b!r}")
+        case Implies(left, right):
+            return not beval(s, left) or beval(s, right)
+    raise TypeError(f"not a formula: {b!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,19 @@ Three syntactic layers share these nodes:
 * arithmetic expressions (``AExpr``): unbounded-integer core operators
   ``+ - *`` and unary negation, plus the fixed-width extension (bitwise
   operators, bit complement, and explicit ``i32``/``u32`` casts);
-* boolean expressions (``BExpr``): comparisons over arithmetic
-  expressions and the usual connectives; booleans are not values and
+* formulas (``Assertion``): comparisons over arithmetic expressions,
+  the usual connectives and implication; booleans are not values and
   never appear inside an ``AExpr``;
 * commands (``Com``) and whole programs (``Program``).
 
-Assertions (``Assertion``) extend boolean expressions with implication
-and annotate loops / Hoare triples; they are quantifier-free and range
-over program variables only.
+One formula type serves code and specification.  An ``if``/``while``
+condition is a formula without ``Implies`` (``BExpr``); a loop
+invariant or a Hoare triple's pre- and postcondition may use all of
+it, and a verification condition holds the program's own condition
+nodes.  Formulas are quantifier-free and range over program variables
+only.  Invariants are specification: no engine runs them and no
+backend compiles them, and traversals called with ``code_only=True``
+pass them by.
 
 All nodes are frozen dataclasses, so structural equality and hashing
 come for free.  Source positions are carried in a ``pos`` field that is
@@ -119,7 +124,7 @@ AExpr = Union[IntLit, Var, Neg, BinOp, BitOp, BitNot, Cast]
 
 
 # ---------------------------------------------------------------------------
-# Boolean expressions
+# Formulas
 
 
 @dataclass(frozen=True)
@@ -140,77 +145,42 @@ class Cmp:
 
 @dataclass(frozen=True)
 class Not:
-    operand: "BExpr"
+    operand: "Assertion"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class And:
-    left: "BExpr"
-    right: "BExpr"
+    left: "Assertion"
+    right: "Assertion"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Or:
-    left: "BExpr"
-    right: "BExpr"
+    left: "Assertion"
+    right: "Assertion"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
 BExpr = Union[BoolLit, Cmp, Not, And, Or]
 
 
-# ---------------------------------------------------------------------------
-# Assertions
-
-
 @dataclass(frozen=True)
-class ATrue:
-    pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
+class Implies:
+    """Implication, the one connective only specifications may use."""
 
-
-@dataclass(frozen=True)
-class AFalse:
-    pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class ACmp:
-    op: str
-    left: AExpr
-    right: AExpr
-    pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class ANot:
-    operand: "Assertion"
-    pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class AAnd:
     left: "Assertion"
     right: "Assertion"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class AOr:
-    left: "Assertion"
-    right: "Assertion"
-    pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
+Assertion = Union[BoolLit, Cmp, Not, And, Or, Implies]
 
 
-@dataclass(frozen=True)
-class AImplies:
-    left: "Assertion"
-    right: "Assertion"
-    pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
-
-
-Assertion = Union[ATrue, AFalse, ACmp, ANot, AAnd, AOr, AImplies]
+def ATrue() -> BoolLit:
+    """The formula ``true``, the default precondition."""
+    return BoolLit(True)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +261,11 @@ def _subtree_fields(cls: type) -> tuple[str, ...]:
     )
 
 
-_NODE_CLASSES = frozenset(
-    get_args(AExpr) + get_args(BExpr) + get_args(Assertion) + get_args(Com)
-)
+_NODE_CLASSES = frozenset(get_args(AExpr) + get_args(Assertion) + get_args(Com))
 # the fields of each class that hold subtrees, in declaration order
 _SUBTREES = {cls: _subtree_fields(cls) for cls in (*_NODE_CLASSES, Program)}
+# the same, minus loop invariants, for traversals of executed code only
+_CODE_SUBTREES = {**_SUBTREES, While: ("cond", "body")}
 # the compared fields that hold no subtree (operators, names, values)
 _LEAVES = {
     cls: tuple(f.name for f in fields(cls) if f.compare and f.name not in subtrees)
@@ -328,32 +298,36 @@ def map_children(node, f):
     return node if changed is None else replace(node, **changed)
 
 
-def walk(node) -> Iterator:
+def walk(node, *, code_only: bool = False) -> Iterator:
     """node and every node below it in pre-order, leftmost subtree first.
 
     Iterative, so depth is not limited by recursion; a subtree shared by
-    several parents is visited once per occurrence.
+    several parents is visited once per occurrence.  With code_only,
+    loop invariants and the nodes below them are skipped.
     """
+    subtrees = _CODE_SUBTREES if code_only else _SUBTREES
     todo = [node]
     while todo:
         n = todo.pop()
         yield n
-        for name in reversed(_SUBTREES[type(n)]):
+        for name in reversed(subtrees[type(n)]):
             k = getattr(n, name)
             if k is not None:
                 todo.append(k)
 
 
-def transform(node, f):
+def transform(node, f, *, code_only: bool = False):
     """Bottom-up rewrite: f gets each node once its subtrees are rewritten.
 
     Iterative like ``walk``.  f must depend on the node alone, not on its
     context: a subtree shared by several parents is rewritten once and
     the result is shared in turn, and ``map_children`` keeps every
     unchanged node, so rewriting touches only the paths that change.
+    With code_only, loop invariants are kept as they are.
     """
+    subtrees = _CODE_SUBTREES if code_only else _SUBTREES
     done: dict[int, object] = {}
-    lookup = lambda k: done[id(k)]  # noqa: E731
+    lookup = lambda k: done.get(id(k), k)  # noqa: E731  (skipped invariants stay)
     todo = [node]
     while todo:
         n = todo.pop()
@@ -362,7 +336,7 @@ def transform(node, f):
             done[id(n)] = f(map_children(n, lookup))
         elif id(n) not in done:
             todo += (n, _READY)
-            for name in reversed(_SUBTREES[type(n)]):
+            for name in reversed(subtrees[type(n)]):
                 k = getattr(n, name)
                 if k is not None and id(k) not in done:
                     todo.append(k)
@@ -416,21 +390,3 @@ def program_vars(p: Program) -> frozenset[str]:
 def node_count(node) -> int:
     """Number of AST nodes in node; a shared subtree counts at each occurrence."""
     return sum(1 for _ in walk(node))
-
-
-def bexpr_to_assertion(b: BExpr) -> Assertion:
-    """Embed a boolean expression into the assertion language."""
-    match b:
-        case BoolLit(True):
-            return ATrue()
-        case BoolLit(False):
-            return AFalse()
-        case Cmp(op, left, right):
-            return ACmp(op, left, right)
-        case Not(operand):
-            return ANot(bexpr_to_assertion(operand))
-        case And(left, right):
-            return AAnd(bexpr_to_assertion(left), bexpr_to_assertion(right))
-        case Or(left, right):
-            return AOr(bexpr_to_assertion(left), bexpr_to_assertion(right))
-    raise TypeError(f"not a BExpr: {b!r}")

@@ -9,33 +9,36 @@ order words.
 
 ``typecheck`` is one pre-order pass over the program that types the
 right-hand side of every assignment and the operands of every comparison,
-in loop conditions and invariants alike.  ``ceval_fixed`` is
-``semantics.run_fueled`` with the 32-bit evaluators ``eval_fixed`` and
-``beval_fixed``.
+in loop conditions and invariants alike, and then in any formulas passed
+with the program, such as a Hoare triple's pre- and postcondition.
+``ceval_fixed`` is ``semantics.run_fueled`` with the 32-bit evaluators
+``eval_fixed`` and ``beval_fixed``.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Mapping, Optional, Union
 
 from .errors import CimpError
 from .semantics import Outcome, Store, run_fueled
 from .syntax import (
-    ACmp,
     AExpr,
     And,
+    Assertion,
     Assign,
-    BExpr,
     BinOp,
     BitNot,
     BitOp,
     BoolLit,
     Cast,
     Cmp,
+    Implies,
     IntLit,
     Neg,
     Not,
+    Or,
     Program,
     SrcPos,
     Ty,
@@ -76,7 +79,7 @@ class TypedProgram:
         self.env = env
         self._types = types
 
-    def ty_of(self, node: Union[AExpr, Cmp, ACmp]) -> Ty:
+    def ty_of(self, node: Union[AExpr, Cmp]) -> Ty:
         return self._types[id(node)]
 
 
@@ -178,19 +181,23 @@ class _Checker:
         return tl
 
 
-def typecheck(p: Program) -> TypedProgram:
-    """Check a declared program; errors surface in leftmost-innermost order."""
+def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
+    """Check a declared program, then formulas over its declarations.
+
+    The formulas are typed like invariants (a triple's pre- and
+    postcondition, say); errors surface in leftmost-innermost order.
+    """
     if not p.decls:
         raise ValueError("typecheck needs a program with declarations")
     env = {name: ty if ty is not None else Ty.I32 for name, ty in p.decls}
     checker = _Checker(env)
-    for n in walk(p.body):
+    for n in chain(walk(p.body), *map(walk, formulas)):
         if type(n) is Assign:
             declared = env.get(n.var)
             if declared is None:
                 raise UndeclaredVariable(n.var, n.pos)
             checker.check(n.rhs, declared)
-        elif type(n) is Cmp or type(n) is ACmp:
+        elif type(n) is Cmp:
             checker.types[id(n)] = checker.common(n.left, n.right)
     return TypedProgram(p, env, checker.types)
 
@@ -239,8 +246,8 @@ def eval_fixed(env: Mapping[str, Ty], s32: Store, e: AExpr) -> int:
     return eval_fixed(env, s32, e.operand)
 
 
-def beval_fixed(tp: TypedProgram, s32: Store, b: BExpr) -> bool:
-    """Truth of b under 32-bit semantics; b must be a node of tp."""
+def beval_fixed(tp: TypedProgram, s32: Store, b: Assertion) -> bool:
+    """Truth of formula b under 32-bit semantics; tp must have typed b."""
     if isinstance(b, BoolLit):
         return b.value
     if isinstance(b, Cmp):
@@ -257,7 +264,10 @@ def beval_fixed(tp: TypedProgram, s32: Store, b: BExpr) -> bool:
         return not beval_fixed(tp, s32, b.operand)
     if isinstance(b, And):
         return beval_fixed(tp, s32, b.left) and beval_fixed(tp, s32, b.right)
-    return beval_fixed(tp, s32, b.left) or beval_fixed(tp, s32, b.right)
+    if isinstance(b, Or):
+        return beval_fixed(tp, s32, b.left) or beval_fixed(tp, s32, b.right)
+    assert isinstance(b, Implies)
+    return not beval_fixed(tp, s32, b.left) or beval_fixed(tp, s32, b.right)
 
 
 def ceval_fixed(fuel: int, tp: TypedProgram, s32: Store) -> Outcome:

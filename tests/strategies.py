@@ -65,17 +65,17 @@ def bexprs(max_depth: int = 3, bits: bool = False):
 def assertions(max_depth: int = 3):
     arith = aexprs(max_depth=2)
     base = st.one_of(
-        st.just(sx.ATrue()),
-        st.just(sx.AFalse()),
-        st.builds(sx.ACmp, st.sampled_from(["=", "<=", "<"]), arith, arith),
+        st.just(sx.BoolLit(True)),
+        st.just(sx.BoolLit(False)),
+        st.builds(sx.Cmp, st.sampled_from(["=", "<=", "<"]), arith, arith),
     )
 
     def extend(children):
         return st.one_of(
-            st.builds(sx.ANot, children),
-            st.builds(sx.AAnd, children, children),
-            st.builds(sx.AOr, children, children),
-            st.builds(sx.AImplies, children, children),
+            st.builds(sx.Not, children),
+            st.builds(sx.And, children, children),
+            st.builds(sx.Or, children, children),
+            st.builds(sx.Implies, children, children),
         )
 
     return st.recursive(base, extend, max_leaves=2**max_depth)

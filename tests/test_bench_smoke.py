@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_compile_large_quick_round():
     argv = [sys.executable, "bench/run.py", "--workload", "compile-large",
             "--seed", "1", "--seconds", "0", "--trace", "0"]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, result

@@ -222,6 +222,17 @@ def test_compile_mul_needs_flag(tmp_path, capsys):
     assert f"{path}:" in err
 
 
+def test_compile_ignores_multiplication_in_invariants(tmp_path, capsys):
+    path = _src(
+        tmp_path,
+        "x := 0; while x < 9 invariant { x * x <= 81 && x + 0 <= 9 && true } do "
+        "x := x + 1 done\n",
+    )
+    code, out, err = _run(capsys, "compile", path, "--backend", "mips")
+    assert (code, err) == (0, "")
+    assert "break" in out
+
+
 def test_compile_emulate_mul_to_file(tmp_path, capsys):
     path = _src(tmp_path, "x := 6 * 7\n")
     out_path = tmp_path / "prog.s"
@@ -358,6 +369,34 @@ def test_vc_env_solver(tmp_path, capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("flag", ["--pre", "--post"])
+def test_vc_flag_errors_are_located_in_the_flag(tmp_path, capsys, flag):
+    other = "--post" if flag == "--pre" else "--pre"
+    path = _src(tmp_path, VERIFIED)
+    argv = ["vc", path, flag, "x = = 0", other, "x = 0", "--bounded-check", "4"]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{flag}:1:5: error: ")
+
+
+def test_vc_typed_flags_are_typechecked(tmp_path, capsys):
+    path = _src(tmp_path, "var x: i32; x := 1\n")
+    argv = ["vc", path, "--post", "q = 0", "--bounded-check", "4"]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "--post:1:1: error: undeclared variable q\n"
+    code, out, _ = _run(capsys, "vc", path, "--pre", "x = 0", "--post", "x = 1",
+                        "--bounded-check", "4")
+    assert (code, out) == (0, "vc_0_top: valid\n")
+
+
+def test_vc_typed_program_errors_stay_in_the_file(tmp_path, capsys):
+    path = _src(tmp_path, "var x: i32; x := y\n")
+    code, _, err = _run(capsys, "vc", path, "--post", "y = 0", "--bounded-check", "4")
+    assert code == 1
+    assert err == f"{path}:1:18: error: undeclared variable y\n"
+
+
 def test_vc_requires_mode(tmp_path, capsys):
     code, _, err = _run(capsys, "vc", _src(tmp_path, VERIFIED), "--post", "x = 10")
     assert code == 1
@@ -457,6 +496,21 @@ def test_syntax_error_position(tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"{path}:1:")
     assert ": error: " in err
+
+
+@pytest.mark.parametrize(
+    "src, where",
+    [
+        ("if (x = 0 -> y = 0) then skip else skip end\n", "1:11"),
+        ("while x = 0 -> y = 0 do skip done\n", "1:13"),
+    ],
+    ids=["if", "while"],
+)
+def test_implication_in_a_condition_is_located(tmp_path, capsys, src, where):
+    path = _src(tmp_path, src)
+    code, _, err = _run(capsys, "run", path)
+    assert code == 1
+    assert err.startswith(f"{path}:{where}: error: ")
 
 
 def test_help_exits_zero():

@@ -16,7 +16,6 @@ from cimp.frontend import (
     pretty,
     pretty_aexpr,
     pretty_assertion,
-    pretty_bexpr,
 )
 
 
@@ -213,9 +212,9 @@ def test_parenthesized_bool_vs_comparison():
 def test_while_with_invariant():
     p = body("while x <= 9 invariant { 0 <= x && x <= 10 } do x := x + 1 done")
     assert isinstance(p, sx.While)
-    assert p.invariant == sx.AAnd(
-        sx.ACmp("<=", sx.IntLit(0), sx.Var("x")),
-        sx.ACmp("<=", sx.Var("x"), sx.IntLit(10)),
+    assert p.invariant == sx.And(
+        sx.Cmp("<=", sx.IntLit(0), sx.Var("x")),
+        sx.Cmp("<=", sx.Var("x"), sx.IntLit(10)),
     )
 
 
@@ -246,20 +245,20 @@ def test_untyped_program_has_no_decls():
 
 def test_implication_is_right_associative():
     a = parse_assertion_text("x = 0 -> y = 0 -> z = 0")
-    assert isinstance(a, sx.AImplies)
-    assert isinstance(a.right, sx.AImplies)
+    assert isinstance(a, sx.Implies)
+    assert isinstance(a.right, sx.Implies)
 
 
 def test_implication_lowest_precedence():
     a = parse_assertion_text("x = 0 && true -> false")
-    assert isinstance(a, sx.AImplies)
-    assert isinstance(a.left, sx.AAnd)
+    assert isinstance(a, sx.Implies)
+    assert isinstance(a.left, sx.And)
 
 
 def test_parenthesized_implication():
     a = parse_assertion_text("(x = 0 -> y = 0) -> z = 0")
-    assert isinstance(a, sx.AImplies)
-    assert isinstance(a.left, sx.AImplies)
+    assert isinstance(a, sx.Implies)
+    assert isinstance(a.left, sx.Implies)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +329,13 @@ def test_pretty_unary_stacking():
 
 def test_pretty_bool_minimal_parens():
     b = sx.And(sx.Or(sx.BoolLit(True), sx.BoolLit(False)), sx.BoolLit(True))
-    assert pretty_bexpr(b) == "(true || false) && true"
+    assert pretty_assertion(b) == "(true || false) && true"
 
 
 def test_pretty_assertion_implication():
-    a = sx.AImplies(sx.AImplies(sx.ATrue(), sx.AFalse()), sx.ATrue())
+    a = sx.Implies(sx.Implies(sx.BoolLit(True), sx.BoolLit(False)), sx.BoolLit(True))
     assert pretty_assertion(a) == "(true -> false) -> true"
-    b = sx.AImplies(sx.ATrue(), sx.AImplies(sx.AFalse(), sx.ATrue()))
+    b = sx.Implies(sx.BoolLit(True), sx.Implies(sx.BoolLit(False), sx.BoolLit(True)))
     assert pretty_assertion(b) == "true -> false -> true"
 
 
@@ -372,7 +371,7 @@ def test_roundtrip_aexpr(e):
 @settings(max_examples=150)
 @given(gen.bexprs(bits=True))
 def test_roundtrip_bexpr(b):
-    c = parse_program(f"if {pretty_bexpr(b)} then skip else skip end").body
+    c = parse_program(f"if {pretty_assertion(b)} then skip else skip end").body
     assert c.cond == b
 
 
@@ -458,7 +457,7 @@ def test_nesting_limit_in_conditions_and_assertions():
     with pytest.raises(NestingError):
         parse_program(f"if ({b}) then skip else skip end")
     a = _parens(MAX_NESTING, "x < 1")
-    assert parse_assertion_text(a) == sx.ACmp("<", sx.Var("x"), sx.IntLit(1))
+    assert parse_assertion_text(a) == sx.Cmp("<", sx.Var("x"), sx.IntLit(1))
     with pytest.raises(NestingError):
         parse_assertion_text(f"({a})")
     with pytest.raises(NestingError):

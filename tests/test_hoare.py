@@ -12,14 +12,13 @@ from cimp.hoare import (
     MissingInvariant,
     Valid,
     VerificationCondition,
-    assertion_holds,
     bounded_check,
     emit_smtlib,
     subst,
     vcgen,
     wlp,
 )
-from cimp.semantics import Done, Store, aeval, ceval_fuel
+from cimp.semantics import Done, Store, aeval, beval, ceval_fuel
 
 
 def A(src):
@@ -59,8 +58,8 @@ def test_subst_hits_all_occurrences():
 @settings(max_examples=300)
 @given(gen.assertions(), st.sampled_from(["a", "b", "x", "y"]), gen.aexprs(), gen.stores())
 def test_substitution_lemma(a, x, e, s):
-    lhs = assertion_holds(s, subst(a, x, e))
-    rhs = assertion_holds(s.set(x, aeval(s, e)), a)
+    lhs = beval(s, subst(a, x, e))
+    rhs = beval(s.set(x, aeval(s, e)), a)
     assert lhs == rhs
 
 
@@ -93,6 +92,16 @@ def test_wlp_counting_loop_exact_vcs():
         "(0 <= x && x <= 10) && x <= 9 -> 0 <= x + 1 && x + 1 <= 10"
     )
     assert sides[1].formula == A("(0 <= x && x <= 10) && !x <= 9 -> x = 10")
+
+
+def test_vcs_hold_the_programs_own_conditions():
+    loop = C(COUNTING)
+    _, preservation, exit_vc = vcgen(HoareTriple(A("x = 0"), loop, A("x = 10")))
+    assert preservation.formula.left.right is loop.cond
+    assert exit_vc.formula.left.right.operand is loop.cond
+    branch = C("if x < 0 then y := 1 else y := 2 end")
+    w, _ = wlp(branch, A("y = 1"))
+    assert w.left.left is branch.cond and w.right.left.operand is branch.cond
 
 
 def test_wlp_missing_invariant():
@@ -152,7 +161,7 @@ def _with_default_invariants(c):
             return sx.If(b, _with_default_invariants(t), _with_default_invariants(e))
         case sx.While(b, inv, body):
             return sx.While(
-                b, inv if inv is not None else sx.ATrue(), _with_default_invariants(body)
+                b, inv if inv is not None else sx.BoolLit(True), _with_default_invariants(body)
             )
 
 
@@ -172,7 +181,7 @@ def _count_whiles(c):
 @given(gen.coms(invariants=True), gen.assertions())
 def test_vcgen_vc_count(c, q):
     c = _with_default_invariants(c)
-    vcs = vcgen(HoareTriple(sx.ATrue(), c, q))
+    vcs = vcgen(HoareTriple(sx.BoolLit(True), c, q))
     assert len(vcs) == 1 + 2 * _count_whiles(c)
     assert vcs[0].origin == "top"
 
@@ -275,10 +284,10 @@ def loop_free_coms():
 def test_wlp_loop_free_soundness(c, q, s):
     w, sides = wlp(c, q)
     assert sides == []
-    if assertion_holds(s, w):
+    if beval(s, w):
         out = ceval_fuel(0, c, s)
         assert isinstance(out, Done)
-        assert assertion_holds(out.store, q)
+        assert beval(out.store, q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,7 +297,7 @@ def test_wlp_loop_free_exactness(c, q, s):
     w, _ = wlp(c, q)
     out = ceval_fuel(0, c, s)
     assert isinstance(out, Done)
-    assert assertion_holds(s, w) == assertion_holds(out.store, q)
+    assert beval(s, w) == beval(out.store, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,9 +306,9 @@ def test_wlp_monotone_in_postcondition(c, q1, q2):
     # cap the enumeration grid: 5 values per variable, at most 4 variables
     names = sx.com_vars(c) | sx.assertion_vars(q1) | sx.assertion_vars(q2)
     assume(len(names) <= 4)
-    imp = VerificationCondition("top", sx.AImplies(q1, q2))
+    imp = VerificationCondition("top", sx.Implies(q1, q2))
     if isinstance(bounded_check(imp, 2, budget=10**6), Valid):
         w1, _ = wlp(c, q1)
         w2, _ = wlp(c, q2)
-        lifted = VerificationCondition("top", sx.AImplies(w1, w2))
+        lifted = VerificationCondition("top", sx.Implies(w1, w2))
         assert isinstance(bounded_check(lifted, 2, budget=10**6), Valid)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import strategies as gen
 from cimp import syntax as sx
 from cimp.frontend import parse_program
+from cimp.generator import GenSpec, gen_program
 from cimp.optimizer import (
     const_fold,
     dead_code,
@@ -332,6 +333,31 @@ def test_optimize_idempotent(level, c):
 def test_optimize_size_nonincreasing(level, c):
     p = sx.program(c)
     assert sx.node_count(optimize(p, level)) <= sx.node_count(p)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("typed", [False, True])
+def test_one_pass_reaches_the_fixed_point_on_generated_programs(level, typed):
+    for seed in range(300):
+        q = optimize(gen_program(GenSpec(seed=seed, typed=typed)), level)
+        assert optimize(q, level).body is q.body, seed
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(c=gen.coms(bits=True, invariants=True), wrap=st.booleans())
+def test_one_pass_reaches_the_fixed_point(level, c, wrap):
+    q = optimize(sx.Program((("a", sx.Ty.U32),) if wrap else (), c), level)
+    assert optimize(q, level).body is q.body
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_optimize_keeps_invariants_as_written(level):
+    p = parse_program(
+        "x := 0; while x < 9 invariant { x * x <= 81 && x + 0 <= 9 && true } do "
+        "x := x + 1 done"
+    )
+    assert optimize(p, level).body.second.invariant is p.body.second.invariant
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,13 +9,6 @@ from cimp.mips import codegen, simulate
 from cimp.optimizer import optimize
 from cimp.semantics import Done, Store, ceval_fuel
 from cimp.syntax import (
-    AAnd,
-    ACmp,
-    AFalse,
-    AImplies,
-    ANot,
-    AOr,
-    ATrue,
     And,
     Assign,
     BinOp,
@@ -25,6 +18,7 @@ from cimp.syntax import (
     Cast,
     Cmp,
     If,
+    Implies,
     IntLit,
     Neg,
     Not,
@@ -58,13 +52,7 @@ SUBTREES = {
     Not: ("operand",),
     And: ("left", "right"),
     Or: ("left", "right"),
-    ATrue: (),
-    AFalse: (),
-    ACmp: ("left", "right"),
-    ANot: ("operand",),
-    AAnd: ("left", "right"),
-    AOr: ("left", "right"),
-    AImplies: ("left", "right"),
+    Implies: ("left", "right"),
     Skip: (),
     Assign: ("rhs",),
     Seq: ("first", "second"),
@@ -87,20 +75,26 @@ SAMPLES = [
     Not(BoolLit(True)),
     And(BoolLit(True), BoolLit(False)),
     Or(BoolLit(True), BoolLit(False)),
-    ATrue(),
-    AFalse(),
-    ACmp("=", Var("a"), IntLit(2)),
-    ANot(ATrue()),
-    AAnd(ATrue(), AFalse()),
-    AOr(ATrue(), AFalse()),
-    AImplies(ATrue(), AFalse()),
+    Implies(BoolLit(True), BoolLit(False)),
     Skip(),
     Assign("x", IntLit(1)),
     Seq(Skip(), Skip()),
     If(BoolLit(True), Skip(), Skip()),
-    While(BoolLit(True), ATrue(), Skip()),
+    While(BoolLit(True), BoolLit(True), Skip()),
     Program((("x", Ty.I32),), Skip()),
 ]
+
+# Formulas as a loop invariant or a Hoare triple would hold them, by id
+# ("A" for assertion, then the class); they share the classes above.
+ASSERTION_SAMPLES = {
+    "ATrue": BoolLit(True),
+    "AFalse": BoolLit(False),
+    "ACmp": Cmp("=", Var("a"), IntLit(2)),
+    "ANot": Not(BoolLit(True)),
+    "AAnd": And(BoolLit(True), BoolLit(False)),
+    "AOr": Or(BoolLit(True), BoolLit(False)),
+    "AImplies": Implies(BoolLit(True), BoolLit(False)),
+}
 
 
 def test_samples_cover_every_ast_class():
@@ -115,7 +109,11 @@ def _same_objects(xs, ys):
     return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
-@pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
+@pytest.mark.parametrize(
+    "node",
+    SAMPLES + list(ASSERTION_SAMPLES.values()),
+    ids=[type(n).__name__ for n in SAMPLES] + list(ASSERTION_SAMPLES),
+)
 def test_traversal_yields_exactly_the_subtree_fields(node):
     kids = [getattr(node, name) for name in SUBTREES[type(node)]]
     assert _same_objects(children(node), kids)
@@ -176,7 +174,7 @@ def test_equal_ignores_positions_and_looks_at_every_field():
     assert not equal(a, BinOp("-", Var("x"), IntLit(1)))
     assert not equal(a, BinOp("+", Var("y"), IntLit(1)))
     assert not equal(a, BitOp("+", Var("x"), IntLit(1)))
-    assert not equal(While(BoolLit(True), None, Skip()), While(BoolLit(True), ATrue(), Skip()))
+    assert not equal(While(BoolLit(True), None, Skip()), While(BoolLit(True), BoolLit(True), Skip()))
 
 
 def test_equal_on_deep_trees():

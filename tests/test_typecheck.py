@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 import strategies as gen
 from cimp import syntax as sx
+from cimp.frontend import parse_assertion_text as A
 from cimp.frontend import parse_program
-from cimp.semantics import OUT_OF_FUEL, Done, Store, aeval
+from cimp.hoare import HoareTriple, vcgen
+from cimp.semantics import OUT_OF_FUEL, Done, Store, aeval, beval
 from cimp.typecheck import (
     MASK,
     TypeMismatch,
@@ -66,6 +68,24 @@ def test_invariant_assertions_are_checked():
     tp = check("var x: i32; while x < 9 invariant { 0 <= x } do x := x + 1 done")
     inv = tp.program.body.invariant
     assert tp.ty_of(inv) is sx.Ty.I32
+
+
+def test_vcs_typecheck_and_evaluate_in_32_bits():
+    src = "var x: i32; while x <= 9 invariant { 0 <= x && x <= 10 } do x := x + 1 done"
+    p = parse_program(src)
+    vcs = vcgen(HoareTriple(A("x = 0"), p.body, A("x = 10")))
+    tp = typecheck(p, *(vc.formula for vc in vcs))
+    for x in range(-3, 13):
+        for vc in vcs:
+            s = Store({"x": x})
+            assert beval_fixed(tp, Store({"x": word32(x)}), vc.formula) == beval(s, vc.formula)
+
+
+def test_formulas_are_checked_in_the_declarations():
+    p = parse_program("var x: i32; x := 1")
+    with pytest.raises(UndeclaredVariable) as ei:
+        typecheck(p, A("x = 1"), A("q = 0"))
+    assert ei.value.name == "q"
 
 
 # ---------------------------------------------------------------------------
