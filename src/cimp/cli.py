@@ -9,6 +9,7 @@ standard error as ``FILE:line:col: error: message``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -73,7 +74,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as is."""
     parser = _Parser(prog="cimp", description="imp compiler toolchain")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .syntax import SrcPos
+from .syntax import BitOp, Cast, SrcPos
 
 
 class CimpError(Exception):
@@ -31,3 +31,14 @@ class CimpError(Exception):
 
 class UnsupportedNode(CimpError):
     """A fixed-width-only construct reached an unbounded-integer stage."""
+
+    @classmethod
+    def at(cls, n, why: str) -> "UnsupportedNode":
+        """The error for n, a bit operator, complement or cast: what, then why."""
+        if type(n) is BitOp:
+            what = f"bit operator '{n.op}'"
+        elif type(n) is Cast:
+            what = f"cast '{n.target}(...)'"
+        else:
+            what = "bit complement '~'"
+        return cls(f"{what} {why}", n.pos)

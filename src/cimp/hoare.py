@@ -11,7 +11,7 @@ so no dedicated operation exists for it.
 
 Assertions are the formulas that conditions are made of, plus
 implication, so a VC holds the program's own condition nodes rather
-than copies, and ``semantics.beval`` decides its truth in a store.
+than copies, and ``semantics.compile_expr`` decides its truth in a store.
 They are quantifier-free, so substitution cannot capture, and a VC's
 validity means truth in every store over unbounded integers.
 Two discharge routes are provided: ``emit_smtlib`` renders a VC as an
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import CimpError, UnsupportedNode
-from .semantics import Store, beval
+from .semantics import Store, compile_expr
 from .syntax import (
     AExpr,
     And,
@@ -256,9 +256,10 @@ def bounded_check(
         raise BudgetExceeded(
             f"{width}^{len(names)} stores exceed the enumeration cap of {budget}"
         )
+    holds = compile_expr(vc.formula)  # once; shared subtrees compile once
     values = range(-bound, bound + 1)
     for assignment in itertools.product(values, repeat=len(names)):
-        store = Store(dict(zip(names, assignment)))
-        if not beval(store, vc.formula):
-            return Counterexample(store)
+        env = dict(zip(names, assignment))
+        if not holds(env):
+            return Counterexample(Store(env))
     return Valid()

@@ -23,6 +23,7 @@ recurses through them untouched.
 
 from __future__ import annotations
 
+from .semantics import compile_expr
 from .syntax import (
     AExpr,
     And,
@@ -167,10 +168,6 @@ def simplify_structural(e: AExpr) -> AExpr:
     return transform(e, _structural_step)
 
 
-def _cmp_holds(op: str, a: int, b: int) -> bool:
-    return {"=": a == b, "<=": a <= b, "<": a < b}[op]
-
-
 def _bool_step(b: BExpr, wrap: bool) -> BExpr:
     t = type(b)
     if t is Not:
@@ -199,7 +196,7 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
             # signedness unless both constants sit where the signed
             # and unsigned orders coincide.
             if not wrap or (0 <= lv < _HALF and 0 <= rv < _HALF):
-                return BoolLit(_cmp_holds(b.op, lv, rv))
+                return BoolLit(compile_expr(b)({}))
     return b
 
 

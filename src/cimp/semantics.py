@@ -1,16 +1,22 @@
 """Reference semantics for imp over unbounded integers.
 
+``compile_expr`` turns an expression or formula into nested Python
+closures over a store's dict, once, and the engines apply them (Feeley
+and Lapalme, "Using closures for code generation", 1987).  It serves
+both word semantics: unbounded integers here, 32-bit words for
+``typecheck.ceval_fixed``.  ``aeval`` and ``beval`` compile and apply.
+
 Three executions are provided:
 
 * ``run_fueled``: big-step evaluation with a fuel budget, taking the
-  expression semantics as parameters.  ``ceval_fuel`` runs it with
-  ``aeval``/``beval``; ``typecheck.ceval_fixed`` runs it with the 32-bit
-  evaluators.  Fuel is an iteration budget: only loop unfoldings
-  consume it (one unit each), straight-line code is free.  A loop
-  entered with zero fuel reports ``OutOfFuel`` before even testing its
-  guard, so ``ceval_fuel(0, c, s)`` can complete only for loop-free
-  ``c``.  It keeps an explicit stack of pending commands, so long
-  sequences need no recursion.
+  word semantics as a parameter.  ``ceval_fuel`` runs it over unbounded
+  integers; ``typecheck.ceval_fixed`` runs it over 32-bit words.  Fuel
+  is an iteration budget: only loop unfoldings consume it (one unit
+  each), straight-line code is free.  A loop entered with zero fuel
+  reports ``OutOfFuel`` before even testing its guard, so
+  ``ceval_fuel(0, c, s)`` can complete only for loop-free ``c``.  It
+  keeps an explicit stack of pending commands, so long sequences need
+  no recursion.
 * ``step``: a small-step transition relation over (command, store)
   configurations, with expressions evaluated atomically.
 * ``run_small``: a continuation-stack driver for that relation.  It
@@ -31,14 +37,15 @@ evaluation of a core expression always yields an integer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Union
+from functools import partial
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import UnsupportedNode
 from .syntax import (
     Assertion,
     Assign,
-    BExpr,
     BinOp,
     BitNot,
     BitOp,
@@ -56,6 +63,7 @@ from .syntax import (
     AExpr,
     Seq,
     Skip,
+    Ty,
     Var,
     While,
 )
@@ -84,9 +92,6 @@ class Store:
 
     def items(self) -> Iterable[tuple[str, int]]:
         return self._bindings.items()
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(self._bindings)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Store):
@@ -166,58 +171,119 @@ TERMINAL = Terminal()
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Expression compilation
+
+MASK = 0xFFFFFFFF
+_SIGN = 1 << 31
+
+# Binary operators and comparisons.  A 32-bit chain masks its value at its
+# end only, which every operator but >> commutes with; >> masks its own.
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<<": lambda v, k: (v << (k & 31)) & MASK,
+    ">>": lambda v, k: (v & MASK) >> (k & 31),
+    "=": operator.eq,
+    "<=": operator.le,
+    "<": operator.lt,
+}
+
+
+def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] = None):
+    """Compile an arithmetic expression or a formula to a closure.
+
+    The closure maps a store's dict (absent names read as 0) to the value
+    of e.  ``word`` is None for unbounded integers; for 32-bit words it is
+    the type table ``typecheck`` builds, which picks signed or unsigned
+    order once per comparison.  On words + - * neg << wrap, casts are the
+    identity and shifts are taken mod 32.  On unbounded integers a bit
+    operator or cast compiles to a closure that raises UnsupportedNode at
+    its position when called, so an unreached one is harmless.  ``memo``
+    maps id(node) to its closure: a subtree shared by several parents
+    (as in a VC) compiles once.  The left spine of binary operators
+    compiles to one closure that loops over its operands, so chains of
+    any length compile and run without recursion.
+    """
+    memo = {} if memo is None else memo
+    f = memo.get(id(e))
+    if f is None:
+        f = memo[id(e)] = _compile_node(e, word, memo)
+    return f
+
+
+def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
+    sub = partial(compile_expr, word=word, memo=memo)
+    t = type(n)
+    wrap = word is not None
+    m = MASK if wrap else -1
+    if not wrap and (t is BitOp or t is BitNot or t is Cast):
+        err = UnsupportedNode.at(n, "is only available in typed programs")
+
+        def unsupported(env):
+            raise err
+
+        return unsupported
+    if t is IntLit or t is BoolLit:
+        v = n.value & m if t is IntLit else n.value
+        return lambda env: v
+    if t is Var:
+        name = n.name
+        if wrap:
+            return lambda env: env.get(name, 0) & MASK
+        return lambda env: env.get(name, 0)
+    if t is Neg:
+        f = sub(n.operand)
+        return lambda env: -f(env) & m
+    if t is BinOp or t is BitOp:
+        steps = []
+        while type(n) is BinOp or (wrap and type(n) is BitOp):
+            steps.append((_OPS[n.op], sub(n.right)))
+            n = n.left
+        steps.reverse()
+        f = sub(n)
+
+        def chain(env):
+            v = f(env)
+            for op, g in steps:
+                v = op(v, g(env))
+            return v & m
+
+        return chain
+    if t is BitNot:
+        f = sub(n.operand)
+        return lambda env: f(env) ^ MASK
+    if t is Cast:
+        return sub(n.operand)
+    if t is Cmp:
+        test, f, g = _OPS[n.op], sub(n.left), sub(n.right)
+        if wrap and word[id(n)] is Ty.I32:
+            # i32 order on words: flipping the sign bit maps it onto u32 order
+            return lambda env: test(f(env) ^ _SIGN, g(env) ^ _SIGN)
+        return lambda env: test(f(env), g(env))
+    if t is Not:
+        f = sub(n.operand)
+        return lambda env: not f(env)
+    if t is And or t is Or or t is Implies:
+        f, g = sub(n.left), sub(n.right)
+        if t is And:
+            return lambda env: f(env) and g(env)
+        if t is Or:
+            return lambda env: f(env) or g(env)
+        return lambda env: not f(env) or g(env)
+    raise TypeError(f"not an expression or formula: {n!r}")
 
 
 def aeval(s: Store, e: AExpr) -> int:
-    match e:
-        case IntLit(v):
-            return v
-        case Var(name):
-            return s.get(name)
-        case Neg(operand):
-            return -aeval(s, operand)
-        case BinOp("+", left, right):
-            return aeval(s, left) + aeval(s, right)
-        case BinOp("-", left, right):
-            return aeval(s, left) - aeval(s, right)
-        case BinOp("*", left, right):
-            return aeval(s, left) * aeval(s, right)
-        case BitOp(op, _, _):
-            raise UnsupportedNode(
-                f"bit operator '{op}' is only available in typed programs", e.pos
-            )
-        case BitNot():
-            raise UnsupportedNode(
-                "bit complement '~' is only available in typed programs", e.pos
-            )
-        case Cast(target, _):
-            raise UnsupportedNode(
-                f"cast '{target}(...)' is only available in typed programs", e.pos
-            )
-    raise TypeError(f"not an AExpr: {e!r}")
+    return compile_expr(e)(s._bindings)
 
 
 def beval(s: Store, b: Assertion) -> bool:
     """Truth of a condition, or of any formula such as a VC, in s."""
-    match b:
-        case BoolLit(v):
-            return v
-        case Cmp("=", left, right):
-            return aeval(s, left) == aeval(s, right)
-        case Cmp("<=", left, right):
-            return aeval(s, left) <= aeval(s, right)
-        case Cmp("<", left, right):
-            return aeval(s, left) < aeval(s, right)
-        case Not(operand):
-            return not beval(s, operand)
-        case And(left, right):
-            return beval(s, left) and beval(s, right)
-        case Or(left, right):
-            return beval(s, left) or beval(s, right)
-        case Implies(left, right):
-            return not beval(s, left) or beval(s, right)
-    raise TypeError(f"not a formula: {b!r}")
+    return compile_expr(b)(s._bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +291,23 @@ def beval(s: Store, b: Assertion) -> bool:
 
 
 def run_fueled(
-    fuel: int,
-    c: Com,
-    s: Store,
-    aeval: Callable[[Store, AExpr], int],
-    beval: Callable[[Store, BExpr], bool],
+    fuel: int, c: Com, s: Store, word: Optional[dict[int, Ty]] = None
 ) -> Outcome:
-    """Big-step execution of c under the given expression semantics.
+    """Big-step execution of c under the given word semantics.
 
-    Fuel bounds the number of loop unfoldings: a loop checks its fuel
-    before testing its guard and spends one unit per entry into its
-    body; straight-line code is free.  The loop keeps an explicit
-    stack of the commands still to run and updates a private copy of
-    the store in place, so neither sequence length nor iteration count
-    deepens the Python stack.
+    ``word`` is ``compile_expr``'s, and each right-hand side and
+    condition compiles once per run, when first reached.  Fuel bounds
+    the number of loop unfoldings: a loop checks its fuel before testing
+    its guard and spends one unit per entry into its body; straight-line
+    code is free.  An explicit stack of the commands still to run and a
+    private store dict updated in place keep the Python stack flat.
     """
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
     rest: list[Com] = []
     s = Store(s._bindings)
     env = s._bindings
+    memo: dict = {}
     while True:
         t = type(c)
         if t is Seq:
@@ -252,14 +315,15 @@ def run_fueled(
             c = c.first
             continue
         if t is Assign:
-            env[c.var] = aeval(s, c.rhs)
+            env[c.var] = (memo.get(id(c.rhs)) or compile_expr(c.rhs, word, memo))(env)
         elif t is If:
-            c = c.then_branch if beval(s, c.cond) else c.else_branch
+            f = memo.get(id(c.cond)) or compile_expr(c.cond, word, memo)
+            c = c.then_branch if f(env) else c.else_branch
             continue
         elif t is While:
             if not fuel:
                 return OUT_OF_FUEL
-            if beval(s, c.cond):
+            if (memo.get(id(c.cond)) or compile_expr(c.cond, word, memo))(env):
                 fuel -= 1
                 rest.append(c)
                 c = c.body
@@ -273,7 +337,7 @@ def run_fueled(
 
 def ceval_fuel(fuel: int, c: Com, s: Store) -> Outcome:
     """Big-step evaluation; fuel bounds the number of loop unfoldings."""
-    return run_fueled(fuel, c, s, aeval, beval)
+    return run_fueled(fuel, c, s)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +391,7 @@ def run_small(max_steps: int, c: Com, s: Store) -> Outcome:
     rest: list[Com] = []
     s = Store(s._bindings)  # private copy, updated in place
     env = s._bindings
+    memo: dict = {}  # compiled right-hand sides and conditions
     while True:
         t = type(c)
         if t is Seq:
@@ -337,12 +402,12 @@ def run_small(max_steps: int, c: Com, s: Store) -> Outcome:
             if not fuel:
                 return OUT_OF_FUEL
             fuel -= 1
-            env[c.var] = aeval(s, c.rhs)
+            env[c.var] = (memo.get(id(c.rhs)) or compile_expr(c.rhs, None, memo))(env)
         elif t is While:
             if fuel < 2:
                 return OUT_OF_FUEL
             fuel -= 2
-            if beval(s, c.cond):
+            if (memo.get(id(c.cond)) or compile_expr(c.cond, None, memo))(env):
                 rest.append(c)
                 c = c.body
                 continue
@@ -350,7 +415,8 @@ def run_small(max_steps: int, c: Com, s: Store) -> Outcome:
             if not fuel:
                 return OUT_OF_FUEL
             fuel -= 1
-            c = c.then_branch if beval(s, c.cond) else c.else_branch
+            f = memo.get(id(c.cond)) or compile_expr(c.cond, None, memo)
+            c = c.then_branch if f(env) else c.else_branch
             continue
         elif t is not Skip:
             raise TypeError(f"not a Com: {c!r}")

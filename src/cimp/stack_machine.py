@@ -13,16 +13,20 @@ jumps parameterized by the polarity ``cond`` and a skip distance
 structural composition.  There is no branch instruction for a strict
 less-than, so ``l < r`` compiles its operands in swapped order and uses
 the greater-than branch; expressions are pure, so the evaluation-order
-change is unobservable.
+change is unobservable.  The compiler appends to one list from a work
+stack and back-patches branches, so neither long sequences nor long
+operator chains recurse.
 
 Machine fuel counts executed instructions (every instruction, halt
 included), unlike the reference interpreter's fuel, which counts loop
-iterations.
+iterations.  The machine decodes the code once into dense opcodes and
+runs it on a private dict store (``run_fragment``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, make_dataclass
 from typing import Union
 
 from .errors import UnsupportedNode
@@ -49,71 +53,25 @@ from .syntax import (
     Skip,
     Var,
     While,
+    walk,
 )
 
 # ---------------------------------------------------------------------------
-# Instructions
+# Instructions: a frozen dataclass each, with at most one field.  The
+# listing prints an instruction as its upper-cased class name and field.
 
-
-@dataclass(frozen=True)
-class Iconst:
-    n: int
-
-
-@dataclass(frozen=True)
-class Ivar:
-    x: str
-
-
-@dataclass(frozen=True)
-class Isetvar:
-    x: str
-
-
-@dataclass(frozen=True)
-class Iadd:
-    pass
-
-
-@dataclass(frozen=True)
-class Isub:
-    pass
-
-
-@dataclass(frozen=True)
-class Imul:
-    pass
-
-
-@dataclass(frozen=True)
-class Ibranch:
-    delta: int
-
-
-@dataclass(frozen=True)
-class Ibeq:
-    delta: int
-
-
-@dataclass(frozen=True)
-class Ibne:
-    delta: int
-
-
-@dataclass(frozen=True)
-class Ible:
-    delta: int
-
-
-@dataclass(frozen=True)
-class Ibgt:
-    delta: int
-
-
-@dataclass(frozen=True)
-class Ihalt:
-    pass
-
+Iconst = make_dataclass("Iconst", [("n", int)], frozen=True)
+Ivar = make_dataclass("Ivar", [("x", str)], frozen=True)
+Isetvar = make_dataclass("Isetvar", [("x", str)], frozen=True)
+Iadd = make_dataclass("Iadd", [], frozen=True)
+Isub = make_dataclass("Isub", [], frozen=True)
+Imul = make_dataclass("Imul", [], frozen=True)
+Ibranch = make_dataclass("Ibranch", [("delta", int)], frozen=True)
+Ibeq = make_dataclass("Ibeq", [("delta", int)], frozen=True)
+Ibne = make_dataclass("Ibne", [("delta", int)], frozen=True)
+Ible = make_dataclass("Ible", [("delta", int)], frozen=True)
+Ibgt = make_dataclass("Ibgt", [("delta", int)], frozen=True)
+Ihalt = make_dataclass("Ihalt", [], frozen=True)
 
 Instr = Union[
     Iconst, Ivar, Isetvar, Iadd, Isub, Imul, Ibranch, Ibeq, Ibne, Ible, Ibgt, Ihalt
@@ -125,9 +83,6 @@ Code = tuple[Instr, ...]
 @dataclass(frozen=True)
 class StackProgram:
     code: Code
-
-    def __len__(self) -> int:
-        return len(self.code)
 
 
 @dataclass(frozen=True)
@@ -148,32 +103,109 @@ VmResult = Union[Done, OutOfFuel, MachineError]
 # ---------------------------------------------------------------------------
 # Compilation
 
+_ARITH_INSTR = {"+": Iadd, "-": Isub, "*": Imul}
+# the branches taken when a comparison's value is (False, True);
+# l < r branches as r > l, with the operands swapped
+_CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
+
+
+def _emit(root, todo: list) -> list:
+    """Run a work stack of compilation tasks for root, last first; return the code.
+
+    A task is a node (an AExpr compiles to postorder code, a Com to its
+    code), an instruction, ("cond", b, cond, label) for jump code that
+    branches to label iff b equals cond, ("jump", cls, label), or
+    ("mark", label, ofs), which puts label ofs past the code so far.  A
+    label is a one-element list.  Branches are patched to relative
+    offsets once every label is placed, so nothing recurses.  A
+    fixed-width node raises UnsupportedNode: the first in source order.
+    """
+    out: list = []
+    patches = []
+    while todo:
+        task = todo.pop()
+        t = type(task)
+        if t is tuple:
+            kind = task[0]
+            if kind == "mark":
+                task[1][0] = len(out) + task[2]
+            elif kind == "jump":
+                patches.append((len(out), task[1], task[2]))
+                out.append(None)
+            else:
+                _, b, cond, target = task
+                bt = type(b)
+                if bt is BoolLit:
+                    if b.value == cond:
+                        todo.append(("jump", Ibranch, target))
+                elif bt is Not:
+                    todo.append(("cond", b.operand, not cond, target))
+                elif bt is Cmp:
+                    br = ("jump", _CMP_BRANCH[b.op][cond], target)
+                    if b.op == "<":
+                        todo += (br, b.left, b.right)
+                    else:
+                        todo += (br, b.right, b.left)
+                elif bt is And or bt is Or:
+                    # when the left operand alone can decide against cond,
+                    # it jumps past the right one; else both jump to target
+                    decides = (bt is And) == cond
+                    skip = [None]
+                    todo += (
+                        ("mark", skip, 0),
+                        ("cond", b.right, cond, target),
+                        ("cond", b.left, cond != decides, skip if decides else target),
+                    )
+                else:
+                    raise TypeError(f"not a BExpr: {b!r}")
+        elif t is IntLit:
+            out.append(Iconst(task.value))
+        elif t is Var:
+            out.append(Ivar(task.name))
+        elif t is BinOp:
+            todo += (_ARITH_INSTR[task.op](), task.right, task.left)
+        elif t is Neg:
+            out.append(Iconst(0))
+            todo += (Isub(), task.operand)
+        elif t is Assign:
+            todo += (Isetvar(task.var), task.rhs)
+        elif t is Seq:
+            todo += (task.second, task.first)
+        elif t is If:
+            other, end = [None], [None]
+            todo += (
+                ("mark", end, 0),
+                task.else_branch,
+                ("mark", other, 0),
+                ("jump", Ibranch, end),
+                task.then_branch,
+                ("cond", task.cond, False, other),
+            )
+        elif t is While:
+            top, end = [len(out)], [None]
+            todo += (
+                ("mark", end, 0),
+                ("jump", Ibranch, top),
+                task.body,
+                ("cond", task.cond, False, end),
+            )
+        elif t is BitOp or t is BitNot or t is Cast:
+            # report the first one in source order, not in code order
+            nodes = walk(root, code_only=True)
+            first = next(n for n in nodes if type(n) in (BitOp, BitNot, Cast))
+            raise UnsupportedNode.at(first, "has no stack-machine encoding")
+        elif t in _DECODE:
+            out.append(task)
+        elif t is not Skip:
+            raise TypeError(f"not an AExpr or Com: {task!r}")
+    for at, cls, target in patches:
+        out[at] = cls(target[0] - at - 1)
+    return out
+
 
 def compile_aexp(e: AExpr) -> Code:
     """Postorder code that pushes aeval(store, e) and touches nothing else."""
-    match e:
-        case IntLit(v):
-            return (Iconst(v),)
-        case Var(name):
-            return (Ivar(name),)
-        case Neg(operand):
-            return (Iconst(0),) + compile_aexp(operand) + (Isub(),)
-        case BinOp(op, left, right):
-            tail = {"+": Iadd, "-": Isub, "*": Imul}[op]()
-            return compile_aexp(left) + compile_aexp(right) + (tail,)
-        case BitOp(op, _, _):
-            raise UnsupportedNode(
-                f"bit operator '{op}' has no stack-machine encoding", e.pos
-            )
-        case BitNot():
-            raise UnsupportedNode(
-                "bit complement '~' has no stack-machine encoding", e.pos
-            )
-        case Cast(target, _):
-            raise UnsupportedNode(
-                f"cast '{target}(...)' has no stack-machine encoding", e.pos
-            )
-    raise TypeError(f"not an AExpr: {e!r}")
+    return tuple(_emit(e, [e]))
 
 
 def compile_bexp(b: BExpr, cond: bool, ofs: int) -> Code:
@@ -184,67 +216,52 @@ def compile_bexp(b: BExpr, cond: bool, ofs: int) -> Code:
     """
     if ofs < 0:
         raise ValueError("ofs must be nonnegative")
-    match b:
-        case BoolLit(v):
-            return (Ibranch(ofs),) if v == cond else ()
-        case Not(operand):
-            return compile_bexp(operand, not cond, ofs)
-        case Cmp("=", left, right):
-            br = Ibeq(ofs) if cond else Ibne(ofs)
-            return compile_aexp(left) + compile_aexp(right) + (br,)
-        case Cmp("<=", left, right):
-            br = Ible(ofs) if cond else Ibgt(ofs)
-            return compile_aexp(left) + compile_aexp(right) + (br,)
-        case Cmp("<", left, right):
-            # l < r iff r > l: swap operand order to reuse Ibgt/Ible
-            br = Ibgt(ofs) if cond else Ible(ofs)
-            return compile_aexp(right) + compile_aexp(left) + (br,)
-        case And(left, right):
-            if cond:
-                c2 = compile_bexp(right, True, ofs)
-                c1 = compile_bexp(left, False, len(c2))
-            else:
-                c2 = compile_bexp(right, False, ofs)
-                c1 = compile_bexp(left, False, len(c2) + ofs)
-            return c1 + c2
-        case Or(left, right):
-            if cond:
-                c2 = compile_bexp(right, True, ofs)
-                c1 = compile_bexp(left, True, len(c2) + ofs)
-            else:
-                c2 = compile_bexp(right, False, ofs)
-                c1 = compile_bexp(left, True, len(c2))
-            return c1 + c2
-    raise TypeError(f"not a BExpr: {b!r}")
+    end = [None]
+    return tuple(_emit(b, [("mark", end, ofs), ("cond", b, cond, end)]))
 
 
 def compile_com(c: Com) -> Code:
-    match c:
-        case Skip():
-            return ()
-        case Assign(var, rhs):
-            return compile_aexp(rhs) + (Isetvar(var),)
-        case Seq(first, second):
-            return compile_com(first) + compile_com(second)
-        case If(cond, then_branch, else_branch):
-            c1 = compile_com(then_branch)
-            c2 = compile_com(else_branch)
-            cb = compile_bexp(cond, False, len(c1) + 1)
-            return cb + c1 + (Ibranch(len(c2)),) + c2
-        case While(cond, _, body):
-            cbody = compile_com(body)
-            cb = compile_bexp(cond, False, len(cbody) + 1)
-            back = -(len(cb) + len(cbody) + 1)
-            return cb + cbody + (Ibranch(back),)
-    raise TypeError(f"not a Com: {c!r}")
+    return tuple(_emit(c, [c]))
 
 
 def compile_program(p: Program) -> StackProgram:
-    return StackProgram(compile_com(p.body) + (Ihalt(),))
+    return StackProgram(tuple(_emit(p.body, [Ihalt(), p.body])))
 
 
 # ---------------------------------------------------------------------------
 # Execution
+
+# Dense opcodes of decoded code, in the order the dispatch tests them.
+_VAR, _CONST, _ARITH, _COND, _SETVAR, _JUMP, _HALT = range(7)
+# each instruction's opcode, and its operator if it has one
+_DECODE = {
+    Ivar: (_VAR, None),
+    Iconst: (_CONST, None),
+    Iadd: (_ARITH, operator.add),
+    Isub: (_ARITH, operator.sub),
+    Imul: (_ARITH, operator.mul),
+    Ibeq: (_COND, operator.eq),
+    Ibne: (_COND, operator.ne),
+    Ible: (_COND, operator.le),
+    Ibgt: (_COND, operator.gt),
+    Isetvar: (_SETVAR, None),
+    Ibranch: (_JUMP, None),
+    Ihalt: (_HALT, None),
+}
+
+
+def _decode(code: Code) -> list[tuple[int, object]]:
+    """(opcode, argument) pairs; a branch's argument holds its pc increment."""
+    out = []
+    for i in code:
+        if type(i) not in _DECODE:
+            raise TypeError(f"not an Instr: {i!r}")
+        op, fn = _DECODE[type(i)]
+        field = next(iter(vars(i).values()), None)
+        if op == _COND or op == _JUMP:
+            field += 1
+        out.append((op, (fn, field) if op == _COND else fn or field))
+    return out
 
 
 def run_fragment(fuel: int, code: Code, state: VmState) -> tuple[str, VmState]:
@@ -254,58 +271,53 @@ def run_fragment(fuel: int, code: Code, state: VmState) -> tuple[str, VmState]:
     "error", "exit"; "exit" means pc moved outside [0, len(code)) other
     than via Ihalt, which is the normal way a code fragment finishes.
     Error states keep the pc of the offending instruction.
+
+    The code is decoded once into (opcode, argument) pairs, dispatch is
+    by integer compares, and the store is a private dict updated in place
+    (Ertl and Gregg, "The structure and performance of efficient
+    interpreters", JILP 2003).
     """
-    pc, stack, store = state.pc, list(state.stack), state.store
-    n = len(code)
+    prog = _decode(code)
+    n = len(prog)
+    pc = state.pc
+    stack = list(state.stack)
+    push, pop = stack.append, stack.pop
+    env = dict(state.store.items())
+    status = "error"  # what a bare break means: a stack underflow
     while True:
         if not 0 <= pc < n:
-            return "exit", VmState(pc, tuple(stack), store)
-        if fuel == 0:
-            return "outoffuel", VmState(pc, tuple(stack), store)
+            status = "exit"
+            break
+        if not fuel:
+            status = "outoffuel"
+            break
         fuel -= 1
-        instr = code[pc]
-        match instr:
-            case Iconst(v):
-                stack.append(v)
-                pc += 1
-            case Ivar(x):
-                stack.append(store.get(x))
-                pc += 1
-            case Isetvar(x):
-                if not stack:
-                    return "error", VmState(pc, (), store)
-                store = store.set(x, stack.pop())
-                pc += 1
-            case Iadd() | Isub() | Imul():
-                if len(stack) < 2:
-                    return "error", VmState(pc, tuple(stack), store)
-                n2 = stack.pop()
-                n1 = stack.pop()
-                if isinstance(instr, Iadd):
-                    stack.append(n1 + n2)
-                elif isinstance(instr, Isub):
-                    stack.append(n1 - n2)
-                else:
-                    stack.append(n1 * n2)
-                pc += 1
-            case Ibranch(delta):
-                pc += 1 + delta
-            case Ibeq(delta) | Ibne(delta) | Ible(delta) | Ibgt(delta):
-                if len(stack) < 2:
-                    return "error", VmState(pc, tuple(stack), store)
-                n2 = stack.pop()
-                n1 = stack.pop()
-                taken = {
-                    Ibeq: n1 == n2,
-                    Ibne: n1 != n2,
-                    Ible: n1 <= n2,
-                    Ibgt: n1 > n2,
-                }[type(instr)]
-                pc += 1 + delta if taken else 1
-            case Ihalt():
-                return "halt", VmState(pc, tuple(stack), store)
-            case _:
-                raise TypeError(f"not an Instr: {instr!r}")
+        op, arg = prog[pc]
+        if op == _VAR:
+            push(env.get(arg, 0))
+        elif op == _CONST:
+            push(arg)
+        elif op <= _COND:
+            if len(stack) < 2:
+                break
+            k = pop()
+            if op == _ARITH:
+                stack[-1] = arg(stack[-1], k)
+            elif arg[0](pop(), k):
+                pc += arg[1]
+                continue
+        elif op == _SETVAR:
+            if not stack:
+                break
+            env[arg] = pop()
+        elif op == _JUMP:
+            pc += arg
+            continue
+        else:
+            status = "halt"
+            break
+        pc += 1
+    return status, VmState(pc, tuple(stack), Store(env))
 
 
 def vm_exec(fuel: int, prog: StackProgram, s0: Store) -> VmResult:
@@ -326,48 +338,18 @@ def vm_exec(fuel: int, prog: StackProgram, s0: Store) -> VmResult:
 # Listing
 
 
-def _mnemonic(i: Instr) -> str:
-    match i:
-        case Iconst(v):
-            return f"ICONST {v}"
-        case Ivar(x):
-            return f"IVAR {x}"
-        case Isetvar(x):
-            return f"ISETVAR {x}"
-        case Iadd():
-            return "IADD"
-        case Isub():
-            return "ISUB"
-        case Imul():
-            return "IMUL"
-        case Ibranch(d):
-            return f"IBRANCH {d}"
-        case Ibeq(d):
-            return f"IBEQ {d}"
-        case Ibne(d):
-            return f"IBNE {d}"
-        case Ible(d):
-            return f"IBLE {d}"
-        case Ibgt(d):
-            return f"IBGT {d}"
-        case Ihalt():
-            return "IHALT"
-    raise TypeError(f"not an Instr: {i!r}")
-
-
 def listing(prog: StackProgram) -> str:
-    """One instruction per line; the line number is the instruction index."""
-    return "".join(_mnemonic(i) + "\n" for i in prog.code)
+    """One instruction per line, its upper-cased class name and then its
+    field; the line number is the instruction index."""
+    return "".join(
+        " ".join([type(i).__name__.upper(), *map(str, vars(i).values())]) + "\n"
+        for i in prog.code
+    )
 
 
 def branch_targets(code: Code) -> list[int]:
     """Computed targets of every branch; used by well-formedness checks."""
-    out = []
-    for pc, instr in enumerate(code):
-        match instr:
-            case Ibranch(d) | Ibeq(d) | Ibne(d) | Ible(d) | Ibgt(d):
-                out.append(pc + 1 + d)
-    return out
+    return [pc + 1 + i.delta for pc, i in enumerate(code) if hasattr(i, "delta")]
 
 
 def well_formed(prog: StackProgram) -> bool:

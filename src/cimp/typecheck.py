@@ -10,35 +10,31 @@ order words.
 ``typecheck`` is one pre-order pass over the program that types the
 right-hand side of every assignment and the operands of every comparison,
 in loop conditions and invariants alike, and then in any formulas passed
-with the program, such as a Hoare triple's pre- and postcondition.
-``ceval_fixed`` is ``semantics.run_fueled`` with the 32-bit evaluators
-``eval_fixed`` and ``beval_fixed``.
+with the program, such as a Hoare triple's pre- and postcondition.  It
+loops along left spines, so operator chains of any length typecheck.
+``ceval_fixed`` is ``semantics.run_fueled`` over 32-bit words: the type
+table it passes picks signed or unsigned order once per comparison.
+``eval_fixed`` and ``beval_fixed`` compile and apply one expression.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain
 from typing import Mapping, Optional, Union
 
 from .errors import CimpError
-from .semantics import Outcome, Store, run_fueled
+from .semantics import MASK, Outcome, Store, compile_expr, run_fueled
 from .syntax import (
     AExpr,
-    And,
     Assertion,
     Assign,
     BinOp,
     BitNot,
     BitOp,
-    BoolLit,
     Cast,
     Cmp,
-    Implies,
     IntLit,
     Neg,
-    Not,
-    Or,
     Program,
     SrcPos,
     Ty,
@@ -46,7 +42,6 @@ from .syntax import (
     walk,
 )
 
-MASK = 0xFFFFFFFF
 _MOD = 1 << 32
 _SIGN = 1 << 31
 
@@ -91,10 +86,6 @@ def to_signed(w: int) -> int:
     return w - _MOD if w & _SIGN else w
 
 
-def _fmt(t: Ty) -> str:
-    return str(t)
-
-
 class _Checker:
     def __init__(self, env: dict[str, Ty]):
         self.env = env
@@ -103,7 +94,28 @@ class _Checker:
     # -- arithmetic -------------------------------------------------------
 
     def synth(self, e: AExpr) -> Optional[Ty]:
-        """Type of e, or None when e is a literal-only (polymorphic) tree."""
+        """Type of e, or None when e is a literal-only (polymorphic) tree.
+
+        The left spine of binary operators is typed bottom-up in a loop,
+        in the order recursion would take, so chains need no recursion.
+        """
+        spine = []
+        while isinstance(e, (BinOp, BitOp)):
+            spine.append(e)
+            e = e.left
+        t = self._synth_operand(e)
+        for e in reversed(spine):
+            if isinstance(e, BitOp):
+                self._expect(e.left, t, Ty.U32)
+                self.check(e.right, Ty.U32)
+                t = Ty.U32
+            else:
+                t = self._unify(e.left, t, e.right, self.synth(e.right))
+            if t is not None:
+                self.types[id(e)] = t
+        return t
+
+    def _synth_operand(self, e: AExpr) -> Optional[Ty]:
         if isinstance(e, IntLit):
             return None
         if isinstance(e, Var):
@@ -117,28 +129,6 @@ class _Checker:
             if t is not None:
                 self.types[id(e)] = t
             return t
-        if isinstance(e, BinOp):
-            tl = self.synth(e.left)
-            tr = self.synth(e.right)
-            if tl is None and tr is None:
-                return None
-            if tl is None:
-                self._adopt(e.left, tr)
-                t = tr
-            elif tr is None:
-                self._adopt(e.right, tl)
-                t = tl
-            elif tl is not tr:
-                raise TypeMismatch(_fmt(tl), _fmt(tr), e.right.pos)
-            else:
-                t = tl
-            self.types[id(e)] = t
-            return t
-        if isinstance(e, BitOp):
-            self.check(e.left, Ty.U32)
-            self.check(e.right, Ty.U32)
-            self.types[id(e)] = Ty.U32
-            return Ty.U32
         if isinstance(e, BitNot):
             self.check(e.operand, Ty.U32)
             self.types[id(e)] = Ty.U32
@@ -150,12 +140,27 @@ class _Checker:
         self.types[id(e)] = e.target
         return e.target
 
+    def _unify(self, left: AExpr, tl: Optional[Ty], right: AExpr, tr: Optional[Ty]):
+        """Common type of operands that synthesized tl and tr, if either did."""
+        if tl is None:
+            if tr is not None:
+                self._adopt(left, tr)
+            return tr
+        if tr is None:
+            self._adopt(right, tl)
+        elif tr is not tl:
+            raise TypeMismatch(str(tl), str(tr), right.pos)
+        return tl
+
     def check(self, e: AExpr, t: Ty) -> None:
-        s = self.synth(e)
+        self._expect(e, self.synth(e), t)
+
+    def _expect(self, e: AExpr, s: Optional[Ty], t: Ty) -> None:
+        """e, which synthesized s, is used where t is expected."""
         if s is None:
             self._adopt(e, t)
         elif s is not t:
-            raise TypeMismatch(_fmt(t), _fmt(s), e.pos)
+            raise TypeMismatch(str(t), str(s), e.pos)
 
     def _adopt(self, e: AExpr, t: Ty) -> None:
         # e synthesized as polymorphic, so it is built solely from
@@ -164,21 +169,12 @@ class _Checker:
             self.types[id(n)] = t
 
     def common(self, left: AExpr, right: AExpr) -> Ty:
-        tl = self.synth(left)
-        tr = self.synth(right)
-        if tl is None and tr is None:
-            tl = tr = Ty.I32
-            self._adopt(left, tl)
-            self._adopt(right, tr)
-        elif tl is None:
-            self._adopt(left, tr)
-            tl = tr
-        elif tr is None:
-            self._adopt(right, tl)
-            tr = tl
-        elif tl is not tr:
-            raise TypeMismatch(_fmt(tl), _fmt(tr), right.pos)
-        return tl
+        t = self._unify(left, self.synth(left), right, self.synth(right))
+        if t is None:  # two literal-only operands default to i32
+            t = Ty.I32
+            self._adopt(left, t)
+            self._adopt(right, t)
+        return t
 
 
 def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
@@ -207,76 +203,20 @@ def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
 
 
 def eval_fixed(env: Mapping[str, Ty], s32: Store, e: AExpr) -> int:
-    """Value of e as a 32-bit word.
-
-    Evaluation is type-blind: +, -, * and the bit operations act on the
-    word representation the same way for both types, casts are the
-    identity, and shift amounts are taken mod 32.  `env` documents the
-    typing context; it plays no role at run time.
-    """
-    if isinstance(e, IntLit):
-        return word32(e.value)
-    if isinstance(e, Var):
-        return word32(s32.get(e.name))
-    if isinstance(e, Neg):
-        return word32(-eval_fixed(env, s32, e.operand))
-    if isinstance(e, BinOp):
-        l = eval_fixed(env, s32, e.left)
-        r = eval_fixed(env, s32, e.right)
-        if e.op == "+":
-            return word32(l + r)
-        if e.op == "-":
-            return word32(l - r)
-        return word32(l * r)
-    if isinstance(e, BitOp):
-        l = eval_fixed(env, s32, e.left)
-        r = eval_fixed(env, s32, e.right)
-        if e.op == "&":
-            return l & r
-        if e.op == "|":
-            return l | r
-        if e.op == "^":
-            return l ^ r
-        if e.op == "<<":
-            return word32(l << (r % 32))
-        return l >> (r % 32)
-    if isinstance(e, BitNot):
-        return eval_fixed(env, s32, e.operand) ^ MASK
-    assert isinstance(e, Cast)
-    return eval_fixed(env, s32, e.operand)
+    """Value of e as a 32-bit word; arithmetic needs no types, so env is unused."""
+    return compile_expr(e, {})(s32._bindings)
 
 
 def beval_fixed(tp: TypedProgram, s32: Store, b: Assertion) -> bool:
     """Truth of formula b under 32-bit semantics; tp must have typed b."""
-    if isinstance(b, BoolLit):
-        return b.value
-    if isinstance(b, Cmp):
-        l = eval_fixed(tp.env, s32, b.left)
-        r = eval_fixed(tp.env, s32, b.right)
-        if tp.ty_of(b) is Ty.I32:
-            l, r = to_signed(l), to_signed(r)
-        if b.op == "=":
-            return l == r
-        if b.op == "<=":
-            return l <= r
-        return l < r
-    if isinstance(b, Not):
-        return not beval_fixed(tp, s32, b.operand)
-    if isinstance(b, And):
-        return beval_fixed(tp, s32, b.left) and beval_fixed(tp, s32, b.right)
-    if isinstance(b, Or):
-        return beval_fixed(tp, s32, b.left) or beval_fixed(tp, s32, b.right)
-    assert isinstance(b, Implies)
-    return not beval_fixed(tp, s32, b.left) or beval_fixed(tp, s32, b.right)
+    return compile_expr(b, tp._types)(s32._bindings)
 
 
 def ceval_fixed(fuel: int, tp: TypedProgram, s32: Store) -> Outcome:
     """Run a typed program's body with the fueled 32-bit semantics.
 
-    This is ``run_fueled`` with the 32-bit evaluators, so the fuel
-    discipline is the unbounded evaluator's: only loop unfoldings
-    consume fuel, and a loop checks fuel before its guard.
+    This is ``run_fueled`` over 32-bit words, so the fuel discipline is
+    the unbounded evaluator's: only loop unfoldings consume fuel, and a
+    loop checks fuel before its guard.
     """
-    return run_fueled(
-        fuel, tp.program.body, s32, partial(eval_fixed, tp.env), partial(beval_fixed, tp)
-    )
+    return run_fueled(fuel, tp.program.body, s32, tp._types)

@@ -1,0 +1,146 @@
+"""Slow, obviously correct reference implementations kept as test oracles.
+
+``ref_eval`` interprets an expression or formula node by node, the way
+the evaluators did before ``semantics.compile_expr`` replaced them.
+``ref_run_fragment`` is the stack VM's former instruction loop, which
+pattern-matches each instruction and builds a new ``Store`` per write.
+"""
+
+from cimp import syntax as sx
+from cimp.errors import UnsupportedNode
+from cimp.stack_machine import (
+    Iadd,
+    Ibeq,
+    Ibgt,
+    Ible,
+    Ibne,
+    Ibranch,
+    Iconst,
+    Ihalt,
+    Imul,
+    Isetvar,
+    Isub,
+    Ivar,
+    VmState,
+)
+
+MASK = 0xFFFFFFFF
+
+
+def _signed(w):
+    return w - (1 << 32) if w & (1 << 31) else w
+
+
+def ref_eval(n, s: dict, types=None):
+    """Value of n in store s (absent names read 0).
+
+    types=None means unbounded integers, where a bit operator or cast
+    raises UnsupportedNode at its position.  Otherwise values are 32-bit
+    words and types maps id(comparison) to its operand type.
+    """
+    bits = types is not None
+
+    def word(v):
+        return v & MASK if bits else v
+
+    def ev(n):
+        match n:
+            case sx.IntLit(v):
+                return word(v)
+            case sx.Var(name):
+                return word(s.get(name, 0))
+            case sx.Neg(a):
+                return word(-ev(a))
+            case sx.BinOp(op, a, b):
+                l, r = ev(a), ev(b)
+                return word(l + r if op == "+" else l - r if op == "-" else l * r)
+            case sx.BitOp() | sx.BitNot() | sx.Cast() if not bits:
+                raise UnsupportedNode("only available in typed programs", n.pos)
+            case sx.BitOp(op, a, b):
+                l, r = ev(a), ev(b)
+                if op == "&":
+                    return l & r
+                if op == "|":
+                    return l | r
+                if op == "^":
+                    return l ^ r
+                if op == "<<":
+                    return word(l << (r % 32))
+                return l >> (r % 32)
+            case sx.BitNot(a):
+                return ev(a) ^ MASK
+            case sx.Cast(_, a):
+                return ev(a)
+            case sx.BoolLit(v):
+                return v
+            case sx.Cmp(op, a, b):
+                l, r = ev(a), ev(b)
+                if bits and types[id(n)] is sx.Ty.I32:
+                    l, r = _signed(l), _signed(r)
+                return l == r if op == "=" else l <= r if op == "<=" else l < r
+            case sx.Not(a):
+                return not ev(a)
+            case sx.And(a, b):
+                return ev(a) and ev(b)
+            case sx.Or(a, b):
+                return ev(a) or ev(b)
+            case sx.Implies(a, b):
+                return not ev(a) or ev(b)
+        raise TypeError(n)
+
+    return ev(n)
+
+
+def ref_run_fragment(fuel, code, state):
+    """The VM's contract: (status, VmState), statuses as in run_fragment."""
+    pc, stack, store = state.pc, list(state.stack), state.store
+    n = len(code)
+    while True:
+        if not 0 <= pc < n:
+            return "exit", VmState(pc, tuple(stack), store)
+        if fuel == 0:
+            return "outoffuel", VmState(pc, tuple(stack), store)
+        fuel -= 1
+        instr = code[pc]
+        match instr:
+            case Iconst(v):
+                stack.append(v)
+                pc += 1
+            case Ivar(x):
+                stack.append(store.get(x))
+                pc += 1
+            case Isetvar(x):
+                if not stack:
+                    return "error", VmState(pc, (), store)
+                store = store.set(x, stack.pop())
+                pc += 1
+            case Iadd() | Isub() | Imul():
+                if len(stack) < 2:
+                    return "error", VmState(pc, tuple(stack), store)
+                n2 = stack.pop()
+                n1 = stack.pop()
+                if isinstance(instr, Iadd):
+                    stack.append(n1 + n2)
+                elif isinstance(instr, Isub):
+                    stack.append(n1 - n2)
+                else:
+                    stack.append(n1 * n2)
+                pc += 1
+            case Ibranch(delta):
+                pc += 1 + delta
+            case Ibeq(delta) | Ibne(delta) | Ible(delta) | Ibgt(delta):
+                if len(stack) < 2:
+                    return "error", VmState(pc, tuple(stack), store)
+                n2 = stack.pop()
+                n1 = stack.pop()
+                taken = {
+                    Ibeq: n1 == n2,
+                    Ibne: n1 != n2,
+                    Ible: n1 <= n2,
+                    Ibgt: n1 > n2,
+                }[type(instr)]
+                pc += 1 + delta if taken else 1
+            case Ihalt():
+                return "halt", VmState(pc, tuple(stack), store)
+            case _:
+                raise TypeError(f"not an Instr: {instr!r}")

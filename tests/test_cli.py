@@ -105,9 +105,10 @@ def test_run_optimized_deep_expression(tmp_path, capsys, rhs, value, level):
 
 
 def test_long_sequence_on_every_iterative_engine(tmp_path, capsys):
-    # 2,000 statements: the parser and MIPS codegen walk sequences in loops
+    # 2,000 statements: the parser, both backends and every engine walk
+    # sequences in loops
     path = _src(tmp_path, "x := x + 1;\n" * 1999 + "x := x + 1\n")
-    for engine in ("bigstep", "smallstep", "mips"):
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
         code, out, _ = _run(capsys, "run", path, "--engine", engine)
         assert (code, out) == (0, "x=2000\n"), engine
     for regalloc in ("naive", "su"):
@@ -115,6 +116,60 @@ def test_long_sequence_on_every_iterative_engine(tmp_path, capsys):
                             "--regalloc", regalloc)
         assert code == 0
         assert simulate(parse_asm(out))["x"] == 2000
+    code, out, _ = _run(capsys, "compile", path)
+    assert (code, out.count("ISETVAR x\n")) == (0, 2000)
+    typed_text = "var x: u32;\n" + "x := x - 1;\n" * 1999 + "x := x - 1\n"
+    typed = _src(tmp_path, typed_text, "t.imp")
+    assert _run(capsys, "run", typed) == (0, f"x={2**32 - 2000}\n", "")
+
+
+@pytest.mark.parametrize("terms", [2000, 10**4])
+def test_operator_chains_on_every_engine(tmp_path, capsys, terms):
+    # the parser builds chains in loops; no later stage may recurse per term
+    chain = " - ".join(["x"] + ["1"] * (terms - 1))
+    path = _src(tmp_path, f"x := {chain}\n")
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        code, out, _ = _run(capsys, "run", path, "--engine", engine)
+        assert (code, out) == (0, f"x={1 - terms}\n"), engine
+    code, out, _ = _run(capsys, "compile", path)
+    assert (code, out.count("ISUB\n")) == (0, terms - 1)
+    typed = _src(tmp_path, f"var x: u32;\nx := {chain}\n", "t.imp")
+    for engine in ("bigstep", "mips"):
+        code, out, _ = _run(capsys, "run", typed, "--engine", engine)
+        assert (code, out) == (0, f"x={2**32 + 1 - terms}\n"), engine
+
+
+def test_unreached_bit_operator_is_harmless_in_untyped_programs(tmp_path, capsys):
+    path = _src(tmp_path, "if 1 < 0 then x := 1 & 2 else skip end; y := 3\n")
+    for engine in ("bigstep", "smallstep"):
+        assert _run(capsys, "run", path, "--engine", engine) == (0, "y=3\n", ""), engine
+    reached = _src(tmp_path, "y := 3; x := 1 & 2\n", "reached.imp")
+    for engine in ("bigstep", "smallstep"):
+        code, out, err = _run(capsys, "run", reached, "--engine", engine)
+        assert (code, out) == (1, ""), engine
+        assert err == (
+            f"{reached}:1:16: error: bit operator '&' is only available in typed programs\n"
+        )
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process: no command may see the
+    # options of the one before it
+    import subprocess
+    import sys
+
+    path = _src(tmp_path, COUNTING)
+    for argv in (
+        ["run", path, "--engine", "stackvm", "--fuel", "5"],
+        ["compile", path, "-O", "2"],
+        ["run", path],
+        ["compile", path, "--backend", "mips"],
+        ["run", path, "--engine", "nope"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cimp.cli", *argv], capture_output=True, text=True
+        )
+        assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_nesting_at_and_past_the_limit(tmp_path, capsys):

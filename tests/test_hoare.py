@@ -18,7 +18,7 @@ from cimp.hoare import (
     vcgen,
     wlp,
 )
-from cimp.semantics import Done, Store, aeval, beval, ceval_fuel
+from cimp.semantics import Done, Store, aeval, beval, ceval_fuel, compile_expr
 
 
 def A(src):
@@ -264,6 +264,21 @@ def test_bounded_check_budget():
     wide = vc("a + b + c + x + y + z <= 100")
     with pytest.raises(BudgetExceeded):
         bounded_check(wide, 16, budget=1000)
+
+
+def test_shared_vc_subtrees_compile_to_one_closure():
+    c = A("x < 3")
+    memo = {}
+    both = compile_expr(sx.And(c, c), None, memo)
+    assert {cell.cell_contents for cell in both.__closure__} == {memo[id(c)]}
+    # k sequential ifs: substitution shares subtrees, so the VC tree is far
+    # larger than its set of distinct nodes, and only those compile
+    src = ";\n".join(f"if x < {i} then x := x + 1 else x := x - 1 end" for i in range(10))
+    (top,) = vcgen(HoareTriple(A("true"), C(src), A("x < 100")))
+    memo = {}
+    compile_expr(top.formula, None, memo)
+    distinct = {id(n) for n in sx.walk(top.formula)}
+    assert len(memo) <= len(distinct) < sx.node_count(top.formula) // 5
 
 
 def test_bounded_check_rejects_nonpositive_bound():

@@ -8,6 +8,8 @@ import strategies as gen
 from cimp import syntax as sx
 from cimp.frontend import parse_program
 from cimp.generator import GenSpec, gen_program
+from cimp.typecheck import typecheck
+from reference import ref_eval
 from cimp.semantics import (
     Done,
     Next,
@@ -18,6 +20,7 @@ from cimp.semantics import (
     aeval,
     beval,
     ceval_fuel,
+    compile_expr,
     format_store,
     parse_store,
     run_small,
@@ -120,6 +123,143 @@ def test_aeval_depends_only_on_free_vars(e, s, extra):
     free = sx.aexpr_vars(e)
     fresh = next(n for n in ("q0", "q1", "q2") if n not in free)
     assert aeval(s, e) == aeval(s.set(fresh, extra), e)
+
+
+# ---------------------------------------------------------------------------
+# compile_expr against the node-by-node reference evaluator
+
+# the words where wrapping and signed/unsigned order disagree
+EDGES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1)
+edge_envs = st.dictionaries(gen.NAMES, st.sampled_from(EDGES), max_size=4)
+int_envs = st.one_of(gen.stores().map(lambda s: dict(s.items())), edge_envs)
+word_envs = st.one_of(gen.word_stores().map(lambda s: dict(s.items())), edge_envs)
+
+
+def _agree(n, env, types=None):
+    """compile_expr and ref_eval give the same value, or the same error."""
+    try:
+        want = ref_eval(n, env, types)
+    except UnsupportedNode as err:
+        with pytest.raises(UnsupportedNode) as got:
+            compile_expr(n, types)(env)
+        assert got.value.pos == err.pos
+        return
+    got = compile_expr(n, types)(env)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(gen.aexprs(bits=True), gen.bexprs(bits=True), gen.assertions()),
+    int_envs,
+)
+def test_compile_expr_matches_reference_unbounded(n, env):
+    _agree(n, env)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen.aexprs(bits=True), word_envs)
+def test_compile_expr_matches_reference_on_words(e, env):
+    # arithmetic needs no types: an empty table selects 32-bit words
+    _agree(e, env, {})
+
+
+def _code_expressions(p):
+    for n in sx.walk(p.body, code_only=True):
+        if type(n) is sx.Assign:
+            yield n.rhs
+        elif type(n) in (sx.If, sx.While):
+            yield n.cond
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen.typed_programs(), word_envs)
+def test_compile_expr_matches_reference_typed(p, env):
+    types = typecheck(p)._types
+    for n in _code_expressions(p):
+        _agree(n, env, types)
+
+
+def test_compile_expr_matches_reference_on_generated_programs():
+    for seed in range(300):
+        for typed in (False, True):
+            p = gen_program(GenSpec(seed=seed, typed=typed))
+            types = typecheck(p)._types if typed else None
+            rng = random.Random(seed)
+            names = sorted(sx.com_vars(p.body))
+            envs = [{x: rng.choice(EDGES) for x in names}]
+            envs.append({x: rng.randint(-20, 40) for x in names})
+            for n in _code_expressions(p):
+                for env in envs:
+                    _agree(n, env, types)
+
+
+@pytest.mark.parametrize("ty", [sx.Ty.I32, sx.Ty.U32])
+@pytest.mark.parametrize("op", ["=", "<=", "<"])
+def test_compile_expr_comparison_order_at_the_edges(ty, op):
+    c = sx.Cmp(op, sx.Var("a"), sx.Var("b"))
+    for a in EDGES:
+        for b in EDGES:
+            _agree(c, {"a": a, "b": b}, {id(c): ty})
+    # 2^31 is the least i32 and the middle of u32
+    assert compile_expr(c, {id(c): ty})({"a": 2**31, "b": 0}) is (
+        op != "=" and ty is sx.Ty.I32
+    )
+
+
+@pytest.mark.parametrize("terms", [2, 10**4])
+def test_compile_expr_folds_long_chains(terms):
+    # '+'/'-' alternate on a left spine; 10^4 terms would overflow the
+    # Python stack if compiled or evaluated one closure per operator
+    e = sx.Var("x")
+    for i in range(1, terms):
+        e = sx.BinOp("+" if i % 2 else "-", e, sx.IntLit(i))
+    env = {"x": 2**32 - 1}
+    want = 2**32 - 1 + sum(i if i % 2 else -i for i in range(1, terms))
+    assert compile_expr(e)(env) == want
+    assert compile_expr(e, {})(env) == want % 2**32
+
+
+CHAIN_OPS = {"+": sx.BinOp, "-": sx.BinOp, "*": sx.BinOp, "&": sx.BitOp,
+             "|": sx.BitOp, "^": sx.BitOp, "<<": sx.BitOp, ">>": sx.BitOp}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(CHAIN_OPS)), gen.aexprs(max_depth=1, bits=True)),
+        min_size=1,
+        max_size=12,
+    ),
+    word_envs,
+)
+def test_compile_expr_matches_reference_on_operator_chains(steps, env):
+    e = sx.Var("x")
+    for op, right in steps:
+        e = CHAIN_OPS[op](op, e, right)
+    _agree(e, env)
+    _agree(e, env, {})
+
+
+def test_compile_expr_chain_of_shifts_masks_before_shifting_right():
+    # (x << 4) >> 4 on words drops the high bits the left shift pushed out
+    e = sx.Var("x")
+    for op, k in [("<<", 4), (">>", 4)] * 3:
+        e = sx.BitOp(op, e, sx.IntLit(k))
+    assert compile_expr(e, {})({"x": 0xFFFFFFFF}) == 0x0FFFFFFF
+    assert compile_expr(e, {})({"x": 0xFFFFFFFF}) == ref_eval(e, {"x": 0xFFFFFFFF}, {})
+
+
+def test_untyped_bit_operator_raises_only_when_reached():
+    src = "if 1 < 0 then x := 1 & 2 else skip end; y := 3"
+    body = prog(src)
+    assert ceval_fuel(10, body, Store()) == Done(Store({"y": 3}))
+    assert run_small(100, body, Store()) == Done(Store({"y": 3}))
+    reached = prog("y := 3; x := 1 & 2")
+    for run, fuel in ((ceval_fuel, 10), (run_small, 100)):
+        with pytest.raises(UnsupportedNode) as err:
+            run(fuel, reached, Store())
+        assert (err.value.pos.line, err.value.pos.col) == (1, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ import strategies as gen
 from cimp import syntax as sx
 from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_program
+from cimp.generator import GenSpec, gen_program
 from cimp.semantics import Done, OutOfFuel, Store, aeval, beval, ceval_fuel
 from cimp.stack_machine import (
     Iadd,
@@ -16,6 +19,7 @@ from cimp.stack_machine import (
     Ibranch,
     Iconst,
     Ihalt,
+    Imul,
     Isetvar,
     Isub,
     Ivar,
@@ -32,6 +36,7 @@ from cimp.stack_machine import (
     vm_exec,
     well_formed,
 )
+from reference import ref_run_fragment
 
 
 def prog(src):
@@ -214,6 +219,68 @@ def test_vm_fuel_counts_every_instruction():
     p = compile_program(prog("x := 1"))  # Iconst, Isetvar, Ihalt
     assert vm_exec(2, p, Store()) == OutOfFuel()
     assert vm_exec(3, p, Store()) == Done(Store({"x": 1}))
+
+
+# ---------------------------------------------------------------------------
+# run_fragment against the former instruction loop
+
+
+def _same_as_reference(fuel, code, state):
+    got = run_fragment(fuel, code, state)
+    want = ref_run_fragment(fuel, code, state)
+    assert got[0] == want[0]
+    assert (got[1].pc, got[1].stack) == (want[1].pc, want[1].stack)
+    assert sorted(got[1].store.items()) == sorted(want[1].store.items())
+    return want
+
+
+def _least_fuel(code, state):
+    lo, hi = 0, 10**6
+    assert ref_run_fragment(hi, code, state)[0] != "outoffuel"
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ref_run_fragment(mid, code, state)[0] == "outoffuel":
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_run_fragment_matches_reference_on_generated_programs():
+    for seed in range(300):
+        p = gen_program(GenSpec(seed=seed))
+        code = compile_program(p).code
+        rng = random.Random(seed)
+        store = Store({x: rng.randint(-20, 40) for x in "abcd"})
+        middle = VmState(rng.randrange(len(code)), (7, -1), store)
+        for state in (VmState(0, (), store), middle):
+            least = _least_fuel(code, state)
+            for fuel in {0, 1, least // 2, least - 1, least, least + 1}:
+                _same_as_reference(max(fuel, 0), code, state)
+
+
+@pytest.mark.parametrize(
+    "code, stack, status",
+    [
+        ((Iadd(),), (), "error"),
+        ((Iconst(1), Isub()), (), "error"),
+        ((Imul(), Ihalt()), (5,), "error"),
+        ((Isetvar("x"),), (), "error"),
+        ((Iconst(1), Ibeq(0)), (), "error"),
+        ((Ible(2),), (3,), "error"),
+        ((Ibranch(5), Ihalt()), (), "exit"),
+        ((Ibranch(-2), Ihalt()), (), "exit"),
+        ((Iconst(2), Iconst(3), Ibgt(-3), Ihalt()), (), "halt"),
+        ((Iconst(3), Iconst(2), Ibgt(-3), Ihalt()), (), "outoffuel"),
+        ((Ivar("y"), Isetvar("x")), (4,), "exit"),
+    ],
+)
+def test_run_fragment_matches_reference_on_hand_made_fragments(code, stack, status):
+    store = Store({"y": 9})
+    for pc in range(-1, len(code) + 1):
+        for fuel in range(0, 12):
+            _same_as_reference(fuel, code, VmState(pc, stack, store))
+    assert _same_as_reference(50, code, VmState(0, stack, store))[0] == status
 
 
 # ---------------------------------------------------------------------------
