@@ -74,6 +74,7 @@ from .syntax import (
     Ty,
     Var,
     While,
+    statements,
 )
 
 KEYWORDS = frozenset(
@@ -517,29 +518,31 @@ def pretty_assertion(a: Assertion) -> str:
 
 def _com_lines(c: Com, indent: int) -> list[str]:
     pad = "  " * indent
-    match c:
-        case Skip():
-            return [pad + "skip"]
-        case Assign(var, rhs):
-            return [f"{pad}{var} := {pretty_aexpr(rhs)}"]
-        case Seq(first, second):
-            head = _com_lines(first, indent)
-            head[-1] += ";"
-            return head + _com_lines(second, indent)
-        case If(cond, then_branch, else_branch):
-            return (
-                [f"{pad}if {pretty_assertion(cond)} then"]
-                + _com_lines(then_branch, indent + 1)
-                + [pad + "else"]
-                + _com_lines(else_branch, indent + 1)
-                + [pad + "end"]
-            )
-        case While(cond, invariant, body):
-            head = f"{pad}while {pretty_assertion(cond)}"
-            if invariant is not None:
-                head += f" invariant {{ {pretty_assertion(invariant)} }}"
-            return [head + " do"] + _com_lines(body, indent + 1) + [pad + "done"]
-    raise TypeError(f"not a Com: {c!r}")
+    lines: list[str] = []
+    for s in statements(c):
+        if lines:
+            lines[-1] += ";"
+        match s:
+            case Skip():
+                lines.append(pad + "skip")
+            case Assign(var, rhs):
+                lines.append(f"{pad}{var} := {pretty_aexpr(rhs)}")
+            case If(cond, then_branch, else_branch):
+                lines.append(f"{pad}if {pretty_assertion(cond)} then")
+                lines += _com_lines(then_branch, indent + 1)
+                lines.append(pad + "else")
+                lines += _com_lines(else_branch, indent + 1)
+                lines.append(pad + "end")
+            case While(cond, invariant, body):
+                head = f"{pad}while {pretty_assertion(cond)}"
+                if invariant is not None:
+                    head += f" invariant {{ {pretty_assertion(invariant)} }}"
+                lines.append(head + " do")
+                lines += _com_lines(body, indent + 1)
+                lines.append(pad + "done")
+            case _:
+                raise TypeError(f"not a Com: {s!r}")
+    return lines
 
 
 def pretty(p: Program) -> str:

@@ -42,6 +42,7 @@ from .syntax import (
     Ty,
     Var,
     While,
+    statements,
 )
 
 
@@ -219,16 +220,10 @@ class _Gen:
         return out
 
 
-def _flat(c: Com) -> list[Com]:
-    if isinstance(c, Seq):
-        return _flat(c.first) + _flat(c.second)
-    return [_reseq(c)]
-
-
 def _reseq(c: Com) -> Com:
     """Right-nest every sequence, the parser's canonical shape."""
     if isinstance(c, Seq):
-        items = _flat(c)
+        items = [_reseq(s) for s in statements(c)]
         out = items[-1]
         for s in reversed(items[:-1]):
             out = Seq(s, out)

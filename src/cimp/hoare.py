@@ -9,6 +9,18 @@ invariant.  ``vcgen`` prepends the top implication ``pre -> wlp``.
 The consequence rule is absorbed into the top and exit implications,
 so no dedicated operation exists for it.
 
+``wlp`` reads a sequence back to front in a loop, so its recursion
+depth is the nesting of ``if``/``while``, not the number of statements.
+A run of assignments becomes one simultaneous substitution, composed
+first to last (``sigma[x] := rhs[sigma]``), so the postcondition is
+rewritten once per run, not once per assignment.  Substitution shares
+every unchanged subtree, so a VC is a DAG, and each fold over it (its
+variables, its logic, the SMT printer, the bounded check's compiled
+closures) costs its distinct nodes, not its occurrences.  The DAG
+itself still grows exponentially with sequential branches, since each
+path substitutes different terms; a passive (SSA) encoding would make
+it linear but needs ``let`` or fresh constants in the scripts.
+
 Assertions are the formulas that conditions are made of, plus
 implication, so a VC holds the program's own condition nodes rather
 than copies, and ``semantics.compile_expr`` decides its truth in a store.
@@ -49,13 +61,14 @@ from .syntax import (
     Neg,
     Not,
     Or,
-    Seq,
     Skip,
     Var,
     While,
     assertion_vars,
+    children,
+    distinct_nodes,
+    statements,
     transform,
-    walk,
 )
 
 
@@ -99,7 +112,26 @@ BoundedResult = Union[Valid, Counterexample]
 
 def subst(a: Assertion, x: str, e: AExpr) -> Assertion:
     """Replace every occurrence of variable x in a by e."""
-    return transform(a, lambda n: e if type(n) is Var and n.name == x else n)
+    return subst_all(a, {x: e})
+
+
+def subst_all(a: Assertion, sigma: dict[str, AExpr]) -> Assertion:
+    """Simultaneous substitution: each variable named in sigma by its term."""
+    return transform(a, lambda n: sigma.get(n.name, n) if type(n) is Var else n)
+
+
+def _assign_run(q: Assertion, run: list[Assign]) -> Assertion:
+    """wlp of a run of assignments, given last first, as one substitution.
+
+    The assignments compose first to last, sigma[x] := rhs[sigma], so the
+    postcondition is rewritten once for the whole run.
+    """
+    if not run:
+        return q
+    sigma: dict[str, AExpr] = {}
+    for a in reversed(run):
+        sigma[a.var] = subst_all(a.rhs, sigma)
+    return subst_all(q, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +145,38 @@ def wlp(c: Com, q: Assertion) -> tuple[Assertion, list[VerificationCondition]]:
     commands first, and for a loop the body's own obligations before
     the loop's preservation and exit VCs.
     """
-    match c:
-        case Skip():
-            return q, []
-        case Assign(var, rhs):
-            return subst(q, var, rhs), []
-        case Seq(first, second):
-            w2, s2 = wlp(second, q)
-            w1, s1 = wlp(first, w2)
-            return w1, s1 + s2
-        case If(cond, then_branch, else_branch):
-            w1, s1 = wlp(then_branch, q)
-            w2, s2 = wlp(else_branch, q)
-            return And(Implies(cond, w1), Implies(Not(cond), w2)), s1 + s2
-        case While(cond, invariant, body):
-            if invariant is None:
+    sides: list[list[VerificationCondition]] = []  # last statement's first
+    run: list[Assign] = []  # assignments read since the last other statement
+    for s in reversed(statements(c)):
+        t = type(s)
+        if t is Assign:
+            run.append(s)
+            continue
+        if t is Skip:
+            continue
+        q, run = _assign_run(q, run), []
+        if t is If:
+            w1, s1 = wlp(s.then_branch, q)
+            w2, s2 = wlp(s.else_branch, q)
+            q = And(Implies(s.cond, w1), Implies(Not(s.cond), w2))
+            sides.append(s1 + s2)
+        elif t is While:
+            if s.invariant is None:
                 raise MissingInvariant(
-                    "loop has no invariant annotation; vcgen requires one", c.pos
+                    "loop has no invariant annotation; vcgen requires one", s.pos
                 )
-            wbody, sides = wlp(body, invariant)
+            wbody, body_sides = wlp(s.body, s.invariant)
             preservation = VerificationCondition(
-                "preservation", Implies(And(invariant, cond), wbody)
+                "preservation", Implies(And(s.invariant, s.cond), wbody)
             )
             exit_vc = VerificationCondition(
-                "exit", Implies(And(invariant, Not(cond)), q)
+                "exit", Implies(And(s.invariant, Not(s.cond)), q)
             )
-            return invariant, sides + [preservation, exit_vc]
-    raise TypeError(f"not a Com: {c!r}")
+            q = s.invariant
+            sides.append(body_sides + [preservation, exit_vc])
+        else:
+            raise TypeError(f"not a Com: {s!r}")
+    return _assign_run(q, run), [vc for group in reversed(sides) for vc in group]
 
 
 def vcgen(t: HoareTriple) -> list[VerificationCondition]:
@@ -151,39 +188,61 @@ def vcgen(t: HoareTriple) -> list[VerificationCondition]:
 # ---------------------------------------------------------------------------
 # SMT-LIB2 export
 
-
-def _smt_aexpr(e: AExpr) -> str:
-    match e:
-        case IntLit(v):
-            return str(v)
-        case Var(name):
-            return name
-        case Neg(operand):
-            return f"(- {_smt_aexpr(operand)})"
-        case BinOp(op, left, right):
-            return f"({op} {_smt_aexpr(left)} {_smt_aexpr(right)})"
-        case BitOp() | BitNot() | Cast():
-            raise UnsupportedNode(
-                "bit-level operators cannot appear in exported assertions", e.pos
-            )
-    raise TypeError(f"not an AExpr: {e!r}")
+_SMT_OPS = {Neg: "-", Not: "not", And: "and", Or: "or", Implies: "=>"}
+_BIT_NODES = (BitOp, BitNot, Cast)
+_FORMAT = object()  # stack marker: every subtree of the node below has its text
 
 
-def _smt_assertion(a: Assertion) -> str:
-    match a:
-        case BoolLit(v):
-            return "true" if v else "false"
-        case Cmp(op, left, right):
-            return f"({op} {_smt_aexpr(left)} {_smt_aexpr(right)})"
-        case Not(operand):
-            return f"(not {_smt_assertion(operand)})"
-        case And(left, right):
-            return f"(and {_smt_assertion(left)} {_smt_assertion(right)})"
-        case Or(left, right):
-            return f"(or {_smt_assertion(left)} {_smt_assertion(right)})"
-        case Implies(left, right):
-            return f"(=> {_smt_assertion(left)} {_smt_assertion(right)})"
-    raise TypeError(f"not an Assertion: {a!r}")
+def _smt_node(n, text) -> str:
+    """SMT-LIB2 text of one node, given text(k) for each of its subtrees."""
+    t = type(n)
+    if t is IntLit:
+        return str(n.value)
+    if t is Var:
+        return n.name
+    if t is BoolLit:
+        return "true" if n.value else "false"
+    if t is Neg or t is Not:
+        return f"({_SMT_OPS[t]} {text(n.operand)})"
+    op = n.op if t is BinOp or t is Cmp else _SMT_OPS[t]
+    return f"({op} {text(n.left)} {text(n.right)})"
+
+
+def _smt(a: Assertion) -> str:
+    """SMT-LIB2 text of a formula, printed from an explicit stack.
+
+    Each distinct node is formatted once, after its subtrees, and its
+    text is shared by all its parents.  A text is dropped once its last
+    parent has used it, so a long chain does not keep the text of every
+    prefix alive.
+    """
+    order = []  # the distinct nodes, each after its subtrees
+    uses: dict[int, int] = {}  # parent edges into each node (one more for a)
+    todo = [a]
+    while todo:
+        n = todo.pop()
+        if n is _FORMAT:
+            order.append(todo.pop())
+        elif id(n) in uses:
+            uses[id(n)] += 1
+        else:
+            if isinstance(n, _BIT_NODES):
+                raise UnsupportedNode(
+                    "bit-level operators cannot appear in exported assertions", n.pos
+                )
+            uses[id(n)] = 1
+            todo += (n, _FORMAT)
+            todo.extend(reversed(children(n)))
+    done: dict[int, str] = {}
+
+    def text(k) -> str:
+        i = id(k)
+        uses[i] -= 1
+        return done[i] if uses[i] else done.pop(i)
+
+    for n in order:
+        done[id(n)] = _smt_node(n, text)
+    return done[id(a)]
 
 
 def _is_const(e: AExpr) -> bool:
@@ -198,7 +257,7 @@ def _is_const(e: AExpr) -> bool:
 def _nonlinear(a: Assertion) -> bool:
     return any(
         type(n) is BinOp and n.op == "*" and not (_is_const(n.left) or _is_const(n.right))
-        for n in walk(a)
+        for n in distinct_nodes(a)
     )
 
 
@@ -208,7 +267,7 @@ def emit_smtlib(vc: VerificationCondition) -> str:
     lines = [f"(set-logic {logic})"]
     for v in sorted(assertion_vars(vc.formula)):
         lines.append(f"(declare-const {v} Int)")
-    lines.append(f"(assert (not {_smt_assertion(vc.formula)}))")
+    lines.append(f"(assert (not {_smt(vc.formula)}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 

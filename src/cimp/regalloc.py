@@ -96,40 +96,44 @@ def alloc_codegen(e: AExpr, k: int) -> RegCode:
         raise ValueError("need at least 2 registers")
     # Neg becomes the binary form the labeling already assumes
     e = transform(e, lambda n: BinOp("-", IntLit(0), n.operand) if type(n) is Neg else n)
+    return tuple(_gen(e, _labels(e), k))
+
+
+def _gen(e: AExpr, labels: dict[int, int], k: int) -> list[RegInstr]:
+    # A work stack of instructions to emit and (subtree, lo) pairs to
+    # compile, where lo is the register that receives the subtree's value
+    # and registers lo..k-1 are free.  Each case pushes its steps last
+    # first.
     out: list[RegInstr] = []
-    _gen(e, _labels(e), k, 0, out)
-    return tuple(out)
-
-
-def _gen(e: AExpr, labels: dict[int, int], k: int, lo: int, out: list[RegInstr]) -> None:
-    # Result goes to register lo; registers lo..k-1 are free.
-    if isinstance(e, IntLit):
-        out.append(LoadConst(lo, e.value))
-        return
-    if isinstance(e, Var):
-        out.append(LoadVar(lo, e.name))
-        return
-    assert isinstance(e, BinOp)
-    kind = OP_KINDS[e.op]
-    ll, lr = labels[id(e.left)], labels[id(e.right)]
-    avail = k - lo
-    if ll >= avail and lr >= avail:
-        # Neither side fits while the other's value is pinned: evaluate the
-        # right operand, park it on the spill stack, then redo the left with
-        # every register free and bring the right back into a scratch.
-        _gen(e.right, labels, k, lo, out)
-        out.append(Spill(lo))
-        _gen(e.left, labels, k, lo, out)
-        out.append(Reload(lo + 1))
-        out.append(Op(kind, lo, lo, lo + 1))
-    elif lr > ll:
-        _gen(e.right, labels, k, lo, out)
-        _gen(e.left, labels, k, lo + 1, out)
-        out.append(Op(kind, lo, lo + 1, lo))
-    else:
-        _gen(e.left, labels, k, lo, out)
-        _gen(e.right, labels, k, lo + 1, out)
-        out.append(Op(kind, lo, lo, lo + 1))
+    todo: list = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is not tuple:
+            out.append(item)
+            continue
+        e, lo = item
+        t = type(e)
+        if t is IntLit:
+            out.append(LoadConst(lo, e.value))
+        elif t is Var:
+            out.append(LoadVar(lo, e.name))
+        else:
+            assert t is BinOp
+            kind = OP_KINDS[e.op]
+            ll, lr = labels[id(e.left)], labels[id(e.right)]
+            avail = k - lo
+            if ll >= avail and lr >= avail:
+                # Neither side fits while the other's value is pinned:
+                # evaluate the right operand, park it on the spill stack,
+                # then redo the left with every register free and bring the
+                # right back into a scratch.
+                todo += (Op(kind, lo, lo, lo + 1), Reload(lo + 1), (e.left, lo),
+                         Spill(lo), (e.right, lo))
+            elif lr > ll:
+                todo += (Op(kind, lo, lo + 1, lo), (e.left, lo + 1), (e.right, lo))
+            else:
+                todo += (Op(kind, lo, lo, lo + 1), (e.right, lo + 1), (e.left, lo))
+    return out
 
 
 def reg_exec(code: RegCode, s: Store, k: Optional[int] = None) -> int:

@@ -28,15 +28,18 @@ Analyses that only need to reach every node use the generic traversal defined
 below instead of a walker per node class.  At import,
 each class's subtree fields are read off its dataclass fields (those
 whose annotation names a node type), and ``children``, ``map_children``,
-``walk`` and ``transform`` are driven by that table, so a new node class
-needs no edit to any of them or to the folds built on them
+``walk``, ``distinct_nodes`` and ``transform`` are driven by that table, so
+a new node class needs no edit to any of them or to the folds built on them
 (``com_vars``, ``node_count``, substitution, the optimizer's passes).
+``walk`` visits a shared subtree at each occurrence; ``distinct_nodes`` and
+``transform`` visit it once, so on a DAG such as a verification condition
+they cost its distinct nodes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union, get_args, get_type_hints
 
 
@@ -271,6 +274,13 @@ _LEAVES = {
     cls: tuple(f.name for f in fields(cls) if f.compare and f.name not in subtrees)
     for cls, subtrees in _SUBTREES.items()
 }
+# every field in constructor order, and where each subtree field sits in it,
+# so a rebuild is one positional constructor call
+_ARGS = {cls: tuple(f.name for f in fields(cls)) for cls in _SUBTREES}
+_SLOTS = {
+    cls: tuple((_ARGS[cls].index(name), name) for name in subtrees)
+    for cls, subtrees in _SUBTREES.items()
+}
 _READY = object()
 
 
@@ -286,16 +296,17 @@ def children(node) -> tuple:
 
 def map_children(node, f):
     """node with f applied to each subtree; node itself when f changed none."""
-    changed = None
-    for name in _SUBTREES[type(node)]:
+    t = type(node)
+    args = None
+    for i, name in _SLOTS[t]:
         old = getattr(node, name)
         if old is not None:
             new = f(old)
             if new is not old:
-                if changed is None:
-                    changed = {}
-                changed[name] = new
-    return node if changed is None else replace(node, **changed)
+                if args is None:
+                    args = [getattr(node, a) for a in _ARGS[t]]
+                args[i] = new
+    return node if args is None else t(*args)
 
 
 def walk(node, *, code_only: bool = False) -> Iterator:
@@ -314,6 +325,40 @@ def walk(node, *, code_only: bool = False) -> Iterator:
             k = getattr(n, name)
             if k is not None:
                 todo.append(k)
+
+
+def distinct_nodes(node) -> Iterator:
+    """Each distinct node of node (by identity) once, in ``walk`` order.
+
+    A subtree shared by several parents is visited at its first
+    occurrence only, so a fold over a DAG such as a verification
+    condition costs its distinct nodes, not its occurrences.
+    """
+    seen = set()
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        yield n
+        for name in reversed(_SUBTREES[type(n)]):
+            k = getattr(n, name)
+            if k is not None and id(k) not in seen:
+                todo.append(k)
+
+
+def statements(c) -> list:
+    """The commands of a ``Seq`` chain in program order, however it nests."""
+    out = []
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        if type(c) is Seq:
+            todo += (c.second, c.first)
+        else:
+            out.append(c)
+    return out
 
 
 def transform(node, f, *, code_only: bool = False):
@@ -372,7 +417,7 @@ def equal(a, b) -> bool:
 def com_vars(node) -> frozenset[str]:
     """Variables read or written anywhere in a node, invariants included."""
     names = set()
-    for n in walk(node):
+    for n in distinct_nodes(node):
         if type(n) is Var:
             names.add(n.name)
         elif type(n) is Assign:

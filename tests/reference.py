@@ -4,10 +4,14 @@
 the evaluators did before ``semantics.compile_expr`` replaced them.
 ``ref_run_fragment`` is the stack VM's former instruction loop, which
 pattern-matches each instruction and builds a new ``Store`` per write.
+``ref_vcgen`` and ``ref_emit_smtlib`` are the textbook VC generator, one
+substitution per assignment and one recursive call per statement, and
+the recursive SMT-LIB2 printer that formats each occurrence of a node.
 """
 
 from cimp import syntax as sx
 from cimp.errors import UnsupportedNode
+from cimp.hoare import MissingInvariant, VerificationCondition, subst
 from cimp.stack_machine import (
     Iadd,
     Ibeq,
@@ -144,3 +148,80 @@ def ref_run_fragment(fuel, code, state):
                 return "halt", VmState(pc, tuple(stack), store)
             case _:
                 raise TypeError(f"not an Instr: {instr!r}")
+
+
+def ref_wlp(c, q):
+    """(wlp, side conditions) as ``hoare.wlp`` specifies them."""
+    match c:
+        case sx.Skip():
+            return q, []
+        case sx.Assign(var, rhs):
+            return subst(q, var, rhs), []
+        case sx.Seq(first, second):
+            w2, s2 = ref_wlp(second, q)
+            w1, s1 = ref_wlp(first, w2)
+            return w1, s1 + s2
+        case sx.If(cond, then_branch, else_branch):
+            w1, s1 = ref_wlp(then_branch, q)
+            w2, s2 = ref_wlp(else_branch, q)
+            return sx.And(sx.Implies(cond, w1), sx.Implies(sx.Not(cond), w2)), s1 + s2
+        case sx.While(cond, invariant, body):
+            if invariant is None:
+                raise MissingInvariant("loop has no invariant annotation", c.pos)
+            wbody, sides = ref_wlp(body, invariant)
+            preservation = VerificationCondition(
+                "preservation", sx.Implies(sx.And(invariant, cond), wbody)
+            )
+            exit_vc = VerificationCondition(
+                "exit", sx.Implies(sx.And(invariant, sx.Not(cond)), q)
+            )
+            return invariant, sides + [preservation, exit_vc]
+    raise TypeError(c)
+
+
+def ref_vcgen(t):
+    w, sides = ref_wlp(t.com, t.post)
+    return [VerificationCondition("top", sx.Implies(t.pre, w))] + sides
+
+
+def _ref_smt(n):
+    match n:
+        case sx.IntLit(v):
+            return str(v)
+        case sx.Var(name):
+            return name
+        case sx.Neg(a):
+            return f"(- {_ref_smt(a)})"
+        case sx.BinOp(op, a, b) | sx.Cmp(op, a, b):
+            return f"({op} {_ref_smt(a)} {_ref_smt(b)})"
+        case sx.BitOp() | sx.BitNot() | sx.Cast():
+            raise UnsupportedNode(
+                "bit-level operators cannot appear in exported assertions", n.pos
+            )
+        case sx.BoolLit(v):
+            return "true" if v else "false"
+        case sx.Not(a):
+            return f"(not {_ref_smt(a)})"
+        case sx.And(a, b):
+            return f"(and {_ref_smt(a)} {_ref_smt(b)})"
+        case sx.Or(a, b):
+            return f"(or {_ref_smt(a)} {_ref_smt(b)})"
+        case sx.Implies(a, b):
+            return f"(=> {_ref_smt(a)} {_ref_smt(b)})"
+    raise TypeError(n)
+
+
+def _ref_const(e):
+    return type(e) is sx.IntLit or (type(e) is sx.Neg and type(e.operand) is sx.IntLit)
+
+
+def ref_emit_smtlib(vc):
+    nia = any(
+        type(n) is sx.BinOp and n.op == "*" and not (_ref_const(n.left) or _ref_const(n.right))
+        for n in sx.walk(vc.formula)
+    )
+    names = sorted({n.name for n in sx.walk(vc.formula) if type(n) is sx.Var})
+    lines = [f"(set-logic {'QF_NIA' if nia else 'QF_LIA'})"]
+    lines += [f"(declare-const {v} Int)" for v in names]
+    lines += [f"(assert (not {_ref_smt(vc.formula)}))", "(check-sat)"]
+    return "\n".join(lines) + "\n"

@@ -401,6 +401,41 @@ def test_vc_smt2_writes_scripts(tmp_path, capsys):
     assert "wrote" in out
 
 
+# 2,000 statements and a 2,000-term operator chain: no tool may recurse
+# once per statement or per operator
+LONG_SEQ = "x := x + 1;\n" * 1999 + "x := x + 1\n"
+LONG_SUM = "x := " + " + ".join(["1"] * 2000) + "\n"
+
+
+def test_vc_long_sequence_bounded(tmp_path, capsys):
+    path = _src(tmp_path, LONG_SEQ)
+    code, out, err = _run(
+        capsys, "vc", path, "--pre", "x = 0", "--post", "x = 2000", "--bounded-check", "2"
+    )
+    assert (code, out, err) == (0, "vc_0_top: valid\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, additions", [(LONG_SEQ, 2000), (LONG_SUM, 1999)], ids=["sequence", "sum"]
+)
+def test_vc_smt2_long_input(tmp_path, capsys, text, additions):
+    out_dir = tmp_path / "smt"
+    code, _, err = _run(
+        capsys, "vc", _src(tmp_path, text), "--post", "x = 2000", "--smt2", str(out_dir)
+    )
+    assert (code, err) == (0, "")
+    script = (out_dir / "vc_0_top.smt2").read_text()
+    assert script.count("(+ ") == additions
+    assert script.endswith(" 2000))))\n(check-sat)\n")
+
+
+def test_compile_regalloc_su_long_sum(tmp_path, capsys):
+    path = _src(tmp_path, LONG_SUM)
+    code, out, err = _run(capsys, "compile", path, "--backend", "mips", "--regalloc", "su")
+    assert (code, err) == (0, "")
+    assert simulate(parse_asm(out))["x"] == 2000
+
+
 def test_vc_env_solver(tmp_path, capsys, monkeypatch):
     fake = tmp_path / "fakesolver"
     fake.write_text("#!/bin/sh\necho unsat\n")

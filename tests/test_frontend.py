@@ -486,3 +486,11 @@ def test_nesting_limit_is_restored_after_backtracking():
     # formula alternative must start again from the same depth
     b = _parens(MAX_NESTING - 1, "x < 1 && y < 2")
     assert isinstance(parse_program(f"if {b} then skip else skip end").body.cond, sx.And)
+
+
+def test_pretty_long_sequence():
+    c = sx.Assign("x", sx.IntLit(1))
+    for i in range(2, 10_001):
+        c = sx.Seq(c, sx.Assign("x", sx.IntLit(i)))
+    text = pretty(sx.program(c))
+    assert text == "".join(f"x := {i};\n" for i in range(1, 10_000)) + "x := 10000\n"

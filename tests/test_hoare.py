@@ -3,8 +3,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies as gen
+from cimp import hoare
 from cimp import syntax as sx
+from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_assertion_text, parse_program
+from cimp.generator import GenSpec, gen_program
 from cimp.hoare import (
     BudgetExceeded,
     Counterexample,
@@ -19,6 +22,7 @@ from cimp.hoare import (
     wlp,
 )
 from cimp.semantics import Done, Store, aeval, beval, ceval_fuel, compile_expr
+from reference import ref_emit_smtlib, ref_vcgen
 
 
 def A(src):
@@ -327,3 +331,96 @@ def test_wlp_monotone_in_postcondition(c, q1, q2):
         w2, _ = wlp(c, q2)
         lifted = VerificationCondition("top", sx.Implies(w1, w2))
         assert isinstance(bounded_check(lifted, 2, budget=10**6), Valid)
+
+
+# ---------------------------------------------------------------------------
+# The rewrite against the textbook generator and printer kept as oracles
+
+
+def _same_as_reference(t):
+    got, want = vcgen(t), ref_vcgen(t)
+    assert [v.origin for v in got] == [v.origin for v in want]
+    for g, w in zip(got, want):
+        assert sx.equal(g.formula, w.formula)
+        try:
+            script = ref_emit_smtlib(w)
+        except UnsupportedNode as e:
+            with pytest.raises(UnsupportedNode) as ei:
+                emit_smtlib(g)
+            assert (str(ei.value), ei.value.pos) == (str(e), e.pos)
+        else:
+            assert emit_smtlib(g) == script
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen.assertions(), gen.coms(invariants=True), gen.assertions())
+def test_vcgen_and_smt_match_reference_on_random_triples(pre, c, post):
+    _same_as_reference(HoareTriple(pre, _with_default_invariants(c), post))
+
+
+def test_vcgen_and_smt_match_reference_on_generated_programs():
+    for seed in range(300):
+        p = gen_program(GenSpec(seed=seed, typed=seed % 2 == 1))
+        names = sorted(sx.program_vars(p)) or ["x"]
+        bound = sx.Cmp("<=", sx.Var(names[seed % len(names)]), sx.IntLit(seed % 5))
+        body = sx.transform(
+            p.body,
+            lambda n: sx.While(n.cond, sx.Or(sx.Not(n.cond), bound), n.body)
+            if type(n) is sx.While
+            else n,
+        )
+        post = sx.BoolLit(True)
+        for name in names:
+            post = sx.And(post, sx.Cmp("<", sx.IntLit(-seed), sx.Var(name)))
+        _same_as_reference(HoareTriple(bound, body, post))
+
+
+def test_assignment_runs_compose_into_one_substitution():
+    w, _ = wlp(C("x := x + 1; y := x * y; x := y - x"), A("x < y"))
+    assert w == A("(x + 1) * y - (x + 1) < (x + 1) * y")
+
+
+def _chain(k):
+    return ";\n".join(
+        f"if x <= {i} then x := x + 1; y := y + 1 else x := x - 1; y := y + 2 end"
+        for i in range(k)
+    )
+
+
+def test_vc_folds_cost_distinct_nodes(monkeypatch):
+    # an 8-if chain like the benchmark's: the VC tree repeats shared subtrees
+    (top,) = vcgen(HoareTriple(A("y = 0"), C(_chain(8)), A("8 <= y && y <= 16")))
+    distinct = len({id(n) for n in sx.walk(top.formula)})
+    assert distinct * 5 < sx.node_count(top.formula)
+    formatted, visited = [], []
+    fmt, nodes = hoare._smt_node, sx.distinct_nodes
+    monkeypatch.setattr(hoare, "_smt_node", lambda n, text: formatted.append(n) or fmt(n, text))
+
+    def counted(node):
+        for n in nodes(node):
+            visited.append(n)
+            yield n
+
+    monkeypatch.setattr(sx, "distinct_nodes", counted)
+    assert emit_smtlib(top) == ref_emit_smtlib(top)
+    assert len(formatted) == len({id(n) for n in formatted}) == distinct
+    visited.clear()
+    assert sx.assertion_vars(top.formula) == {"x", "y"}
+    assert len(visited) == len({id(n) for n in visited}) == distinct
+
+
+LONG = 10_000
+
+
+@pytest.mark.parametrize("nest", ["right", "left"])
+def test_long_sequences_have_vcs(nest):
+    def step():
+        return sx.Assign("x", sx.BinOp("+", sx.Var("x"), sx.IntLit(1)))
+
+    c = step()
+    for _ in range(LONG - 1):
+        c = sx.Seq(step(), c) if nest == "right" else sx.Seq(c, step())
+    (top,) = vcgen(HoareTriple(A("x = 0"), c, A(f"x = {LONG}")))
+    script = emit_smtlib(top)
+    assert script.count("(+ ") == LONG and script.endswith(f" {LONG}))))\n(check-sat)\n")
+    assert bounded_check(top, 2) == Valid()

@@ -251,6 +251,15 @@ def test_each_node_is_labeled_once(monkeypatch):
     assert reg_exec(code, Store({f"x{i}": i for i in range(400)})) == sum(range(400))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_codegen_long_chain(side):
+    e = V("x0")
+    for i in range(1, 10_000):
+        e = add(e, V(f"x{i}")) if side == "left" else add(V(f"x{i}"), e)
+    code = alloc_codegen(e, 8)
+    assert reg_exec(code, Store({f"x{i}": i for i in range(10_000)})) == sum(range(10_000))
+
+
 # ---------------------------------------------------------------------------
 # listing
 

@@ -157,6 +157,18 @@ def test_transform_rewrites_a_shared_subtree_once():
     assert sx.node_count(e) == 7  # counted at each occurrence
 
 
+def test_distinct_nodes_visit_a_shared_subtree_once():
+    shared = BinOp("+", Var("x"), IntLit(1))
+    e = BinOp("*", shared, Neg(shared))
+    assert _same_objects(sx.distinct_nodes(e), [e, shared, shared.left, shared.right, e.right])
+
+
+def test_statements_flatten_any_nesting():
+    a, b, c, d = (Assign(v, IntLit(1)) for v in "abcd")
+    assert _same_objects(sx.statements(Seq(Seq(a, b), Seq(c, d))), [a, b, c, d])
+    assert _same_objects(sx.statements(a), [a])
+
+
 # ---------------------------------------------------------------------------
 # equal
 
