@@ -4,8 +4,10 @@ Subpackages and modules:
 
 * ``syntax``: the shared AST (expressions, commands, assertions).
 * ``frontend``: lexer, recursive-descent parser, pretty printer.
-* ``semantics``: fueled big-step and small-step reference interpreters.
-* ``stack_machine``: stack-code compiler and fueled virtual machine.
+* ``semantics``: one fueled command loop for the big-step and
+  small-step reference interpreters.
+* ``stack_machine``: the jump-code lowering both backends share,
+  stack-code compiler and fueled virtual machine.
 * ``hoare``: weakest liberal preconditions, verification conditions,
   SMT-LIB export, and a bounded-model validity check.
 * ``regalloc``: optimal register allocation for expression trees.

@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -45,23 +44,6 @@ from .typecheck import ceval_fixed, to_signed, typecheck, word32
 
 ENGINES = ("bigstep", "smallstep", "stackvm", "mips")
 BACKENDS = ("stack", "mips")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    input: Optional[str] = None
-    backend: str = "stack"
-    engine: str = "bigstep"
-    opt_level: int = 0
-    regalloc: str = "naive"
-    emulate_mul: bool = False
-    fuel: int = 10**6
-    budget: int = 10**7
-    seed: int = 0
-    count: int = 0
-    store_in: Optional[str] = None
-    output: Optional[str] = None
 
 
 class _UsageError(Exception):
@@ -120,32 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_of(args) -> CliConfig:
-    cfg = CliConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "file", None),
-        backend=getattr(args, "backend", "stack"),
-        engine=getattr(args, "engine", "bigstep"),
-        opt_level=getattr(args, "opt", 0),
-        regalloc=getattr(args, "regalloc", None) or "naive",
-        emulate_mul=getattr(args, "emulate_mul", False),
-        fuel=getattr(args, "fuel", 10**6),
-        budget=getattr(args, "budget", 10**7),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 0),
-        store_in=getattr(args, "store_in", None),
-        output=getattr(args, "output", None),
-    )
-    if cfg.subcommand == "compile" and cfg.backend != "mips":
-        if getattr(args, "regalloc", None) is not None:
+def _check_usage(args) -> None:
+    """The flag rules that argparse cannot state."""
+    if args.subcommand == "compile" and args.backend != "mips":
+        if args.regalloc is not None:
             raise _UsageError("--regalloc applies to the mips backend only")
-        if cfg.emulate_mul:
+        if args.emulate_mul:
             raise _UsageError("--emulate-mul applies to the mips backend only")
-    if cfg.fuel < 0:
-        raise _UsageError("--fuel must be nonnegative")
-    if cfg.budget < 0:
-        raise _UsageError("--budget must be nonnegative")
-    return cfg
+    if args.subcommand == "run":
+        if args.fuel < 0:
+            raise _UsageError("--fuel must be nonnegative")
+        if args.budget < 0:
+            raise _UsageError("--budget must be nonnegative")
 
 
 def _diagnostic(path: Optional[str], err: CimpError) -> str:
@@ -169,33 +137,33 @@ def _typed_store_lines(p: Program, values) -> str:
     return "".join(out)
 
 
-def _cmd_compile(cfg: CliConfig) -> int:
-    p = optimize(_read_program(cfg.input), cfg.opt_level)
-    if cfg.backend == "stack":
+def _cmd_compile(args) -> int:
+    p = optimize(_read_program(args.file), args.opt)
+    if args.backend == "stack":
         text = listing(compile_program(p))
     else:
-        strategy = "regalloc" if cfg.regalloc == "su" else "naive"
-        text = emit_asm(codegen(p, strategy=strategy, emulate_mul=cfg.emulate_mul))
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+        strategy = "regalloc" if args.regalloc == "su" else "naive"
+        text = emit_asm(codegen(p, strategy=strategy, emulate_mul=args.emulate_mul))
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_run(cfg: CliConfig) -> int:
-    p = _read_program(cfg.input)
-    if p.typed and cfg.engine in ("smallstep", "stackvm"):
-        raise _UsageError(f"engine {cfg.engine} runs untyped programs only")
+def _cmd_run(args) -> int:
+    p = _read_program(args.file)
+    if p.typed and args.engine in ("smallstep", "stackvm"):
+        raise _UsageError(f"engine {args.engine} runs untyped programs only")
     store = Store({})
-    if cfg.store_in:
-        store = parse_store(Path(cfg.store_in).read_text())
-    p = optimize(p, cfg.opt_level)
+    if args.store_in:
+        store = parse_store(Path(args.store_in).read_text())
+    p = optimize(p, args.opt)
 
-    if cfg.engine == "mips":
+    if args.engine == "mips":
         prog = codegen(p, emulate_mul=True)
         init = {name: word32(value) for name, value in store.items()}
-        out = simulate(prog, init=init, budget=cfg.budget)
+        out = simulate(prog, init=init, budget=args.budget)
         if isinstance(out, Halted):
             if p.typed:
                 sys.stdout.write(_typed_store_lines(p, lambda n: out.words[n]))
@@ -212,20 +180,20 @@ def _cmd_run(cfg: CliConfig) -> int:
         print(f"internal error: trap: {out.reason}", file=sys.stderr)
         return 2
 
-    if cfg.engine == "bigstep" and p.typed:
-        out = ceval_fixed(cfg.fuel, typecheck(p), store)
+    if args.engine == "bigstep" and p.typed:
+        out = ceval_fixed(args.fuel, typecheck(p), store)
         if isinstance(out, Done):
             sys.stdout.write(_typed_store_lines(p, out.store.get))
             return 0
         print("out of fuel")
         return 0
 
-    if cfg.engine == "bigstep":
-        out = ceval_fuel(cfg.fuel, p.body, store)
-    elif cfg.engine == "smallstep":
-        out = run_small(cfg.fuel, p.body, store)
+    if args.engine == "bigstep":
+        out = ceval_fuel(args.fuel, p.body, store)
+    elif args.engine == "smallstep":
+        out = run_small(args.fuel, p.body, store)
     else:
-        out = vm_exec(cfg.fuel, compile_program(p), store)
+        out = vm_exec(args.fuel, compile_program(p), store)
         if isinstance(out, MachineError):
             print(f"internal error: {out.reason}", file=sys.stderr)
             return 2
@@ -251,8 +219,8 @@ def _flag_formula(flag: str, text: str, p: Program):
         raise
 
 
-def _cmd_vc(cfg: CliConfig, args) -> int:
-    p = _read_program(cfg.input)
+def _cmd_vc(args) -> int:
+    p = _read_program(args.file)
     if p.typed:
         typecheck(p)
     pre = _flag_formula("--pre", args.pre, p) if args.pre else ATrue()
@@ -287,8 +255,8 @@ def _cmd_vc(cfg: CliConfig, args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_typecheck(cfg: CliConfig) -> int:
-    p = _read_program(cfg.input)
+def _cmd_typecheck(args) -> int:
+    p = _read_program(args.file)
     if not p.typed:
         raise CimpError("typecheck needs a fully annotated program (var x: i32; ...)")
     typecheck(p)
@@ -308,12 +276,12 @@ def _describe(outcome: tuple) -> str:
     return f"error: {outcome[1]}"
 
 
-def _cmd_fuzz(cfg: CliConfig, args) -> int:
+def _cmd_fuzz(args) -> int:
     engines = None
     if args.engines:
         engines = tuple(name.strip() for name in args.engines.split(",") if name.strip())
-    spec = GenSpec(seed=cfg.seed, typed=args.typed)
-    report = run_diff(spec, cfg.count, engines=engines, fail_fast=args.fail_fast)
+    spec = GenSpec(seed=args.seed, typed=args.typed)
+    report = run_diff(spec, args.count, engines=engines, fail_fast=args.fail_fast)
     print(f"cases run: {report.cases}")
     print(f"agreements: {report.agreements}")
     print(f"divergences: {report.divergences}")
@@ -333,8 +301,8 @@ def _cmd_fuzz(cfg: CliConfig, args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(cfg: CliConfig) -> int:
-    p = _read_program(cfg.input)
+def _cmd_bench(args) -> int:
+    p = _read_program(args.file)
 
     def size(fn) -> str:
         try:
@@ -356,23 +324,22 @@ def _cmd_bench(cfg: CliConfig) -> int:
     return 0
 
 
+_COMMANDS = {
+    "compile": _cmd_compile,
+    "run": _cmd_run,
+    "vc": _cmd_vc,
+    "typecheck": _cmd_typecheck,
+    "fuzz": _cmd_fuzz,
+    "bench": _cmd_bench,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_of(args)
-        if cfg.subcommand == "compile":
-            return _cmd_compile(cfg)
-        if cfg.subcommand == "run":
-            return _cmd_run(cfg)
-        if cfg.subcommand == "vc":
-            return _cmd_vc(cfg, args)
-        if cfg.subcommand == "typecheck":
-            return _cmd_typecheck(cfg)
-        if cfg.subcommand == "fuzz":
-            return _cmd_fuzz(cfg, args)
-        assert cfg.subcommand == "bench"
-        return _cmd_bench(cfg)
+        _check_usage(args)
+        return _COMMANDS[args.subcommand](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -39,7 +39,8 @@ The pretty printer emits minimal parentheses, so ``parse`` after
 ``pretty`` reproduces the input AST structurally (positions are not
 compared).  Left-nested sequences are the one exception: ``pretty``
 prints them flat and the parser rebuilds the chain right-nested, which
-is semantically inert.
+is semantically inert.  Expressions and formulas print from an explicit
+stack, so chains of any length print without recursion.
 """
 
 from __future__ import annotations
@@ -461,59 +462,61 @@ def parse_assertion_text(source: str) -> Assertion:
 # Pretty printing
 
 _A_ADD, _A_MUL, _A_BIT, _A_UNARY, _A_ATOM = 1, 2, 3, 4, 5
-
-
-def _pa(e: AExpr, ctx: int) -> str:
-    match e:
-        case IntLit(v):
-            s, lvl = str(v), _A_ATOM
-        case Var(name):
-            s, lvl = name, _A_ATOM
-        case Cast(target, operand):
-            s, lvl = f"{target}({_pa(operand, _A_ADD)})", _A_ATOM
-        case Neg(operand):
-            s, lvl = "-" + _pa(operand, _A_UNARY), _A_UNARY
-        case BitNot(operand):
-            s, lvl = "~" + _pa(operand, _A_UNARY), _A_UNARY
-        case BitOp(op, left, right):
-            s, lvl = f"{_pa(left, _A_BIT)} {op} {_pa(right, _A_UNARY)}", _A_BIT
-        case BinOp("*", left, right):
-            s, lvl = f"{_pa(left, _A_MUL)} * {_pa(right, _A_BIT)}", _A_MUL
-        case BinOp(op, left, right):
-            s, lvl = f"{_pa(left, _A_ADD)} {op} {_pa(right, _A_MUL)}", _A_ADD
-        case _:
-            raise TypeError(f"not an AExpr: {e!r}")
-    return f"({s})" if lvl < ctx else s
-
-
 _F_IMP, _F_OR, _F_AND, _F_NOT, _F_ATOM = 1, 2, 3, 4, 5
 
+# Each node's precedence level and its parts: text, or a subtree with
+# the least level it may print at without parentheses.
+_SHAPE = {
+    IntLit: lambda n: (_A_ATOM, (str(n.value),)),
+    Var: lambda n: (_A_ATOM, (n.name,)),
+    Cast: lambda n: (_A_ATOM, (f"{n.target}(", (n.operand, _A_ADD), ")")),
+    Neg: lambda n: (_A_UNARY, ("-", (n.operand, _A_UNARY))),
+    BitNot: lambda n: (_A_UNARY, ("~", (n.operand, _A_UNARY))),
+    BitOp: lambda n: (_A_BIT, ((n.left, _A_BIT), f" {n.op} ", (n.right, _A_UNARY))),
+    BinOp: lambda n: (
+        (_A_MUL, ((n.left, _A_MUL), " * ", (n.right, _A_BIT)))
+        if n.op == "*"
+        else (_A_ADD, ((n.left, _A_ADD), f" {n.op} ", (n.right, _A_MUL)))
+    ),
+    BoolLit: lambda n: (_F_ATOM, ("true" if n.value else "false",)),
+    Cmp: lambda n: (_F_ATOM, ((n.left, _A_ADD), f" {n.op} ", (n.right, _A_ADD))),
+    Not: lambda n: (_F_NOT, ("!", (n.operand, _F_NOT))),
+    And: lambda n: (_F_AND, ((n.left, _F_AND), " && ", (n.right, _F_NOT))),
+    Or: lambda n: (_F_OR, ((n.left, _F_OR), " || ", (n.right, _F_AND))),
+    Implies: lambda n: (_F_IMP, ((n.left, _F_OR), " -> ", (n.right, _F_IMP))),
+}
 
-def _pf(f: Assertion, ctx: int) -> str:
-    match f:
-        case BoolLit(v):
-            s, lvl = ("true" if v else "false"), _F_ATOM
-        case Cmp(op, left, right):
-            s, lvl = f"{_pa(left, _A_ADD)} {op} {_pa(right, _A_ADD)}", _F_ATOM
-        case Not(operand):
-            s, lvl = "!" + _pf(operand, _F_NOT), _F_NOT
-        case And(left, right):
-            s, lvl = f"{_pf(left, _F_AND)} && {_pf(right, _F_NOT)}", _F_AND
-        case Or(left, right):
-            s, lvl = f"{_pf(left, _F_OR)} || {_pf(right, _F_AND)}", _F_OR
-        case Implies(left, right):
-            s, lvl = f"{_pf(left, _F_OR)} -> {_pf(right, _F_IMP)}", _F_IMP
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    return f"({s})" if lvl < ctx else s
+
+def _print(root, ctx: int) -> str:
+    """Print an expression or formula with minimal parentheses.
+
+    The parts still to print sit on an explicit stack, last first, so
+    operator chains of any length print without recursion.
+    """
+    out: list[str] = []
+    todo: list = [(root, ctx)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        n, ctx = item
+        shape = _SHAPE.get(type(n))
+        if shape is None:
+            raise TypeError(f"not an expression or formula: {n!r}")
+        lvl, parts = shape(n)
+        if lvl < ctx:
+            parts = ("(", *parts, ")")
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def pretty_aexpr(e: AExpr) -> str:
-    return _pa(e, _A_ADD)
+    return _print(e, _A_ADD)
 
 
 def pretty_assertion(a: Assertion) -> str:
-    return _pf(a, _F_IMP)
+    return _print(a, _F_IMP)
 
 
 def _com_lines(c: Com, indent: int) -> list[str]:

@@ -15,40 +15,35 @@ programs are core-only and compare signed.  Multiplication has no
 hardware instruction here: with emulate_mul a shift-and-add loop is
 inlined, otherwise MulNotSupported reports every ``*`` position.
 
-Every instruction passes the ``ins`` shape check: the fixed ones once,
-when this module is imported, after which each program shares them;
-the rest when they are emitted.  Lowering appends to one list and walks
-statements, conditions and naive expressions from explicit stacks, so
-a long sequence costs no recursion.
+Statements and conditions are laid out by ``stack_machine.lower``, the
+jump-code scheme the stack backend uses too; this module supplies the
+labels, jumps, assignments and compare-and-branch sequences.  Every
+instruction passes the ``ins`` shape check: the fixed ones once, when
+this module is imported, after which each program shares them; the rest
+when they are emitted.  Lowering appends to one list and walks naive
+expressions from an explicit stack, so a long sequence costs no
+recursion.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from ..errors import CimpError, UnsupportedNode
 from ..regalloc import LoadConst, LoadVar, Op, Reload, Spill, alloc_codegen
+from ..stack_machine import lower
 from ..syntax import (
     AExpr,
-    Assign,
-    BExpr,
     BinOp,
     BitNot,
     BitOp,
-    BoolLit,
     Cast,
     Cmp,
-    Com,
-    If,
     IntLit,
     Neg,
-    Not,
-    And,
-    Or,
     Program,
-    Seq,
-    Skip,
     Ty,
     Var,
-    While,
     program_vars,
     transform,
     walk,
@@ -162,13 +157,12 @@ def emit_mul_emulation(dst: str, lhs: str, rhs: str, tag: int = 0) -> list[MipsI
 
 
 class _Codegen:
-    """Lowers a program into one list, ``out``, in program order.
+    """``stack_machine.lower``'s target for MIPS, appending to ``out``.
 
-    Statements, conditions and naive expressions are lowered from
-    explicit work stacks, so a long sequence or a deep expression needs
-    no recursion.  Besides the nodes still to lower, a stack holds the
-    instructions or labels to append once everything pushed after them
-    is done.
+    Labels are fresh names (``else_3``), placed as label definitions.
+    Naive expressions are lowered from an explicit work stack, which
+    also holds the instructions to append once everything pushed after
+    them is done, so a deep expression needs no recursion.
     """
 
     def __init__(self, ty_of, strategy: str, typed: bool):
@@ -176,17 +170,13 @@ class _Codegen:
         self.strategy = strategy
         self.typed = typed
         self.out: list[MipsInstr] = []
-        self._counter = 0
+        self._counter = itertools.count()  # numbers labels and multiplications
 
-    def fresh(self, kind: str) -> str:
-        name = f"{kind}_{self._counter}"
-        self._counter += 1
-        return name
+    def label(self, kind: str) -> str:
+        return f"{kind}_{next(self._counter)}"
 
     def mul_into(self, dst: str, lhs: str, rhs: str) -> None:
-        tag = self._counter
-        self._counter += 1
-        self.out += emit_mul_emulation(dst, lhs, rhs, tag=tag)
+        self.out += emit_mul_emulation(dst, lhs, rhs, tag=next(self._counter))
 
     def naive_aexp(self, e: AExpr) -> None:
         """Stack lowering: the value ends up pushed on the operand stack."""
@@ -256,14 +246,21 @@ class _Codegen:
             else:
                 out.append(_REG_OP[instr.kind, instr.dst, instr.lhs, instr.rhs])
 
-    def value_to_t0(self, e: AExpr) -> None:
-        if self.strategy == "regalloc":
-            self.tree_aexp(e)
-        else:
-            self.naive_aexp(e)
-            self.out += _POP[0]
+    def place(self, label: str) -> None:
+        self.out.append(LabelDef(label))
 
-    def cmp_branch(self, b: Cmp, cond: bool, target: str) -> None:
+    def jump(self, label: str) -> None:
+        self.out.append(ins("j", label))
+
+    def assign(self, var: str, rhs: AExpr) -> None:
+        if self.strategy == "regalloc":
+            self.tree_aexp(rhs)
+        else:
+            self.naive_aexp(rhs)
+            self.out += _POP[0]
+        self.out.append(ins("sw", "$t0", f"var_{var}"))
+
+    def branch(self, b: Cmp, cond: bool, target: str) -> None:
         """Branch to target when (left op right) == cond."""
         out = self.out
         # comparison operands end up left in $t0, right in $t1
@@ -280,61 +277,6 @@ class _Codegen:
         out.append(_CMP_TEST[b.op, self.ty_of(b)])
         branch = "bne" if cond == (b.op == "<") else "beq"
         out.append(ins(branch, "$at", "$zero", target))
-
-    def bexp(self, b: BExpr, cond: bool, target: str) -> None:
-        """Branch to target exactly when b evaluates to cond."""
-        out = self.out
-        todo: list = [(b, cond, target)]
-        while todo:
-            item = todo.pop()
-            if type(item) is LabelDef:
-                out.append(item)
-                continue
-            b, cond, target = item
-            t = type(b)
-            if t is BoolLit:
-                if b.value == cond:
-                    out.append(ins("j", target))
-            elif t is Not:
-                todo.append((b.operand, not cond, target))
-            elif t is Cmp:
-                self.cmp_branch(b, cond, target)
-            else:
-                assert t is And or t is Or
-                if cond == (t is Or):
-                    # either operand alone decides: both branch to target
-                    todo += ((b.right, cond, target), (b.left, cond, target))
-                else:
-                    # the left operand can only skip the right one
-                    skip = self.fresh("skip")
-                    todo += (LabelDef(skip), (b.right, cond, target),
-                             (b.left, not cond, skip))
-
-    def com(self, c: Com) -> None:
-        out = self.out
-        todo: list = [c]
-        while todo:
-            c = todo.pop()
-            t = type(c)
-            if t is tuple:
-                out += c
-            elif t is Seq:
-                todo += (c.second, c.first)
-            elif t is Assign:
-                self.value_to_t0(c.rhs)
-                out.append(ins("sw", "$t0", f"var_{c.var}"))
-            elif t is If:
-                else_l, end_l = self.fresh("else"), self.fresh("endif")
-                self.bexp(c.cond, False, else_l)
-                todo += ((LabelDef(end_l),), c.else_branch,
-                         (ins("j", end_l), LabelDef(else_l)), c.then_branch)
-            elif t is While:
-                loop_l, end_l = self.fresh("loop"), self.fresh("endloop")
-                out.append(LabelDef(loop_l))
-                self.bexp(c.cond, False, end_l)
-                todo += ((ins("j", loop_l), LabelDef(end_l)), c.body)
-            else:
-                assert t is Skip
 
 
 def codegen(
@@ -362,7 +304,7 @@ def codegen(
         if positions:
             raise MulNotSupported(positions)
     gen = _Codegen(ty_of, strategy, p.typed)
-    gen.com(p.body)
+    lower(p.body, gen)
     declared = [name for name, _ in p.decls]
     extras = sorted(program_vars(p) - set(declared))
     data = tuple((f"var_{name}", 0) for name in declared + extras)

@@ -6,25 +6,24 @@ and Lapalme, "Using closures for code generation", 1987).  It serves
 both word semantics: unbounded integers here, 32-bit words for
 ``typecheck.ceval_fixed``.  ``aeval`` and ``beval`` compile and apply.
 
-Three executions are provided:
+One command loop serves every execution: ``run_fueled`` takes the word
+semantics and a cost table as parameters.  It keeps an explicit stack
+of pending commands, so long sequences need no recursion.
 
-* ``run_fueled``: big-step evaluation with a fuel budget, taking the
-  word semantics as a parameter.  ``ceval_fuel`` runs it over unbounded
-  integers; ``typecheck.ceval_fixed`` runs it over 32-bit words.  Fuel
-  is an iteration budget: only loop unfoldings consume it (one unit
-  each), straight-line code is free.  A loop entered with zero fuel
-  reports ``OutOfFuel`` before even testing its guard, so
-  ``ceval_fuel(0, c, s)`` can complete only for loop-free ``c``.  It
-  keeps an explicit stack of pending commands, so long sequences need
-  no recursion.
-* ``step``: a small-step transition relation over (command, store)
-  configurations, with expressions evaluated atomically.
-* ``run_small``: a continuation-stack driver for that relation.  It
-  never builds intermediate terms, yet it takes exactly the transitions
-  ``step`` would (Assign 1, ``Seq(Skip, c)`` 1, If 1, 2 per While guard
-  test), so a budget of max_steps yields the same outcome as iterating
-  ``step`` max_steps times.  ``step`` is kept as the textbook relation
-  and the tests use it as the oracle for ``run_small``.
+* ``BIG_STEP``: fuel is an iteration budget.  Only loop unfoldings
+  consume it (one unit each) and straight-line code is free.  A loop
+  entered with zero fuel reports ``OutOfFuel`` before even testing its
+  guard, so ``ceval_fuel(0, c, s)`` can complete only for loop-free
+  ``c``.  ``ceval_fuel`` runs it over unbounded integers,
+  ``typecheck.ceval_fixed`` over 32-bit words.
+* ``SMALL_STEP``: fuel counts the transitions of ``step``, a
+  small-step relation over (command, store) configurations with
+  expressions evaluated atomically (Assign 1, ``Seq(Skip, c)`` 1, If
+  1, 2 per While guard test, and finding Skip terminal needs one
+  more).  ``run_small`` runs it, so a budget of max_steps yields the
+  same outcome as iterating ``step`` max_steps times without building
+  intermediate terms.  ``step`` is kept as the textbook relation and
+  the tests use it as the oracle for ``run_small``.
 
 The big-step and small-step executions agree on ``Done`` results; the
 property tests and the differential harness lean on that.
@@ -193,6 +192,12 @@ _OPS = {
 }
 
 
+_JOIN = {
+    And: lambda f, g: lambda env: f(env) and g(env),
+    Or: lambda f, g: lambda env: f(env) or g(env),
+}
+
+
 def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] = None):
     """Compile an arithmetic expression or a formula to a closure.
 
@@ -205,8 +210,9 @@ def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] =
     its position when called, so an unreached one is harmless.  ``memo``
     maps id(node) to its closure: a subtree shared by several parents
     (as in a VC) compiles once.  The left spine of binary operators
-    compiles to one closure that loops over its operands, so chains of
-    any length compile and run without recursion.
+    compiles to one closure that loops over its operands, and that of
+    ``&&`` or ``||`` to a balanced tree of two-operand closures, so
+    chains of any length compile and run without deep recursion.
     """
     memo = {} if memo is None else memo
     f = memo.get(id(e))
@@ -267,12 +273,23 @@ def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
     if t is Not:
         f = sub(n.operand)
         return lambda env: not f(env)
-    if t is And or t is Or or t is Implies:
+    if t is And or t is Or:
+        # the left spine of && (or of ||) folds pairwise into a balanced
+        # tree of two-operand closures: still left to right and short
+        # circuit, but only log2(terms) calls deep
+        fs = []
+        while type(n) is t:
+            fs.append(sub(n.right))
+            n = n.left
+        fs.append(sub(n))
+        fs.reverse()
+        join = _JOIN[t]
+        while len(fs) > 1:
+            pairs = [join(f, g) for f, g in zip(fs[0::2], fs[1::2])]
+            fs = pairs + fs[2 * len(pairs) :]
+        return fs[0]
+    if t is Implies:
         f, g = sub(n.left), sub(n.right)
-        if t is And:
-            return lambda env: f(env) and g(env)
-        if t is Or:
-            return lambda env: f(env) or g(env)
         return lambda env: not f(env) or g(env)
     raise TypeError(f"not an expression or formula: {n!r}")
 
@@ -287,23 +304,38 @@ def beval(s: Store, b: Assertion) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Big-step evaluation with fuel
+# Fueled execution
+
+# Fuel per transition.  An assignment, an if and resuming a pending
+# command each need what they spend (and Done needs what a resume does);
+# a loop-guard test needs the fourth entry, then spends the fifth when it
+# leaves the loop and the sixth when it enters the body.
+BIG_STEP = (0, 0, 0, 1, 0, 1)
+SMALL_STEP = (1, 1, 1, 2, 2, 2)
 
 
 def run_fueled(
-    fuel: int, c: Com, s: Store, word: Optional[dict[int, Ty]] = None
+    fuel: int,
+    c: Com,
+    s: Store,
+    word: Optional[dict[int, Ty]] = None,
+    cost=BIG_STEP,
 ) -> Outcome:
-    """Big-step execution of c under the given word semantics.
+    """Execute c under the given word semantics and cost table.
 
     ``word`` is ``compile_expr``'s, and each right-hand side and
-    condition compiles once per run, when first reached.  Fuel bounds
-    the number of loop unfoldings: a loop checks its fuel before testing
-    its guard and spends one unit per entry into its body; straight-line
-    code is free.  An explicit stack of the commands still to run and a
-    private store dict updated in place keep the Python stack flat.
+    condition compiles once per run, when first reached.  ``cost`` says
+    what each transition needs and spends (``BIG_STEP`` or
+    ``SMALL_STEP``); a transition whose need exceeds the fuel left
+    reports ``OutOfFuel`` before it evaluates anything.  An explicit
+    stack of the commands still to run and a private store dict updated
+    in place keep the Python stack flat.
     """
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
+    # a zero charge costs one truth test, so BIG_STEP's free transitions
+    # stay almost free
+    assign, branch, resume, test, leave, enter = cost
     rest: list[Com] = []
     s = Store(s._bindings)
     env = s._bindings
@@ -315,21 +347,35 @@ def run_fueled(
             c = c.first
             continue
         if t is Assign:
+            if assign:
+                if fuel < assign:
+                    return OUT_OF_FUEL
+                fuel -= assign
             env[c.var] = (memo.get(id(c.rhs)) or compile_expr(c.rhs, word, memo))(env)
         elif t is If:
+            if branch:
+                if fuel < branch:
+                    return OUT_OF_FUEL
+                fuel -= branch
             f = memo.get(id(c.cond)) or compile_expr(c.cond, word, memo)
             c = c.then_branch if f(env) else c.else_branch
             continue
         elif t is While:
-            if not fuel:
+            if fuel < test:
                 return OUT_OF_FUEL
             if (memo.get(id(c.cond)) or compile_expr(c.cond, word, memo))(env):
-                fuel -= 1
+                fuel -= enter
                 rest.append(c)
                 c = c.body
                 continue
+            fuel -= leave
         elif t is not Skip:
             raise TypeError(f"not a Com: {c!r}")
+        # c has reduced to Skip: resume the innermost pending command
+        if resume:
+            if fuel < resume:
+                return OUT_OF_FUEL
+            fuel -= resume
         if not rest:
             return Done(s)
         c = rest.pop()
@@ -373,57 +419,9 @@ def run_small(max_steps: int, c: Com, s: Store) -> Outcome:
 
     Done is returned when the configuration reaches Skip after T
     transitions with T < max_steps (the check that finds Skip terminal
-    is itself one of the budgeted calls); otherwise OutOfFuel.  The
-    minimal sufficient budget for a terminating program is therefore
-    observable by bisection.
-
-    Instead of rebuilding the term at every transition, the driver keeps
-    an explicit continuation stack of the commands still to run (a CEK
-    machine without environments).  Each stack entry stands for the
-    ``Seq(Skip, rest)`` transition that resumes it, and a While guard
-    test is the relation's two transitions (unfold, then If), so the
-    count matches ``step`` exactly, as do the points where expression
-    evaluation happens.
+    is itself one of the budgeted calls); otherwise OutOfFuel, so the
+    minimal sufficient budget is observable by bisection.  Each pending
+    command on ``run_fueled``'s stack stands for the ``Seq(Skip, rest)``
+    transition that resumes it.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    fuel = max_steps
-    rest: list[Com] = []
-    s = Store(s._bindings)  # private copy, updated in place
-    env = s._bindings
-    memo: dict = {}  # compiled right-hand sides and conditions
-    while True:
-        t = type(c)
-        if t is Seq:
-            rest.append(c.second)
-            c = c.first
-            continue
-        if t is Assign:
-            if not fuel:
-                return OUT_OF_FUEL
-            fuel -= 1
-            env[c.var] = (memo.get(id(c.rhs)) or compile_expr(c.rhs, None, memo))(env)
-        elif t is While:
-            if fuel < 2:
-                return OUT_OF_FUEL
-            fuel -= 2
-            if (memo.get(id(c.cond)) or compile_expr(c.cond, None, memo))(env):
-                rest.append(c)
-                c = c.body
-                continue
-        elif t is If:
-            if not fuel:
-                return OUT_OF_FUEL
-            fuel -= 1
-            f = memo.get(id(c.cond)) or compile_expr(c.cond, None, memo)
-            c = c.then_branch if f(env) else c.else_branch
-            continue
-        elif t is not Skip:
-            raise TypeError(f"not a Com: {c!r}")
-        # c has reduced to Skip: resume the innermost pending command
-        if not fuel:
-            return OUT_OF_FUEL
-        if not rest:
-            return Done(s)
-        fuel -= 1
-        c = rest.pop()
+    return run_fueled(max_steps, c, s, cost=SMALL_STEP)

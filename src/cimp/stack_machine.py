@@ -10,12 +10,15 @@ exactly one value on the stack), boolean expressions as conditional
 jumps parameterized by the polarity ``cond`` and a skip distance
 ``ofs`` (fall through when the value differs from ``cond``, jump
 ``ofs`` past the end of the emitted code when it matches), commands by
-structural composition.  There is no branch instruction for a strict
-less-than, so ``l < r`` compiles its operands in swapped order and uses
-the greater-than branch; expressions are pure, so the evaluation-order
-change is unobservable.  The compiler appends to one list from a work
-stack and back-patches branches, so neither long sequences nor long
-operator chains recurse.
+structural composition.  ``lower`` owns that jump-code layout of
+commands and conditions for both backends; the stack machine and
+``mips.codegen`` each supply a target that emits labels, jumps,
+assignments and compare-and-branch code.  There is no branch
+instruction for a strict less-than, so ``l < r`` compiles its operands
+in swapped order and uses the greater-than branch; expressions are
+pure, so the evaluation-order change is unobservable.  The compiler
+appends to one list from work stacks and back-patches branches, so
+neither long sequences nor long operator chains recurse.
 
 Machine fuel counts executed instructions (every instruction, halt
 included), unlike the reference interpreter's fuel, which counts loop
@@ -110,55 +113,16 @@ _CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
 
 
 def _emit(root, todo: list) -> list:
-    """Run a work stack of compilation tasks for root, last first; return the code.
+    """Postorder code for a work stack of expressions and instructions.
 
-    A task is a node (an AExpr compiles to postorder code, a Com to its
-    code), an instruction, ("cond", b, cond, label) for jump code that
-    branches to label iff b equals cond, ("jump", cls, label), or
-    ("mark", label, ofs), which puts label ofs past the code so far.  A
-    label is a one-element list.  Branches are patched to relative
-    offsets once every label is placed, so nothing recurses.  A
-    fixed-width node raises UnsupportedNode: the first in source order.
+    The tasks are run last first.  A fixed-width node raises
+    UnsupportedNode: the first in root in source order.
     """
     out: list = []
-    patches = []
     while todo:
         task = todo.pop()
         t = type(task)
-        if t is tuple:
-            kind = task[0]
-            if kind == "mark":
-                task[1][0] = len(out) + task[2]
-            elif kind == "jump":
-                patches.append((len(out), task[1], task[2]))
-                out.append(None)
-            else:
-                _, b, cond, target = task
-                bt = type(b)
-                if bt is BoolLit:
-                    if b.value == cond:
-                        todo.append(("jump", Ibranch, target))
-                elif bt is Not:
-                    todo.append(("cond", b.operand, not cond, target))
-                elif bt is Cmp:
-                    br = ("jump", _CMP_BRANCH[b.op][cond], target)
-                    if b.op == "<":
-                        todo += (br, b.left, b.right)
-                    else:
-                        todo += (br, b.right, b.left)
-                elif bt is And or bt is Or:
-                    # when the left operand alone can decide against cond,
-                    # it jumps past the right one; else both jump to target
-                    decides = (bt is And) == cond
-                    skip = [None]
-                    todo += (
-                        ("mark", skip, 0),
-                        ("cond", b.right, cond, target),
-                        ("cond", b.left, cond != decides, skip if decides else target),
-                    )
-                else:
-                    raise TypeError(f"not a BExpr: {b!r}")
-        elif t is IntLit:
+        if t is IntLit:
             out.append(Iconst(task.value))
         elif t is Var:
             out.append(Ivar(task.name))
@@ -167,28 +131,6 @@ def _emit(root, todo: list) -> list:
         elif t is Neg:
             out.append(Iconst(0))
             todo += (Isub(), task.operand)
-        elif t is Assign:
-            todo += (Isetvar(task.var), task.rhs)
-        elif t is Seq:
-            todo += (task.second, task.first)
-        elif t is If:
-            other, end = [None], [None]
-            todo += (
-                ("mark", end, 0),
-                task.else_branch,
-                ("mark", other, 0),
-                ("jump", Ibranch, end),
-                task.then_branch,
-                ("cond", task.cond, False, other),
-            )
-        elif t is While:
-            top, end = [len(out)], [None]
-            todo += (
-                ("mark", end, 0),
-                ("jump", Ibranch, top),
-                task.body,
-                ("cond", task.cond, False, end),
-            )
         elif t is BitOp or t is BitNot or t is Cast:
             # report the first one in source order, not in code order
             nodes = walk(root, code_only=True)
@@ -196,11 +138,98 @@ def _emit(root, todo: list) -> list:
             raise UnsupportedNode.at(first, "has no stack-machine encoding")
         elif t in _DECODE:
             out.append(task)
-        elif t is not Skip:
-            raise TypeError(f"not an AExpr or Com: {task!r}")
-    for at, cls, target in patches:
-        out[at] = cls(target[0] - at - 1)
+        else:
+            raise TypeError(f"not an AExpr: {task!r}")
     return out
+
+
+def lower(root, target) -> None:
+    """Lay out a command, or a condition task (b, cond, label), as jump code.
+
+    This is the one control-flow scheme of both backends.  A condition
+    task branches to label exactly when b evaluates to cond and falls
+    through otherwise.  ``target`` supplies the rest: ``label(kind)``
+    makes a label, ``place(label)`` puts it at the code so far,
+    ``jump(label)`` and ``branch(cmp, cond, label)`` emit an
+    unconditional and a compare-and-branch, and ``assign(var, rhs)``
+    emits an assignment.  The work stack also holds (``place`` or
+    ``jump``, label) pairs to run once everything pushed after them is
+    done, so neither long sequences nor long conditions recurse.
+    """
+    place, jump = target.place, target.jump
+    todo: list = [root]
+    while todo:
+        task = todo.pop()
+        t = type(task)
+        if t is tuple:
+            if len(task) == 2:
+                task[0](task[1])
+                continue
+            b, cond, label = task
+            t = type(b)
+            if t is Cmp:
+                target.branch(b, cond, label)
+            elif t is BoolLit:
+                if b.value == cond:
+                    jump(label)
+            elif t is Not:
+                todo.append((b.operand, not cond, label))
+            elif t is And or t is Or:
+                if cond == (t is Or):
+                    # either operand alone decides: both branch to label
+                    todo += ((b.right, cond, label), (b.left, cond, label))
+                else:
+                    # the left operand can only skip the right one
+                    skip = target.label("skip")
+                    todo += ((place, skip), (b.right, cond, label), (b.left, not cond, skip))
+            else:
+                raise TypeError(f"not a BExpr: {b!r}")
+        elif t is Seq:
+            todo += (task.second, task.first)
+        elif t is Assign:
+            target.assign(task.var, task.rhs)
+        elif t is If:
+            other, end = target.label("else"), target.label("endif")
+            todo += ((place, end), task.else_branch, (place, other), (jump, end),
+                     task.then_branch, (task.cond, False, other))
+        elif t is While:
+            top, end = target.label("loop"), target.label("endloop")
+            place(top)
+            todo += ((place, end), (jump, top), task.body, (task.cond, False, end))
+        elif t is not Skip:
+            raise TypeError(f"not a Com: {task!r}")
+
+
+class _StackTarget:
+    """``lower``'s target for the stack machine.  A label is a one-element
+    list holding its index once placed; branches are patched to relative
+    offsets when the code is finished."""
+
+    def __init__(self):
+        self.out, self.patches = [], []
+
+    def label(self, kind: str) -> list:
+        return [None]
+
+    def place(self, label: list, ofs: int = 0) -> None:
+        label[0] = len(self.out) + ofs
+
+    def jump(self, label: list, cls=Ibranch) -> None:
+        self.patches.append((len(self.out), cls, label))
+        self.out.append(None)
+
+    def branch(self, b: Cmp, cond: bool, label: list) -> None:
+        first, second = (b.right, b.left) if b.op == "<" else (b.left, b.right)
+        self.out += _emit(b, [second, first])
+        self.jump(label, _CMP_BRANCH[b.op][cond])
+
+    def assign(self, var: str, rhs: AExpr) -> None:
+        self.out += _emit(rhs, [Isetvar(var), rhs])
+
+    def code(self) -> Code:
+        for at, cls, label in self.patches:
+            self.out[at] = cls(label[0] - at - 1)
+        return tuple(self.out)
 
 
 def compile_aexp(e: AExpr) -> Code:
@@ -216,16 +245,20 @@ def compile_bexp(b: BExpr, cond: bool, ofs: int) -> Code:
     """
     if ofs < 0:
         raise ValueError("ofs must be nonnegative")
-    end = [None]
-    return tuple(_emit(b, [("mark", end, ofs), ("cond", b, cond, end)]))
+    target, end = _StackTarget(), [None]
+    lower((b, cond, end), target)
+    target.place(end, ofs)
+    return target.code()
 
 
 def compile_com(c: Com) -> Code:
-    return tuple(_emit(c, [c]))
+    target = _StackTarget()
+    lower(c, target)
+    return target.code()
 
 
 def compile_program(p: Program) -> StackProgram:
-    return StackProgram(tuple(_emit(p.body, [Ihalt(), p.body])))
+    return StackProgram(compile_com(p.body) + (Ihalt(),))
 
 
 # ---------------------------------------------------------------------------

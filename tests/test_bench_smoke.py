@@ -1,8 +1,9 @@
-"""One quick round of the benchmark's compile-large workload.
+"""One quick round of each benchmark workload that exercises the engines.
 
-bench/run.py compiles generated programs on every backend and checks
-each stack listing and MIPS assembly text with interpreters of its own,
-so a backend change that the benchmark would reject fails here first.
+bench/run.py checks every output with interpreters of its own: the
+stores that run-loops and fuzz report on every engine, and the stack
+listings and MIPS assembly that compile-large produces on every backend.
+So a change that the benchmark would reject fails here first.
 """
 
 import json
@@ -10,11 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_compile_large_quick_round():
-    argv = [sys.executable, "bench/run.py", "--workload", "compile-large",
+@pytest.mark.parametrize("workload", ["run-loops", "compile-large", "fuzz"])
+def test_quick_round(workload):
+    argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "0", "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

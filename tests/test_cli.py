@@ -1,4 +1,5 @@
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,30 @@ def test_operator_chains_on_every_engine(tmp_path, capsys, terms):
     for engine in ("bigstep", "mips"):
         code, out, _ = _run(capsys, "run", typed, "--engine", engine)
         assert (code, out) == (0, f"x={2**32 + 1 - terms}\n"), engine
+
+
+@pytest.mark.parametrize("terms", [2000, 10**4])
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_condition_chains_on_every_engine(tmp_path, capsys, op, terms):
+    # x = 0 makes every term of the && chain true and every term of the
+    # || chain false, so each engine evaluates all of them
+    atom = "x < {}" if op == "&&" else "x = {}"
+    cond = f" {op} ".join(atom.format(i + 1) for i in range(terms))
+    y = 1 if op == "&&" else 2
+    text = f"x := 0;\nif {cond} then y := 1 else y := 2 end\n"
+    path = _src(tmp_path, text)
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        code, out, _ = _run(capsys, "run", path, "--engine", engine)
+        assert (code, out) == (0, f"x=0\ny={y}\n"), engine
+    for backend in ("stack", "mips"):
+        assert _run(capsys, "compile", path, "--backend", backend)[0] == 0, backend
+    assert _run(capsys, "vc", path, "--post", f"y = {y}", "--bounded-check", "2") == (
+        0, "vc_0_top: valid\n", ""
+    )
+    typed = _src(tmp_path, "var x: u32; var y: u32;\n" + text, "t.imp")
+    for engine in ("bigstep", "mips"):
+        code, out, _ = _run(capsys, "run", typed, "--engine", engine)
+        assert (code, out) == (0, f"x=0\ny={y}\n"), engine
 
 
 def test_unreached_bit_operator_is_harmless_in_untyped_programs(tmp_path, capsys):
@@ -324,6 +349,24 @@ def test_compile_opt_shrinks_constant_code(tmp_path, capsys):
     code, opt, _ = _run(capsys, "compile", path, "-O", "2")
     assert code == 0
     assert len(opt.splitlines()) < len(plain.splitlines())
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ((), "control.stack"),
+        (("--backend", "mips", "--emulate-mul"), "control.naive.s"),
+        (("--backend", "mips", "--regalloc", "su", "--emulate-mul"), "control.su.s"),
+    ],
+)
+def test_compile_output_is_pinned(capsys, flags, expected):
+    # control.imp has if, while, &&, ||, !, true, false and *: the jump
+    # code layout, the label names and their numbering are all pinned
+    out = _run(capsys, "compile", str(GOLDEN / "control.imp"), *flags)
+    assert out == (0, (GOLDEN / expected).read_text(), "")
 
 
 def test_compile_flags_need_mips_backend(tmp_path, capsys):

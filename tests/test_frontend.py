@@ -387,6 +387,37 @@ def test_roundtrip_program(p):
     assert parse_program(pretty(p)) == p
 
 
+def _left_chain(make, leaf, ops, n):
+    e = leaf(0)
+    for i in range(1, n):
+        e = make(ops[i % len(ops)], e, leaf(i))
+    return e
+
+
+@pytest.mark.parametrize("kind", ["+-", "*", "bits", "&&", "||"])
+def test_roundtrip_long_chains(kind):
+    # the printer works from an explicit stack: 10^4-term chains print
+    # without recursion, with no parentheses to exceed the nesting limit
+    n, decls = 10**4, ()
+    if kind in ("&&", "||"):
+        cls = sx.And if kind == "&&" else sx.Or
+        cond = _left_chain(
+            lambda _, a, b: cls(a, b), lambda i: sx.Cmp("<", sx.Var("x"), sx.IntLit(i)), "_", n
+        )
+        c = sx.If(cond, sx.Skip(), sx.Skip())
+    elif kind == "bits":
+        decls = (("x", sx.Ty.U32),)
+        c = sx.Assign("x", _left_chain(sx.BitOp, sx.IntLit, ["&", "|", "^", "<<", ">>"], n))
+    elif kind == "*":
+        c = sx.Assign("x", _left_chain(sx.BinOp, lambda i: sx.Var("y"), "*", n))
+    else:
+        c = sx.Assign("x", _left_chain(sx.BinOp, sx.IntLit, "+-", n))
+    text = pretty(sx.Program(decls, c))
+    assert "(" not in text
+    p = parse_program(text)
+    assert p.decls == decls and sx.equal(p.body, c)
+
+
 def test_roundtrip_exercises_token_constructor():
     # Token is part of the public lexer contract; spot-check a field set.
     t = Token("ident", "x", 3, 7)

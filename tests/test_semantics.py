@@ -220,6 +220,30 @@ def test_compile_expr_folds_long_chains(terms):
     assert compile_expr(e, {})(env) == want % 2**32
 
 
+@pytest.mark.parametrize("terms", [2, 3, 7, 10**4])
+@pytest.mark.parametrize("op", [sx.And, sx.Or])
+def test_compile_expr_folds_condition_chains_in_order(op, terms):
+    # a left spine of && (or ||) evaluates left to right and stops at the
+    # first term that decides it: the bit operator after it is never reached
+    x = sx.Var("x")
+    undecided = sx.Cmp("<", x, sx.IntLit(1)) if op is sx.And else sx.Cmp("=", x, sx.IntLit(1))
+    decides = sx.Not(undecided)
+    unreached = sx.Cmp("<", sx.BitNot(x), x)
+
+    def chain(items):
+        e = items[0]
+        for item in items[1:]:
+            e = op(e, item)
+        return e
+
+    for k in sorted({0, terms // 2, terms - 2}):
+        items = [undecided] * k + [decides, unreached] + [undecided] * (terms - k - 2)
+        assert compile_expr(chain(items))({}) is (op is sx.Or)
+    assert compile_expr(chain([undecided] * terms))({}) is (op is sx.And)
+    with pytest.raises(UnsupportedNode):
+        compile_expr(chain([undecided] * (terms - 1) + [unreached]))({})
+
+
 CHAIN_OPS = {"+": sx.BinOp, "-": sx.BinOp, "*": sx.BinOp, "&": sx.BitOp,
              "|": sx.BitOp, "^": sx.BitOp, "<<": sx.BitOp, ">>": sx.BitOp}
 
