@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .difftest import run_diff
+from .difftest import DEFAULT_ENGINES, ENGINE_NAMES, check_engines, run_diff
 from .errors import CimpError
 from .frontend import parse_assertion_text, parse_program
 from .generator import GenSpec
@@ -28,21 +28,13 @@ from .hoare import (
     solve_smtlib,
     vcgen,
 )
-from .mips import BudgetExhausted, Halted, Ins, Trap, codegen, emit_asm, simulate
+from .mips import Ins, codegen, emit_asm
 from .optimizer import OPT_LEVELS, optimize
-from .semantics import (
-    Done,
-    Store,
-    ceval_fuel,
-    format_store,
-    parse_store,
-    run_small,
-)
-from .stack_machine import MachineError, compile_program, listing, vm_exec
+from .semantics import Store, parse_store
+from .stack_machine import compile_program, listing
 from .syntax import ATrue, Program, Ty
-from .typecheck import ceval_fixed, to_signed, typecheck, word32
+from .typecheck import to_signed, typecheck
 
-ENGINES = ("bigstep", "smallstep", "stackvm", "mips")
 BACKENDS = ("stack", "mips")
 
 
@@ -72,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="execute a program and print its final store")
     r.add_argument("file")
-    r.add_argument("--engine", choices=ENGINES, default="bigstep")
+    r.add_argument("--engine", choices=ENGINE_NAMES, default="bigstep")
     r.add_argument("--fuel", type=int, default=10**6)
     r.add_argument("--budget", type=int, default=10**7)
     r.add_argument("--store-in", dest="store_in", default=None)
@@ -127,14 +119,13 @@ def _read_program(path: str) -> Program:
     return parse_program(Path(path).read_text())
 
 
-def _typed_store_lines(p: Program, values) -> str:
+def _store_lines(p: Program, values) -> str:
+    """One ``name=value`` line per binding, names sorted; i32 words print signed."""
     env = dict(p.decls)
-    out = []
-    for name in sorted(env):
-        word = word32(values(name))
-        shown = to_signed(word) if env[name] is Ty.I32 else word
-        out.append(f"{name}={shown}\n")
-    return "".join(out)
+    return "".join(
+        f"{name}={to_signed(v) if env.get(name) is Ty.I32 else v}\n"
+        for name, v in sorted(values.items())
+    )
 
 
 def _cmd_compile(args) -> int:
@@ -153,55 +144,20 @@ def _cmd_compile(args) -> int:
 
 def _cmd_run(args) -> int:
     p = _read_program(args.file)
-    if p.typed and args.engine in ("smallstep", "stackvm"):
-        raise _UsageError(f"engine {args.engine} runs untyped programs only")
+    check_engines((args.engine,), p.typed)
     store = Store({})
     if args.store_in:
         store = parse_store(Path(args.store_in).read_text())
     p = optimize(p, args.opt)
-
-    if args.engine == "mips":
-        prog = codegen(p, emulate_mul=True)
-        init = {name: word32(value) for name, value in store.items()}
-        out = simulate(prog, init=init, budget=args.budget)
-        if isinstance(out, Halted):
-            if p.typed:
-                sys.stdout.write(_typed_store_lines(p, lambda n: out.words[n]))
-            else:
-                # untyped values are read as signed words, like i32
-                sys.stdout.write(
-                    "".join(f"{k}={to_signed(v)}\n" for k, v in sorted(out.words.items()))
-                )
-            return 0
-        if isinstance(out, BudgetExhausted):
-            print("budget exhausted")
-            return 0
-        assert isinstance(out, Trap)
-        print(f"internal error: trap: {out.reason}", file=sys.stderr)
-        return 2
-
-    if args.engine == "bigstep" and p.typed:
-        out = ceval_fixed(args.fuel, typecheck(p), store)
-        if isinstance(out, Done):
-            sys.stdout.write(_typed_store_lines(p, out.store.get))
-            return 0
-        print("out of fuel")
+    kind, value = DEFAULT_ENGINES[args.engine](p, store, args.fuel, args.budget)
+    if kind == "done":
+        sys.stdout.write(_store_lines(p, value))
         return 0
-
-    if args.engine == "bigstep":
-        out = ceval_fuel(args.fuel, p.body, store)
-    elif args.engine == "smallstep":
-        out = run_small(args.fuel, p.body, store)
-    else:
-        out = vm_exec(args.fuel, compile_program(p), store)
-        if isinstance(out, MachineError):
-            print(f"internal error: {out.reason}", file=sys.stderr)
-            return 2
-    if isinstance(out, Done):
-        sys.stdout.write(format_store(out.store))
+    if kind == "out_of_fuel":
+        print("budget exhausted" if args.engine == "mips" else "out of fuel")
         return 0
-    print("out of fuel")
-    return 0
+    print(f"internal error: {value}", file=sys.stderr)
+    return 2
 
 
 def _flag_formula(flag: str, text: str, p: Program):

@@ -6,11 +6,16 @@ final stores across the unbounded engines; typed programs compare
 32-bit words between the fixed-width reference and the MIPS simulator.
 Divergence is data, not an error: it lands in the report.
 
+``DEFAULT_ENGINES`` is the one engine table: ``cimp run`` calls one
+entry, ``cimp fuzz`` (``run_diff``) several, and both check the names
+with ``check_engines``.
+
 Engines:
     bigstep     fueled big-step (fixed-width when the program is typed)
-    smallstep   reflexive-transitive small-step closure (untyped only)
+    smallstep   fueled small-step (untyped only)
     stackvm     stack-machine compile + fueled VM (untyped only)
-    mips        codegen + instruction-level simulator (typed only)
+    mips        codegen + instruction-level simulator (``cimp run``
+                takes untyped programs too; ``cimp fuzz`` typed only)
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from typing import Callable, Optional
 
 from .frontend import pretty
 from .generator import GenSpec, fuel_bound, gen_program
-from .mips import BudgetExhausted, Halted, Trap, codegen, simulate
+from .mips import Halted, Trap, codegen, simulate
 from .semantics import Done, Store, ceval_fuel, run_small
 from .stack_machine import MachineError, compile_program, vm_exec
 from .syntax import Program
-from .typecheck import ceval_fixed, typecheck, word32
+from .typecheck import ceval_fixed, to_signed, typecheck, word32
 
 ENGINE_NAMES = ("bigstep", "smallstep", "stackvm", "mips")
 
@@ -56,25 +61,8 @@ class DiffReport:
         return self.divergences == 0 and self.skipped == 0
 
 
-def _words(p: Program, store: Store) -> dict:
-    return {name: word32(store.get(name)) for name, _ in p.decls}
-
-
-def _eng_bigstep(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    if p.typed:
-        out = ceval_fixed(fuel, typecheck(p), store)
-        return ("done", _words(p, out.store)) if isinstance(out, Done) else ("out_of_fuel", None)
-    out = ceval_fuel(fuel, p.body, store)
-    return ("done", out.store) if isinstance(out, Done) else ("out_of_fuel", None)
-
-
-def _eng_smallstep(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    out = run_small(fuel, p.body, store)
-    return ("done", out.store) if isinstance(out, Done) else ("out_of_fuel", None)
-
-
-def _eng_stackvm(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    out = vm_exec(fuel, compile_program(p), store)
+def _outcome(out) -> Outcome:
+    """A fueled run's result (Done, OutOfFuel or MachineError) as an outcome."""
     if isinstance(out, Done):
         return ("done", out.store)
     if isinstance(out, MachineError):
@@ -82,26 +70,44 @@ def _eng_stackvm(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
     return ("out_of_fuel", None)
 
 
-def _mips_engine(strategy: str) -> Engine:
-    def run(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-        prog = codegen(p, strategy=strategy, emulate_mul=True)
-        out = simulate(prog, init=dict(store.items()), budget=budget)
-        if isinstance(out, Halted):
-            return ("done", dict(out.words))
-        if isinstance(out, Trap):
-            return ("error", out.reason)
-        assert isinstance(out, BudgetExhausted)
-        return ("out_of_fuel", None)
+def _eng_bigstep(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
+    if not p.typed:
+        return _outcome(ceval_fuel(fuel, p.body, store))
+    kind, out = _outcome(ceval_fixed(fuel, typecheck(p), store))
+    if kind == "done":
+        return ("done", {name: word32(out.get(name)) for name, _ in p.decls})
+    return (kind, out)
 
-    return run
+
+def _eng_mips(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
+    out = simulate(codegen(p, emulate_mul=True), init=dict(store.items()), budget=budget)
+    if isinstance(out, Halted):
+        if p.typed:
+            return ("done", dict(out.words))
+        # untyped values are read as signed words, like i32
+        return ("done", {name: to_signed(w) for name, w in out.words.items()})
+    if isinstance(out, Trap):
+        return ("error", f"trap: {out.reason}")
+    return ("out_of_fuel", None)
 
 
 DEFAULT_ENGINES = {
     "bigstep": _eng_bigstep,
-    "smallstep": _eng_smallstep,
-    "stackvm": _eng_stackvm,
-    "mips": _mips_engine("naive"),
+    "smallstep": lambda p, store, fuel, budget: _outcome(run_small(fuel, p.body, store)),
+    "stackvm": lambda p, store, fuel, budget: _outcome(vm_exec(fuel, compile_program(p), store)),
+    "mips": _eng_mips,
 }
+
+
+def check_engines(names, typed: bool) -> None:
+    """Raise ValueError on an unknown engine name, or on an untyped-only
+    engine asked to run a typed program."""
+    for name in names:
+        if name not in ENGINE_NAMES:
+            raise ValueError(f"unknown engine {name!r}")
+    for name in names:
+        if typed and name in ("smallstep", "stackvm"):
+            raise ValueError(f"engine {name} runs untyped programs only")
 
 
 def default_engine_names(typed: bool) -> tuple[str, ...]:
@@ -133,15 +139,9 @@ def run_diff(
     if count < 0:
         raise ValueError("count must be nonnegative")
     names = tuple(engines) if engines else default_engine_names(spec.typed)
-    for name in names:
-        if name not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {name!r}")
+    check_engines(names, spec.typed)
     if "mips" in names and not spec.typed:
         raise ValueError("engine mips requires typed generation")
-    if spec.typed:
-        for name in names:
-            if name in ("smallstep", "stackvm"):
-                raise ValueError(f"engine {name} runs untyped programs only")
     table = dict(DEFAULT_ENGINES)
     if impls:
         table.update(impls)

@@ -283,14 +283,20 @@ class _Parser:
     # -- formulas -----------------------------------------------------------
 
     def formula(self) -> Assertion:
-        left = self.disjunction()
-        if self.at("->"):
+        # '->' is right-associative: read the operands in a loop, then
+        # fold them from the right
+        operands = [self.disjunction()]
+        arrows = []
+        while self.at("->"):
             op = self.advance()
             if self.guard:
                 raise CimpError("'->' may appear in specifications only", op.pos)
-            right = self.formula()  # right-associative
-            return Implies(left, right, pos=op.pos)
-        return left
+            arrows.append(op)
+            operands.append(self.disjunction())
+        out = operands.pop()
+        while arrows:
+            out = Implies(operands.pop(), out, pos=arrows.pop().pos)
+        return out
 
     def disjunction(self) -> Assertion:
         left = self.conjunction()

@@ -42,7 +42,6 @@ from .syntax import (
     Ty,
     Var,
     While,
-    statements,
 )
 
 
@@ -179,12 +178,12 @@ class _Gen:
         t = self.env[name] if self.spec.typed else None
         return Assign(name, self.aexp(min(depth, 3), t, in_loop))
 
-    def _atom(self, depth: int, in_loop: bool) -> Com:
+    def _atom(self, depth: int, in_loop: bool) -> list[Com]:
         if self.rng.random() < 0.08:
-            return Skip()
-        return self._assign(depth, in_loop)
+            return [Skip()]
+        return [self._assign(depth, in_loop)]
 
-    def _while(self, depth: int, in_loop: bool) -> Com:
+    def _while(self, depth: int, in_loop: bool) -> list[Com]:
         counter = f"i{len(self.counters)}"
         ty = self.rng.choice((Ty.I32, Ty.U32)) if self.spec.typed else None
         if self.spec.typed:
@@ -195,44 +194,32 @@ class _Gen:
         body = self.block(depth - 1, True)
         self.active.pop()
         step = Assign(counter, BinOp("+", Var(counter), IntLit(1)))
-        loop = While(Cmp("<=", Var(counter), IntLit(bound)), None, Seq(body, step))
-        return Seq(Assign(counter, IntLit(0)), loop)
+        loop = While(Cmp("<=", Var(counter), IntLit(bound)), None, _seq(body + [step]))
+        return [Assign(counter, IntLit(0)), loop]
 
-    def stmt(self, depth: int, in_loop: bool) -> Com:
+    def stmt(self, depth: int, in_loop: bool) -> list[Com]:
+        """One statement, or a loop's two: its counter reset and the while."""
         if depth <= 1:
             return self._atom(depth, in_loop)
         roll = self.rng.random()
         if roll < 0.5:
             return self._atom(depth, in_loop)
         if roll < 0.75:
-            return If(
-                self.bexp(2, in_loop),
-                self.block(depth - 1, in_loop),
-                self.block(depth - 1, in_loop),
-            )
+            cond = self.bexp(2, in_loop)
+            then_branch = _seq(self.block(depth - 1, in_loop))
+            return [If(cond, then_branch, _seq(self.block(depth - 1, in_loop)))]
         return self._while(depth, in_loop)
 
-    def block(self, depth: int, in_loop: bool) -> Com:
-        stmts = [self.stmt(depth, in_loop) for _ in range(self.rng.randint(1, 3))]
-        out = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            out = Seq(s, out)
-        return out
+    def block(self, depth: int, in_loop: bool) -> list[Com]:
+        return [s for _ in range(self.rng.randint(1, 3)) for s in self.stmt(depth, in_loop)]
 
 
-def _reseq(c: Com) -> Com:
-    """Right-nest every sequence, the parser's canonical shape."""
-    if isinstance(c, Seq):
-        items = [_reseq(s) for s in statements(c)]
-        out = items[-1]
-        for s in reversed(items[:-1]):
-            out = Seq(s, out)
-        return out
-    if isinstance(c, If):
-        return If(c.cond, _reseq(c.then_branch), _reseq(c.else_branch))
-    if isinstance(c, While):
-        return While(c.cond, c.invariant, _reseq(c.body))
-    return c
+def _seq(stmts: list[Com]) -> Com:
+    """The statements right-nested, the parser's canonical shape."""
+    out = stmts[-1]
+    for s in reversed(stmts[:-1]):
+        out = Seq(s, out)
+    return out
 
 
 def gen_program(spec: GenSpec) -> Program:
@@ -244,7 +231,7 @@ def gen_program(spec: GenSpec) -> Program:
     if spec.max_loop_bound < 0:
         raise ValueError("max_loop_bound must be nonnegative")
     g = _Gen(spec)
-    body = _reseq(g.block(spec.max_depth, False))
+    body = _seq(g.block(spec.max_depth, False))
     if spec.typed:
         decls = tuple((n, g.env[n]) for n in g.names) + tuple(g.counters)
     else:

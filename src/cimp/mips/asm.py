@@ -2,7 +2,10 @@
 
 emit_asm prints a program in conventional two-section form; parse_asm
 reads the same dialect back.  parse_asm(emit_asm(p)) == p for every
-program built from the declared subset.
+program built from the declared subset.  parse_asm builds each
+instruction with ``isa.ins``, so an instruction that does not fit its
+shape is rejected by the same test the simulator's ``check`` applies,
+reported at its line.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import re
 
 from ..errors import CimpError
 from ..syntax import SrcPos
-from .isa import SHAPES, Ins, LabelDef, Mem, MipsProgram, _IMM_RANGE, _REGSET
+from .isa import SHAPES, LabelDef, Mem, MipsProgram, ins
 
 
 class AsmError(CimpError):
@@ -64,35 +67,15 @@ _DATA_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*\.word\s+(-?\d+)$")
 
 
 def _parse_operand(kind: str, token: str, line_no: int):
-    if kind == "reg":
-        if token not in _REGSET:
-            raise AsmError(line_no, f"unknown register {token!r}")
-        return token
-    if kind in _IMM_RANGE:
-        lo, hi = _IMM_RANGE[kind]
+    """The token read as a kind operand; ``ins`` checks its value, and an
+    undefined label is reported when the pass ends."""
+    if kind in ("imm16u", "imm16s", "shamt"):
         try:
-            value = int(token, 0)
+            return int(token, 0)
         except ValueError:
             raise AsmError(line_no, f"expected an integer, got {token!r}") from None
-        if not lo <= value <= hi:
-            raise AsmError(line_no, f"immediate {value} outside [{lo}, {hi}]")
-        return value
-    if kind == "addr":
-        m = _MEM_RE.match(token)
-        if m:
-            offset, base = int(m.group(1)), m.group(2)
-            if base not in _REGSET:
-                raise AsmError(line_no, f"unknown register {base!r}")
-            if not -0x8000 <= offset <= 0x7FFF:
-                raise AsmError(line_no, f"offset {offset} outside [-32768, 32767]")
-            return Mem(offset, base)
-        if not _LABEL_RE.match(token):
-            raise AsmError(line_no, f"expected a label or offset($reg), got {token!r}")
-        return token
-    assert kind == "label"
-    if not _LABEL_RE.match(token):
-        raise AsmError(line_no, f"expected a label, got {token!r}")
-    return token
+    m = _MEM_RE.match(token) if kind == "addr" else None
+    return Mem(int(m.group(1)), m.group(2)) if m else token
 
 
 def parse_asm(src: str) -> MipsProgram:
@@ -140,19 +123,18 @@ def parse_asm(src: str) -> MipsProgram:
             continue
         parts = line.split(None, 1)
         op = parts[0]
-        shape = SHAPES.get(op)
-        if shape is None:
-            raise AsmError(line_no, f"unknown mnemonic {op!r}")
+        shape = SHAPES.get(op, ())
         tokens = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
-        if len(tokens) != len(shape):
-            raise AsmError(line_no, f"{op} takes {len(shape)} operands, got {len(tokens)}")
-        args = tuple(
-            _parse_operand(kind, token, line_no) for kind, token in zip(shape, tokens)
-        )
+        # tokens past the shape stay text, so ins reports the operand count
+        args = [_parse_operand(k, t, line_no) for k, t in zip(shape, tokens)]
+        try:
+            item = ins(op, *args, *tokens[len(shape) :])
+        except ValueError as err:
+            raise AsmError(line_no, str(err)) from None
         for kind, arg in zip(shape, args):
             if kind == "label" or (kind == "addr" and isinstance(arg, str)):
                 refs.append((line_no, arg, kind))
-        text.append(Ins(op, args))
+        text.append(item)
 
     data_names = {name for name, _ in data}
     text_names = {i.name for i in text if isinstance(i, LabelDef)}

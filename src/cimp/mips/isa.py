@@ -4,6 +4,10 @@ Instructions are kept symbolic: register operands are names like "$t0",
 memory operands are either a data label or offset($base), and branch
 targets are label names.  Label definitions live in the text stream as
 their own entries; the simulator resolves them to instruction indices.
+
+``ins`` decides whether one instruction fits its shape, and ``check``
+whether a whole program can run: the simulator loads a program only
+after ``check``, and ``well_formed`` is ``check`` plus codegen's layout.
 """
 
 from __future__ import annotations
@@ -115,6 +119,19 @@ def operand_ok(kind: str, arg) -> bool:
     return isinstance(arg, str) and not arg.startswith("$")
 
 
+def _check_shape(op: str, args: tuple) -> tuple:
+    """op's operand shape; ValueError unless args fit it."""
+    shape = SHAPES.get(op)
+    if shape is None:
+        raise ValueError(f"unknown mnemonic {op!r}")
+    if len(args) != len(shape):
+        raise ValueError(f"{op} takes {len(shape)} operands, got {len(args)}")
+    for kind, arg in zip(shape, args):
+        if not operand_ok(kind, arg):
+            raise ValueError(f"bad {kind} operand {arg!r} for {op}")
+    return shape
+
+
 def ins(op: str, *args) -> Ins:
     """Build an instruction, checking the operand shape.
 
@@ -125,39 +142,55 @@ def ins(op: str, *args) -> Ins:
     ones with a varying operand (constants, variable loads and stores,
     branches to fresh labels) are built, and checked, at each use.
     """
-    shape = SHAPES.get(op)
-    if shape is None:
-        raise ValueError(f"unknown mnemonic {op!r}")
-    if len(args) != len(shape):
-        raise ValueError(f"{op} takes {len(shape)} operands, got {len(args)}")
-    for kind, arg in zip(shape, args):
-        if not operand_ok(kind, arg):
-            raise ValueError(f"bad {kind} operand {arg!r} for {op}")
-    return Ins(op, tuple(args))
+    _check_shape(op, args)
+    return Ins(op, args)
+
+
+def check(prog: MipsProgram) -> dict[str, int]:
+    """Each text label's instruction index; ValueError if prog cannot run.
+
+    prog cannot run when main is missing, a text label is defined twice,
+    an instruction does not fit its shape (the test ``ins`` applies), or
+    a branch target or data label is undefined.  Each distinct
+    instruction object is checked once: codegen shares the ones whose
+    operands never change.
+    """
+    target: dict[str, int] = {}
+    n_ins = 0
+    for item in prog.text:
+        if isinstance(item, LabelDef):
+            if item.name in target:
+                raise ValueError(f"duplicate label {item.name!r}")
+            target[item.name] = n_ins
+        else:
+            n_ins += 1
+    if "main" not in target:
+        raise ValueError("no main label")
+    data = {name for name, _ in prog.data}
+    seen: set[int] = set()
+    for item in prog.text:
+        if isinstance(item, LabelDef) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        for kind, arg in zip(_check_shape(item.op, item.args), item.args):
+            if kind == "label" and arg not in target:
+                raise ValueError(f"undefined branch target {arg!r}")
+            if kind == "addr" and isinstance(arg, str) and arg not in data:
+                raise ValueError(f"undefined data label {arg!r}")
+    return target
 
 
 def well_formed(prog: MipsProgram) -> bool:
-    """Text starts at main, ends in break, labels unique and resolved."""
-    if not prog.text or prog.text[0] != LabelDef("main"):
+    """``check`` passes, text starts at main and ends in break, labels
+    are unique across both sections and data words fit 32 bits."""
+    try:
+        target = check(prog)
+    except ValueError:
         return False
-    if prog.text[-1] != Ins("break"):
-        return False
-    text_labels = [i.name for i in prog.text if isinstance(i, LabelDef)]
-    data_labels = [name for name, _ in prog.data]
-    all_labels = text_labels + data_labels
-    if len(set(all_labels)) != len(all_labels):
-        return False
-    for item in prog.text:
-        if not isinstance(item, Ins):
-            continue
-        shape = SHAPES.get(item.op)
-        if shape is None or len(shape) != len(item.args):
-            return False
-        for kind, arg in zip(shape, item.args):
-            if not operand_ok(kind, arg):
-                return False
-            if kind == "label" and arg not in text_labels:
-                return False
-            if kind == "addr" and isinstance(arg, str) and arg not in data_labels:
-                return False
-    return all(w == w & 0xFFFFFFFF for _, w in prog.data)
+    labels = {name for name, _ in prog.data} | set(target)
+    return (
+        prog.text[0] == LabelDef("main")
+        and prog.text[-1] == Ins("break")
+        and len(labels) == len(prog.data) + len(target)
+        and all(w == w & 0xFFFFFFFF for _, w in prog.data)
+    )

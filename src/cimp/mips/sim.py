@@ -7,12 +7,13 @@ starts at STACK_TOP growing downward.  Execution begins at main and
 stops at break, when the instruction budget runs out, or on a trap
 (unaligned access or the pc escaping the text segment).
 
-Each call first runs the load-time checks (main present, labels unique,
-every branch target and data label defined) and only then pre-decodes
-the text once: labels become instruction indices, registers become list
-slots, data labels become absolute addresses and mnemonics become small
-integer opcodes.  The decoded program runs in one flat dispatch loop.
-Labels take no room in the decoded program, so they consume no budget.
+Each call first runs ``isa.check`` (main present, text labels unique,
+every instruction fitting its shape, every branch target and data label
+defined) and only then pre-decodes the text once: labels become
+instruction indices, registers become list slots, data labels become
+absolute addresses and mnemonics become small integer opcodes.  The
+decoded program runs in one flat dispatch loop.  Labels take no room in
+the decoded program, so they consume no budget.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .isa import REGISTERS, SHAPES, Ins, LabelDef, Mem, MipsProgram
+from .isa import REGISTERS, LabelDef, Mem, MipsProgram, check
 
 DATA_BASE = 0x10000000
 STACK_TOP = 0x7FFFF000
@@ -124,24 +125,11 @@ def simulate(prog: MipsProgram, init: dict | None = None, budget: int = 10**6):
 
     Names in init without a matching data label are ignored.  Returns
     Halted with the final data words, BudgetExhausted, or Trap.  Raises
-    ValueError before running anything when main is missing, a label is
-    duplicated or undefined, or an instruction has an unknown mnemonic,
-    the wrong operand count or an unknown register.
+    ValueError before running anything when ``check`` rejects prog.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    target: dict[str, int] = {}
-    n_ins = 0
-    for item in prog.text:
-        if isinstance(item, LabelDef):
-            if item.name in target:
-                raise ValueError(f"duplicate label {item.name!r}")
-            target[item.name] = n_ins
-        else:
-            n_ins += 1
-    if "main" not in target:
-        raise ValueError("no main label")
-
+    target = check(prog)
     init = init or {}
     addr_of: dict[str, int] = {}
     mem: dict[int, int] = {}
@@ -149,23 +137,6 @@ def simulate(prog: MipsProgram, init: dict | None = None, budget: int = 10**6):
         addr = DATA_BASE + 4 * i
         addr_of[label] = addr
         mem[addr] = init.get(_var_name(label), word) & _MASK
-    for item in prog.text:
-        if not isinstance(item, Ins):
-            continue
-        shape = SHAPES.get(item.op)
-        if shape is None:
-            raise ValueError(f"unknown mnemonic {item.op!r}")
-        if len(item.args) != len(shape):
-            raise ValueError(f"{item.op} takes {len(shape)} operands, got {len(item.args)}")
-        for kind, arg in zip(shape, item.args):
-            if kind == "label" and arg not in target:
-                raise ValueError(f"undefined branch target {arg!r}")
-            if kind == "addr" and isinstance(arg, str) and arg not in addr_of:
-                raise ValueError(f"undefined data label {arg!r}")
-            if kind == "addr" and isinstance(arg, Mem):
-                kind, arg = "reg", arg.base
-            if kind == "reg" and arg not in _SLOT:
-                raise ValueError(f"unknown register {arg!r}")
 
     code = _decode(prog.text, target, addr_of)
     regs = [0] * (_SINK + 1)

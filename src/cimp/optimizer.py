@@ -30,6 +30,7 @@ from .syntax import (
     Assign,
     BExpr,
     BinOp,
+    BitOp,
     BoolLit,
     Cmp,
     Com,
@@ -130,11 +131,24 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
                 out = BinOp("+" if sign > 0 else "-", out, t)
             out = _append_const(out, total, wrap)
         return e if equal(out, e) else out
-    out = map_children(e, lambda k: const_fold(k, wrap=wrap))
-    if type(out) is BinOp:  # "*", folded only between literals
-        lv, rv = _lit_value(out.left), _lit_value(out.right)
-        if lv is not None and rv is not None:
-            return _make_lit(lv * rv, wrap)
+    # the left spine of "*" and the bit operators folds bottom-up in a
+    # loop, so a long chain does not recurse once per operator
+    spine = []
+    while (type(e) is BinOp and e.op == "*") or type(e) is BitOp:
+        spine.append(e)
+        e = e.left
+    if not spine:
+        return map_children(e, lambda k: const_fold(k, wrap=wrap))
+    out = const_fold(e, wrap=wrap)
+    for node in reversed(spine):
+        right = const_fold(node.right, wrap=wrap)
+        if out is not node.left or right is not node.right:
+            node = type(node)(node.op, out, right, node.pos)
+        out = node
+        if type(out) is BinOp:  # "*", folded only between literals
+            lv, rv = _lit_value(out.left), _lit_value(out.right)
+            if lv is not None and rv is not None:
+                out = _make_lit(lv * rv, wrap)
     return out
 
 

@@ -211,7 +211,8 @@ def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] =
     maps id(node) to its closure: a subtree shared by several parents
     (as in a VC) compiles once.  The left spine of binary operators
     compiles to one closure that loops over its operands, and that of
-    ``&&`` or ``||`` to a balanced tree of two-operand closures, so
+    ``&&`` or ``||`` to a balanced tree of two-operand closures, and the
+    right spine of ``->`` to one closure that loops over its premises, so
     chains of any length compile and run without deep recursion.
     """
     memo = {} if memo is None else memo
@@ -289,8 +290,21 @@ def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
             fs = pairs + fs[2 * len(pairs) :]
         return fs[0]
     if t is Implies:
-        f, g = sub(n.left), sub(n.right)
-        return lambda env: not f(env) or g(env)
+        # the right spine of -> compiles to one loop over its premises:
+        # the first false one makes the chain true
+        premises = []
+        while type(n) is Implies:
+            premises.append(sub(n.left))
+            n = n.right
+        g = sub(n)
+
+        def implies(env):
+            for f in premises:
+                if not f(env):
+                    return True
+            return g(env)
+
+        return implies
     raise TypeError(f"not an expression or formula: {n!r}")
 
 

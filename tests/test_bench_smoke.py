@@ -1,9 +1,10 @@
-"""One quick round of each benchmark workload that exercises the engines.
+"""One quick round of each benchmark workload.
 
 bench/run.py checks every output with interpreters of its own: the
-stores that run-loops and fuzz report on every engine, and the stack
-listings and MIPS assembly that compile-large produces on every backend.
-So a change that the benchmark would reject fails here first.
+stores that run-loops and fuzz report on every engine, the stack
+listings and MIPS assembly that compile-large produces on every backend,
+and the verdicts and SMT-LIB scripts that verify produces.  So a change
+that the benchmark would reject fails here first.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["run-loops", "compile-large", "fuzz"])
+@pytest.mark.parametrize("workload", ["run-loops", "compile-large", "verify", "fuzz"])
 def test_quick_round(workload):
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "0", "--trace", "0"]

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from cimp import difftest
 from cimp.cli import main
-from cimp.mips import parse_asm, simulate
+from cimp.mips import LabelDef, MipsProgram, parse_asm, simulate
+from cimp.stack_machine import Iadd, Iconst, StackProgram
 
 COUNTING = """\
 x := 0;
@@ -162,6 +164,51 @@ def test_condition_chains_on_every_engine(tmp_path, capsys, op, terms):
     for engine in ("bigstep", "mips"):
         code, out, _ = _run(capsys, "run", typed, "--engine", engine)
         assert (code, out) == (0, f"x=0\ny={y}\n"), engine
+
+
+@pytest.mark.parametrize("terms", [2000, 10**4])
+@pytest.mark.parametrize(
+    "decls, op, y",
+    [("", "*", 1), ("var x: u32; var y: u32;\n", "&", 5), ("var x: u32; var y: u32;\n", "<<", 32)],
+    ids=["mul", "typed-and", "typed-shl"],
+)
+def test_multiplicative_chains_under_optimization(tmp_path, capsys, terms, decls, op, y):
+    # -O folds the left spine of '*' and of the bit operators in a loop;
+    # y << 32 shifts by 0, so the chains keep y's value
+    rhs = f" {op} ".join(["y"] * terms)
+    path = _src(tmp_path, f"{decls}y := {y};\nx := {rhs}\n")
+    engines = ("bigstep", "mips") if decls else ("bigstep", "smallstep", "stackvm", "mips")
+    for level in ("1", "2"):
+        for engine in engines:
+            code, out, _ = _run(capsys, "run", path, "-O", level, "--engine", engine)
+            assert (code, out) == (0, f"x={y}\ny={y}\n"), (level, engine)
+        code, out, _ = _run(capsys, "compile", path, "-O", level, "--backend", "mips",
+                            "--regalloc", "su", "--emulate-mul")
+        assert code == 0 and simulate(parse_asm(out))["x"] == y, level
+        if not decls:
+            code, out, _ = _run(capsys, "compile", path, "-O", level)
+            assert (code, out.count("IMUL\n")) == (0, terms - 1), level
+    code, out, _ = _run(capsys, "bench", path)
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "engine, compiler, code, message",
+    [
+        ("mips", "codegen", MipsProgram(text=(LabelDef("main"),)),
+         "trap: pc 1 outside the text segment"),
+        ("stackvm", "compile_program", StackProgram((Iadd(),)), "stack underflow at pc 0"),
+        ("stackvm", "compile_program", StackProgram((Iconst(1),)), "pc out of bounds: 1"),
+    ],
+)
+def test_run_reports_a_faulty_compilation_as_internal(
+    tmp_path, capsys, monkeypatch, engine, compiler, code, message
+):
+    # compiled code that runs off its end or underflows the stack breaks
+    # an invariant of the compiler, not of the input: exit 2
+    monkeypatch.setattr(difftest, compiler, lambda *args, **kwargs: code)
+    path = _src(tmp_path, "x := 1\n")
+    assert _run(capsys, "run", path, "--engine", engine) == (2, "", f"internal error: {message}\n")
 
 
 def test_unreached_bit_operator_is_harmless_in_untyped_programs(tmp_path, capsys):
@@ -470,6 +517,25 @@ def test_vc_smt2_long_input(tmp_path, capsys, text, additions):
     script = (out_dir / "vc_0_top.smt2").read_text()
     assert script.count("(+ ") == additions
     assert script.endswith(" 2000))))\n(check-sat)\n")
+
+
+@pytest.mark.parametrize("terms", [3000, 10**4])
+def test_vc_long_implication_chain(tmp_path, capsys, terms):
+    # '->' operands are read in a loop and the right spine of an
+    # implication runs as one loop; over x in -1..1 every premise holds
+    post = " -> ".join(f"x < {i + 2}" for i in range(terms))
+    path = _src(tmp_path, "skip\n")
+    assert _run(capsys, "vc", path, "--post", post, "--bounded-check", "1") == (
+        0, "vc_0_top: valid\n", ""
+    )
+    assert _run(capsys, "vc", path, "--post", post + " -> x < 1", "--bounded-check", "1") == (
+        1, "vc_0_top: counterexample x=1\n", ""
+    )
+    out_dir = tmp_path / "smt"
+    code, _, err = _run(capsys, "vc", path, "--post", post, "--smt2", str(out_dir))
+    assert (code, err) == (0, "")
+    # the chain's arrows and the top VC's pre -> post
+    assert (out_dir / "vc_0_top.smt2").read_text().count("(=> ") == terms
 
 
 def test_compile_regalloc_su_long_sum(tmp_path, capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 import strategies as gen
 from cimp import syntax as sx
+from cimp.errors import CimpError
 from cimp.frontend import (
     MAX_NESTING,
     LexError,
@@ -247,6 +248,23 @@ def test_implication_is_right_associative():
     a = parse_assertion_text("x = 0 -> y = 0 -> z = 0")
     assert isinstance(a, sx.Implies)
     assert isinstance(a.right, sx.Implies)
+    # each implication sits at its own arrow
+    assert (a.pos, a.right.pos) == (sx.SrcPos(1, 7), sx.SrcPos(1, 16))
+
+
+def test_implication_in_a_condition_fails_at_its_first_arrow():
+    with pytest.raises(CimpError) as ei:
+        parse_program("if x = 0 -> y = 0 -> z = 0 then skip else skip end")
+    assert ei.value.pos == sx.SrcPos(1, 10)
+    assert ei.value.msg == "'->' may appear in specifications only"
+
+
+@pytest.mark.parametrize("n", [3000, 10**4])
+def test_roundtrip_long_implication_chain(n):
+    text = " -> ".join(f"x = {i}" for i in range(n))
+    a = parse_assertion_text(text)
+    assert pretty_assertion(a) == text
+    assert sx.equal(parse_assertion_text(pretty_assertion(a)), a)
 
 
 def test_implication_lowest_precedence():

@@ -14,6 +14,7 @@ from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
 from cimp.syntax import BinOp, IntLit, SrcPos
 from cimp.typecheck import ceval_fixed, typecheck, word32
+from cimp.mips.isa import check
 from cimp.mips import (
     AsmError,
     BudgetExhausted,
@@ -343,9 +344,47 @@ def test_simulate_trap_branch_to_end_of_text():
 
 
 def test_simulate_rejects_malformed_instructions():
-    for bad in (Ins("mult", ("$t0", "$t1")), Ins("addu", ("$t0",)), Ins("li", ("$k0", 1))):
+    for bad in (
+        Ins("mult", ("$t0", "$t1")),
+        Ins("addu", ("$t0",)),
+        Ins("li", ("$k0", 1)),
+        Ins("li", ("$t0", 70000)),
+        Ins("lw", ("$t0", Mem(0x8000, "$sp"))),
+    ):
         with pytest.raises(ValueError):
             simulate(MipsProgram(text=(LabelDef("main"), bad, ins("break"))))
+
+
+def test_check_gives_label_indices_and_names_each_fault():
+    prog = parse_asm(
+        "\t.data\nvar_x: .word 0\n\t.text\nmain:\n\tlw $t0, var_x\nloop:\n\tj loop\nend:\n\tbreak"
+    )
+    assert check(prog) == {"main": 0, "loop": 1, "end": 2}
+    main, stop = LabelDef("main"), ins("break")
+    for text, reason in (
+        ((stop,), "no main label"),
+        ((main, main, stop), "duplicate label 'main'"),
+        ((main, Ins("li", ("$t0", 70000))), "bad imm16u operand 70000 for li"),
+        ((main, ins("j", "off")), "undefined branch target 'off'"),
+        ((main, ins("lw", "$t0", "var_x")), "undefined data label 'var_x'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            check(MipsProgram(text=text))
+        assert str(err.value) == reason
+
+
+def test_well_formed_is_check_plus_layout():
+    good = MipsProgram(data=(("var_x", 0),), text=(LabelDef("main"), ins("break")))
+    assert well_formed(good)
+    for bad in (
+        MipsProgram(text=(LabelDef("main"), ins("j", "off"), ins("break"))),
+        MipsProgram(text=(ins("break"), LabelDef("main"), ins("break"))),
+        MipsProgram(text=(LabelDef("main"), ins("li", "$t0", 1))),
+        MipsProgram(data=(("main", 0),), text=good.text),
+        MipsProgram(data=(("var_x", 0), ("var_x", 0)), text=good.text),
+        MipsProgram(data=(("var_x", 2**32),), text=good.text),
+    ):
+        assert not well_formed(bad), bad
 
 
 def test_simulate_requires_main():

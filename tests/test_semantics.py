@@ -220,6 +220,28 @@ def test_compile_expr_folds_long_chains(terms):
     assert compile_expr(e, {})(env) == want % 2**32
 
 
+@pytest.mark.parametrize("terms", [2, 3, 10**4])
+def test_compile_expr_runs_implication_chains_in_order(terms):
+    # the right spine of -> runs as one loop: the first false premise
+    # makes the chain true, and the bit operator after it is never reached
+    x = sx.Var("x")
+    holds, fails = sx.Cmp("=", x, sx.IntLit(0)), sx.Cmp("=", x, sx.IntLit(1))
+    unreached = sx.Cmp("<", sx.BitNot(x), x)
+
+    def chain(items):
+        e = items[-1]
+        for item in reversed(items[:-1]):
+            e = sx.Implies(item, e)
+        return e
+
+    for k in sorted({0, (terms - 2) // 2, terms - 2}):
+        items = [holds] * k + [fails, unreached] + [holds] * (terms - k - 2)
+        assert compile_expr(chain(items))({}) is True
+    assert compile_expr(chain([holds] * (terms - 1) + [fails]))({}) is False
+    with pytest.raises(UnsupportedNode):
+        compile_expr(chain([holds] * (terms - 1) + [unreached]))({})
+
+
 @pytest.mark.parametrize("terms", [2, 3, 7, 10**4])
 @pytest.mark.parametrize("op", [sx.And, sx.Or])
 def test_compile_expr_folds_condition_chains_in_order(op, terms):

@@ -321,11 +321,45 @@ def test_compiled_programs_well_formed(c):
     assert well_formed(compile_program(sx.program(c)))
 
 
+def _run_while_small(fuel, code, state, step=20, max_bits=4096):
+    """run_fragment with `fuel`, cut early once a value passes `max_bits`.
+
+    A generated loop may square a variable on every iteration, and a few
+    thousand instructions of that build integers of astronomic size.  The
+    run goes in slices of `step` instructions (a slice resumes where the
+    last one ran out of fuel) and a run whose values outgrow `max_bits`
+    counts as out of fuel.
+    """
+    status, end = "outoffuel", state
+    while status == "outoffuel" and fuel > 0:
+        values = (*end.stack, *(v for _, v in end.store.items()))
+        if any(v.bit_length() > max_bits for v in values):
+            break
+        status, end = run_fragment(min(step, fuel), code, end)
+        fuel -= step
+    return status, end
+
+
+def test_sliced_run_matches_one_run():
+    code = compile_com(prog("while 1 <= x do y := y + x; x := x - 1 done").body)
+    start = VmState(0, (7,), Store({"x": 30}))
+    for fuel in (0, 1, 19, 20, 21, 200, 3000):
+        assert _run_while_small(fuel, code, start) == run_fragment(fuel, code, start)
+
+
+def test_sliced_run_stops_on_runaway_values():
+    code = compile_com(prog("x := 3; while true do x := x * x done").body)
+    status, end = _run_while_small(3000, code, VmState(0, (7,), Store()))
+    assert status == "outoffuel"
+    widest = max(v.bit_length() for v in (*end.stack, end.store.get("x")))
+    assert 4096 < widest < 4096 * 2**20
+
+
 @settings(max_examples=100, deadline=None)
 @given(gen.coms(), gen.stores())
 def test_compile_com_zero_stack_delta(c, s):
     code = compile_com(c)
-    status, end = run_fragment(3000, code, VmState(0, (7,), s))
+    status, end = _run_while_small(3000, code, VmState(0, (7,), s))
     if status == "exit":
         assert end.stack == (7,)
         assert end.pc == len(code)
