@@ -8,7 +8,8 @@ Divergence is data, not an error: it lands in the report.
 
 ``DEFAULT_ENGINES`` is the one engine table: ``cimp run`` calls one
 entry, ``cimp fuzz`` (``run_diff``) several, and both check the names
-with ``check_engines``.
+with ``check_engines``.  Its bigstep and mips engines share one
+typecheck of a typed program, as ``codegen`` accepts a ``TypedProgram``.
 
 Engines:
     bigstep     fueled big-step (fixed-width when the program is typed)
@@ -30,7 +31,7 @@ from .mips import Halted, Trap, codegen, simulate
 from .semantics import Done, Store, ceval_fuel, run_small
 from .stack_machine import MachineError, compile_program, vm_exec
 from .syntax import Program
-from .typecheck import ceval_fixed, to_signed, typecheck, word32
+from .typecheck import TypedProgram, ceval_fixed, to_signed, typecheck, word32
 
 ENGINE_NAMES = ("bigstep", "smallstep", "stackvm", "mips")
 
@@ -70,17 +71,33 @@ def _outcome(out) -> Outcome:
     return ("out_of_fuel", None)
 
 
+# The typing of the last typed program an engine ran, so that the
+# engines of one case share one typecheck.  It holds p itself through
+# tp.program, so id(p) cannot be reused while the entry lives, and
+# ``tp.program is p`` is an exact test.
+_last_typing: Optional[TypedProgram] = None
+
+
+def _typing(p: Program) -> TypedProgram:
+    global _last_typing
+    tp = _last_typing
+    if tp is None or tp.program is not p:
+        tp = _last_typing = typecheck(p)
+    return tp
+
+
 def _eng_bigstep(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
     if not p.typed:
         return _outcome(ceval_fuel(fuel, p.body, store))
-    kind, out = _outcome(ceval_fixed(fuel, typecheck(p), store))
+    kind, out = _outcome(ceval_fixed(fuel, _typing(p), store))
     if kind == "done":
         return ("done", {name: word32(out.get(name)) for name, _ in p.decls})
     return (kind, out)
 
 
 def _eng_mips(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    out = simulate(codegen(p, emulate_mul=True), init=dict(store.items()), budget=budget)
+    prog = codegen(_typing(p) if p.typed else p, emulate_mul=True)
+    out = simulate(prog, init=dict(store.items()), budget=budget)
     if isinstance(out, Halted):
         if p.typed:
             return ("done", dict(out.words))

@@ -2,10 +2,10 @@
 
 emit_asm prints a program in conventional two-section form; parse_asm
 reads the same dialect back.  parse_asm(emit_asm(p)) == p for every
-program built from the declared subset.  parse_asm builds each
-instruction with ``isa.ins``, so an instruction that does not fit its
-shape is rejected by the same test the simulator's ``check`` applies,
-reported at its line.
+program built from the declared subset.  An ``Ins`` checks its shape
+when it is built, so parse_asm reports an instruction that does not fit
+its shape at its line, with the message every other builder gets; the
+label rules are the ones ``isa.check`` applies.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ _DATA_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*\.word\s+(-?\d+)$")
 
 
 def _parse_operand(kind: str, token: str, line_no: int):
-    """The token read as a kind operand; ``ins`` checks its value, and an
+    """The token read as a kind operand; ``Ins`` checks its value, and an
     undefined label is reported when the pass ends."""
     if kind in ("imm16u", "imm16s", "shamt"):
         try:
@@ -125,7 +125,7 @@ def parse_asm(src: str) -> MipsProgram:
         op = parts[0]
         shape = SHAPES.get(op, ())
         tokens = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
-        # tokens past the shape stay text, so ins reports the operand count
+        # tokens past the shape stay text, so Ins reports the operand count
         args = [_parse_operand(k, t, line_no) for k, t in zip(shape, tokens)]
         try:
             item = ins(op, *args, *tokens[len(shape) :])

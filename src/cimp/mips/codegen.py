@@ -18,11 +18,14 @@ inlined, otherwise MulNotSupported reports every ``*`` position.
 Statements and conditions are laid out by ``stack_machine.lower``, the
 jump-code scheme the stack backend uses too; this module supplies the
 labels, jumps, assignments and compare-and-branch sequences.  Every
-instruction passes the ``ins`` shape check: the fixed ones once, when
+``Ins`` checks its shape when it is built: the fixed ones once, when
 this module is imported, after which each program shares them; the rest
 when they are emitted.  Lowering appends to one list and walks naive
 expressions from an explicit stack, so a long sequence costs no
 recursion.
+
+``codegen`` takes a typed program already checked, as a
+``TypedProgram``, so a caller that needs the typing too checks once.
 """
 
 from __future__ import annotations
@@ -48,19 +51,19 @@ from ..syntax import (
     transform,
     walk,
 )
-from ..typecheck import typecheck, word32
+from ..typecheck import TypedProgram, typecheck, word32
 from .isa import Ins, LabelDef, Mem, MipsInstr, MipsProgram, ins
 
 STRATEGIES = ("naive", "regalloc")
 
 _MUL_CLOBBERS = ("$t8", "$t9", "$at")
 
-# Instructions whose operands never change are built here, once, by
-# ``ins``, so each is shape-checked at import and then shared by every
-# program that uses it.  Only instructions with a varying operand (an
-# li/lui/ori constant, an lw/sw of var_<name>, a branch to a fresh
-# label, a register chosen by a caller of emit_mul_emulation) call
-# ``ins`` where they are emitted.
+# Instructions whose operands never change are built here, once, so
+# each is shape-checked at import and then shared by every program that
+# uses it.  Only instructions with a varying operand (an li/lui/ori
+# constant, an lw/sw of var_<name>, a branch to a fresh label, a
+# register chosen by a caller of emit_mul_emulation) are built where
+# they are emitted.
 _SP0 = Mem(0, "$sp")
 _T = tuple(f"$t{i}" for i in range(8))  # the registers regalloc hands out
 _PUSH = tuple((ins("addiu", "$sp", "$sp", -4), ins("sw", r, _SP0)) for r in _T)
@@ -280,21 +283,27 @@ class _Codegen:
 
 
 def codegen(
-    p: Program, strategy: str = "naive", emulate_mul: bool = False
+    p: Program | TypedProgram, strategy: str = "naive", emulate_mul: bool = False
 ) -> MipsProgram:
-    """Compile a program; typed programs are typechecked first."""
+    """Compile a program; a typed ``Program`` is typechecked first.
+
+    A typed program's data segment holds its declared names, which are
+    all the names it uses (``typecheck`` rejects any other); an untyped
+    program's holds every name it mentions, in sorted order.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if p.typed:
+    if isinstance(p, TypedProgram):
+        tp, p = p, p.program
+    elif p.typed:
         tp = typecheck(p)
-        ty_of = tp.ty_of
     else:
+        tp = None
         for n in walk(p.body, code_only=True):
             if type(n) in (BitOp, BitNot, Cast):
                 raise UnsupportedNode(
                     "bit operations and casts need a typed program", n.pos
                 )
-        ty_of = lambda node: Ty.I32  # noqa: E731
     if not emulate_mul:
         positions = [
             n.pos
@@ -303,10 +312,13 @@ def codegen(
         ]
         if positions:
             raise MulNotSupported(positions)
-    gen = _Codegen(ty_of, strategy, p.typed)
+    if tp is None:
+        gen = _Codegen(lambda node: Ty.I32, strategy, False)
+        names = sorted(program_vars(p))
+    else:
+        gen = _Codegen(tp.ty_of, strategy, True)
+        names = [name for name, _ in p.decls]
     lower(p.body, gen)
-    declared = [name for name, _ in p.decls]
-    extras = sorted(program_vars(p) - set(declared))
-    data = tuple((f"var_{name}", 0) for name in declared + extras)
+    data = tuple((f"var_{name}", 0) for name in names)
     text = (LabelDef("main"), *gen.out, ins("break"))
     return MipsProgram(data=data, text=text)

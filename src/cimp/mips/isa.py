@@ -5,9 +5,11 @@ memory operands are either a data label or offset($base), and branch
 targets are label names.  Label definitions live in the text stream as
 their own entries; the simulator resolves them to instruction indices.
 
-``ins`` decides whether one instruction fits its shape, and ``check``
-whether a whole program can run: the simulator loads a program only
-after ``check``, and ``well_formed`` is ``check`` plus codegen's layout.
+An ``Ins`` checks its operand shape when it is built, so no instruction
+that misfits its shape exists.  ``check`` adds the program-level rules
+(main present, text labels unique, every branch target and data label
+defined): the simulator loads a program only after ``check``, and
+``well_formed`` is ``check`` plus codegen's layout.
 """
 
 from __future__ import annotations
@@ -54,8 +56,14 @@ class Mem:
 
 @dataclass(frozen=True)
 class Ins:
+    """One instruction; building it raises ValueError unless the
+    operands fit the shape ``SHAPES`` gives op."""
+
     op: str
     args: tuple = ()
+
+    def __post_init__(self):
+        _check_shape(self.op, self.args)
 
 
 @dataclass(frozen=True)
@@ -119,64 +127,64 @@ def operand_ok(kind: str, arg) -> bool:
     return isinstance(arg, str) and not arg.startswith("$")
 
 
-def _check_shape(op: str, args: tuple) -> tuple:
-    """op's operand shape; ValueError unless args fit it."""
+def _check_shape(op: str, args: tuple) -> None:
+    """ValueError unless args is a tuple that fits op's operand shape."""
     shape = SHAPES.get(op)
     if shape is None:
         raise ValueError(f"unknown mnemonic {op!r}")
+    if type(args) is not tuple:
+        raise ValueError(f"{op} operands must be a tuple, got {type(args).__name__}")
     if len(args) != len(shape):
         raise ValueError(f"{op} takes {len(shape)} operands, got {len(args)}")
     for kind, arg in zip(shape, args):
         if not operand_ok(kind, arg):
             raise ValueError(f"bad {kind} operand {arg!r} for {op}")
-    return shape
 
 
 def ins(op: str, *args) -> Ins:
-    """Build an instruction, checking the operand shape.
-
-    Every instruction codegen emits comes from here.  The ones whose
-    operands never change (stack pushes and pops, fixed ALU forms,
-    comparison tests, the register-only lines of the multiplication
-    loop) are built once when codegen is imported and then shared; the
-    ones with a varying operand (constants, variable loads and stores,
-    branches to fresh labels) are built, and checked, at each use.
-    """
-    _check_shape(op, args)
+    """``Ins(op, args)``, with the operands spread out."""
     return Ins(op, args)
+
+
+# (index, kind) of the operand that names a label, for each mnemonic that
+# has one: kind "label" names a text label, kind "addr" a data label
+# unless it is an offset($base)
+_REF = {
+    op: (i, kind)
+    for op, shape in SHAPES.items()
+    for i, kind in enumerate(shape)
+    if kind in ("label", "addr")
+}
 
 
 def check(prog: MipsProgram) -> dict[str, int]:
     """Each text label's instruction index; ValueError if prog cannot run.
 
     prog cannot run when main is missing, a text label is defined twice,
-    an instruction does not fit its shape (the test ``ins`` applies), or
-    a branch target or data label is undefined.  Each distinct
-    instruction object is checked once: codegen shares the ones whose
-    operands never change.
+    or a branch target or data label is undefined.  Shapes need no test
+    here, as every ``Ins`` passed its own when it was built.  Each
+    distinct instruction object is checked once: codegen shares the ones
+    whose operands never change.
     """
     target: dict[str, int] = {}
-    n_ins = 0
-    for item in prog.text:
-        if isinstance(item, LabelDef):
+    for i, item in enumerate(prog.text):
+        if type(item) is LabelDef:
             if item.name in target:
                 raise ValueError(f"duplicate label {item.name!r}")
-            target[item.name] = n_ins
-        else:
-            n_ins += 1
+            target[item.name] = i - len(target)  # the labels before take no index
     if "main" not in target:
         raise ValueError("no main label")
     data = {name for name, _ in prog.data}
-    seen: set[int] = set()
-    for item in prog.text:
-        if isinstance(item, LabelDef) or id(item) in seen:
+    for item in {id(item): item for item in prog.text}.values():
+        ref = None if type(item) is LabelDef else _REF.get(item.op)
+        if ref is None:
             continue
-        seen.add(id(item))
-        for kind, arg in zip(_check_shape(item.op, item.args), item.args):
-            if kind == "label" and arg not in target:
+        arg = item.args[ref[0]]
+        if ref[1] == "label":
+            if arg not in target:
                 raise ValueError(f"undefined branch target {arg!r}")
-            if kind == "addr" and isinstance(arg, str) and arg not in data:
-                raise ValueError(f"undefined data label {arg!r}")
+        elif isinstance(arg, str) and arg not in data:
+            raise ValueError(f"undefined data label {arg!r}")
     return target
 
 

@@ -8,12 +8,14 @@ stops at break, when the instruction budget runs out, or on a trap
 (unaligned access or the pc escaping the text segment).
 
 Each call first runs ``isa.check`` (main present, text labels unique,
-every instruction fitting its shape, every branch target and data label
-defined) and only then pre-decodes the text once: labels become
-instruction indices, registers become list slots, data labels become
-absolute addresses and mnemonics become small integer opcodes.  The
-decoded program runs in one flat dispatch loop.  Labels take no room in
-the decoded program, so they consume no budget.
+every branch target and data label defined; every ``Ins`` checked its
+own shape when it was built) and only then pre-decodes the text:
+labels become instruction indices, registers become list slots, data
+labels become absolute addresses and mnemonics become small integer
+opcodes.  Each distinct instruction object is decoded once per call,
+as codegen shares the ones whose operands never change.  The decoded
+program runs in one flat dispatch loop.  Labels take no room in the
+decoded program, so they consume no budget.
 """
 
 from __future__ import annotations
@@ -84,38 +86,43 @@ def _decode(text, target: dict, addr_of: dict) -> list[tuple]:
     """The checked text as opcode tuples, ending in an _END sentinel.
 
     target maps each text label to the index of the instruction after it.
+    Each distinct instruction object is decoded once; the memo lives only
+    for this call, because target and addr_of belong to one program.
     """
 
     def dst(r: str) -> int:
         return _SLOT[r] or _SINK
 
-    code = []
-    for item in text:
-        if isinstance(item, LabelDef):
-            continue
-        op, args = item.op, item.args
+    def decode(op: str, args: tuple) -> tuple:
         if op in _RRR:
-            code.append((_RRR[op], dst(args[0]), _SLOT[args[1]], _SLOT[args[2]]))
-        elif op in _RRI:
-            code.append((_RRI[op], dst(args[0]), _SLOT[args[1]], args[2]))
-        elif op == "lw" or op == "sw":
+            return (_RRR[op], dst(args[0]), _SLOT[args[1]], _SLOT[args[2]])
+        if op in _RRI:
+            return (_RRI[op], dst(args[0]), _SLOT[args[1]], args[2])
+        if op == "lw" or op == "sw":
             reg = dst(args[0]) if op == "lw" else _SLOT[args[0]]
             where = args[1]
             if isinstance(where, Mem):
-                code.append((_LWR if op == "lw" else _SWR, reg, _SLOT[where.base], where.offset))
-            else:
-                code.append((_LW if op == "lw" else _SW, reg, addr_of[where], 0))
-        elif op == "li":
-            code.append((_LI, dst(args[0]), args[1] & _MASK, 0))
-        elif op == "lui":
-            code.append((_LI, dst(args[0]), (args[1] << 16) & _MASK, 0))
-        elif op == "beq" or op == "bne":
-            branch = _BEQ if op == "beq" else _BNE
-            code.append((branch, _SLOT[args[0]], _SLOT[args[1]], target[args[2]]))
-        elif op == "j":
-            code.append((_J, target[args[0]], 0, 0))
-        else:
-            code.append((_BREAK, 0, 0, 0))
+                return (_LWR if op == "lw" else _SWR, reg, _SLOT[where.base], where.offset)
+            return (_LW if op == "lw" else _SW, reg, addr_of[where], 0)
+        if op == "li":
+            return (_LI, dst(args[0]), args[1] & _MASK, 0)
+        if op == "lui":
+            return (_LI, dst(args[0]), (args[1] << 16) & _MASK, 0)
+        if op == "beq" or op == "bne":
+            return (_BEQ if op == "beq" else _BNE, _SLOT[args[0]], _SLOT[args[1]], target[args[2]])
+        if op == "j":
+            return (_J, target[args[0]], 0, 0)
+        return (_BREAK, 0, 0, 0)
+
+    code = []
+    done: dict[int, tuple] = {}
+    for item in text:
+        if type(item) is LabelDef:
+            continue
+        tup = done.get(id(item))
+        if tup is None:
+            tup = done[id(item)] = decode(item.op, item.args)
+        code.append(tup)
     code.append((_END, 0, 0, 0))
     return code
 

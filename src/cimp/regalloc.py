@@ -6,21 +6,16 @@ computed once per node, bottom-up, before code generation.  `alloc_codegen`
 turns a core arithmetic expression into straight-line register code for a
 machine with k general registers, evaluating the heavier subtree first and
 spilling to a LIFO stack only when both subtrees need every available
-register.  `reg_exec` runs that code against a store.
+register.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
-from .errors import CimpError, UnsupportedNode
-from .semantics import Store
+from .errors import UnsupportedNode
 from .syntax import AExpr, BinOp, IntLit, Neg, Var, transform, walk
-
-
-class MalformedCode(CimpError):
-    """Register code that no well-behaved generator would emit."""
 
 
 @dataclass(frozen=True)
@@ -81,15 +76,6 @@ def _labels(e: AExpr) -> dict[int, int]:
     return labels
 
 
-def ershov(e: AExpr) -> int:
-    """Registers needed to evaluate `e` with no spills.
-
-    Leaves (variables and constants alike) are labeled 1.  Negation is
-    labeled as if written 0 - e.
-    """
-    return _labels(e)[id(e)]
-
-
 def alloc_codegen(e: AExpr, k: int) -> RegCode:
     """Compile `e` to register code; the result lands in register 0."""
     if k < 2:
@@ -134,87 +120,3 @@ def _gen(e: AExpr, labels: dict[int, int], k: int) -> list[RegInstr]:
             else:
                 todo += (Op(kind, lo, lo, lo + 1), (e.right, lo + 1), (e.left, lo))
     return out
-
-
-def reg_exec(code: RegCode, s: Store, k: Optional[int] = None) -> int:
-    """Run register code against a store and return register 0."""
-    regs: dict[int, int] = {}
-    stack: list[int] = []
-
-    def check(idx: int) -> int:
-        if idx < 0 or (k is not None and idx >= k):
-            raise MalformedCode(f"register index out of range: r{idx}")
-        return idx
-
-    def read(idx: int) -> int:
-        check(idx)
-        if idx not in regs:
-            raise MalformedCode(f"read from unwritten register r{idx}")
-        return regs[idx]
-
-    for ins in code:
-        if isinstance(ins, LoadConst):
-            regs[check(ins.dst)] = ins.value
-        elif isinstance(ins, LoadVar):
-            regs[check(ins.dst)] = s.get(ins.name)
-        elif isinstance(ins, Op):
-            a, b = read(ins.lhs), read(ins.rhs)
-            if ins.kind == "add":
-                regs[check(ins.dst)] = a + b
-            elif ins.kind == "sub":
-                regs[check(ins.dst)] = a - b
-            elif ins.kind == "mul":
-                regs[check(ins.dst)] = a * b
-            else:
-                raise MalformedCode(f"unknown operation {ins.kind!r}")
-        elif isinstance(ins, Spill):
-            stack.append(read(ins.src))
-        else:
-            assert isinstance(ins, Reload)
-            if not stack:
-                raise MalformedCode("reload from empty spill stack")
-            regs[check(ins.dst)] = stack.pop()
-    if 0 not in regs:
-        raise MalformedCode("register r0 never written")
-    return regs[0]
-
-
-def max_live(code: RegCode) -> int:
-    """Peak number of registers holding a still-needed value.
-
-    Computed by backward liveness over the straight-line code, counting
-    register 0 as live at exit.  Spilled values sit on the stack and do not
-    count.
-    """
-    live = {0}
-    peak = len(live)
-    for ins in reversed(code):
-        peak = max(peak, len(live))
-        if isinstance(ins, (LoadConst, LoadVar, Reload)):
-            live.discard(ins.dst)
-        elif isinstance(ins, Op):
-            live.discard(ins.dst)
-            live.add(ins.lhs)
-            live.add(ins.rhs)
-        else:
-            assert isinstance(ins, Spill)
-            live.add(ins.src)
-    return max(peak, len(live))
-
-
-def _mnemonic(ins: RegInstr) -> str:
-    if isinstance(ins, LoadConst):
-        return f"LOADCONST r{ins.dst} {ins.value}"
-    if isinstance(ins, LoadVar):
-        return f"LOADVAR r{ins.dst} {ins.name}"
-    if isinstance(ins, Op):
-        return f"OP {ins.kind.upper()} r{ins.dst} r{ins.lhs} r{ins.rhs}"
-    if isinstance(ins, Spill):
-        return f"SPILL r{ins.src}"
-    assert isinstance(ins, Reload)
-    return f"RELOAD r{ins.dst}"
-
-
-def listing(code: RegCode) -> str:
-    """One instruction per line, in `OP ADD r0 r0 r1` style."""
-    return "".join(_mnemonic(i) + "\n" for i in code)

@@ -7,11 +7,18 @@ pattern-matches each instruction and builds a new ``Store`` per write.
 ``ref_vcgen`` and ``ref_emit_smtlib`` are the textbook VC generator, one
 substitution per assignment and one recursive call per statement, and
 the recursive SMT-LIB2 printer that formats each occurrence of a node.
+``ershov``, ``reg_exec``, ``max_live`` and ``listing`` read the register
+code ``regalloc.alloc_codegen`` emits: its spill-free register need, its
+value, its peak live registers and its text.
 """
 
+from typing import Optional
+
 from cimp import syntax as sx
-from cimp.errors import UnsupportedNode
+from cimp.errors import CimpError, UnsupportedNode
 from cimp.hoare import MissingInvariant, VerificationCondition, subst
+from cimp.regalloc import LoadConst, LoadVar, Op, RegCode, RegInstr, Reload, Spill, _labels
+from cimp.semantics import Store
 from cimp.stack_machine import (
     Iadd,
     Ibeq,
@@ -225,3 +232,100 @@ def ref_emit_smtlib(vc):
     lines += [f"(declare-const {v} Int)" for v in names]
     lines += [f"(assert (not {_ref_smt(vc.formula)}))", "(check-sat)"]
     return "\n".join(lines) + "\n"
+
+
+class MalformedCode(CimpError):
+    """Register code that no well-behaved generator would emit."""
+
+
+def ershov(e: sx.AExpr) -> int:
+    """Registers needed to evaluate `e` with no spills.
+
+    Leaves (variables and constants alike) are labeled 1.  Negation is
+    labeled as if written 0 - e.
+    """
+    return _labels(e)[id(e)]
+
+
+def reg_exec(code: RegCode, s: Store, k: Optional[int] = None) -> int:
+    """Run register code against a store and return register 0."""
+    regs: dict[int, int] = {}
+    stack: list[int] = []
+
+    def check(idx: int) -> int:
+        if idx < 0 or (k is not None and idx >= k):
+            raise MalformedCode(f"register index out of range: r{idx}")
+        return idx
+
+    def read(idx: int) -> int:
+        check(idx)
+        if idx not in regs:
+            raise MalformedCode(f"read from unwritten register r{idx}")
+        return regs[idx]
+
+    for ins in code:
+        if isinstance(ins, LoadConst):
+            regs[check(ins.dst)] = ins.value
+        elif isinstance(ins, LoadVar):
+            regs[check(ins.dst)] = s.get(ins.name)
+        elif isinstance(ins, Op):
+            a, b = read(ins.lhs), read(ins.rhs)
+            if ins.kind == "add":
+                regs[check(ins.dst)] = a + b
+            elif ins.kind == "sub":
+                regs[check(ins.dst)] = a - b
+            elif ins.kind == "mul":
+                regs[check(ins.dst)] = a * b
+            else:
+                raise MalformedCode(f"unknown operation {ins.kind!r}")
+        elif isinstance(ins, Spill):
+            stack.append(read(ins.src))
+        else:
+            assert isinstance(ins, Reload)
+            if not stack:
+                raise MalformedCode("reload from empty spill stack")
+            regs[check(ins.dst)] = stack.pop()
+    if 0 not in regs:
+        raise MalformedCode("register r0 never written")
+    return regs[0]
+
+
+def max_live(code: RegCode) -> int:
+    """Peak number of registers holding a still-needed value.
+
+    Computed by backward liveness over the straight-line code, counting
+    register 0 as live at exit.  Spilled values sit on the stack and do not
+    count.
+    """
+    live = {0}
+    peak = len(live)
+    for ins in reversed(code):
+        peak = max(peak, len(live))
+        if isinstance(ins, (LoadConst, LoadVar, Reload)):
+            live.discard(ins.dst)
+        elif isinstance(ins, Op):
+            live.discard(ins.dst)
+            live.add(ins.lhs)
+            live.add(ins.rhs)
+        else:
+            assert isinstance(ins, Spill)
+            live.add(ins.src)
+    return max(peak, len(live))
+
+
+def _mnemonic(ins: RegInstr) -> str:
+    if isinstance(ins, LoadConst):
+        return f"LOADCONST r{ins.dst} {ins.value}"
+    if isinstance(ins, LoadVar):
+        return f"LOADVAR r{ins.dst} {ins.name}"
+    if isinstance(ins, Op):
+        return f"OP {ins.kind.upper()} r{ins.dst} r{ins.lhs} r{ins.rhs}"
+    if isinstance(ins, Spill):
+        return f"SPILL r{ins.src}"
+    assert isinstance(ins, Reload)
+    return f"RELOAD r{ins.dst}"
+
+
+def listing(code: RegCode) -> str:
+    """One instruction per line, in `OP ADD r0 r0 r1` style."""
+    return "".join(_mnemonic(i) + "\n" for i in code)

@@ -1,9 +1,17 @@
+import importlib
+
 import pytest
 
+import cimp.difftest
 from cimp.difftest import DiffReport, default_engine_names, run_diff
 from cimp.generator import GenSpec
+from cimp.mips import Halted, Trap, codegen, simulate
 from cimp.semantics import Done
 from cimp.stack_machine import Ibranch, MachineError, StackProgram, compile_program, vm_exec
+from cimp.typecheck import ceval_fixed, typecheck, word32
+
+# the module, not the function of the same name that cimp.mips exports
+mips_codegen = importlib.import_module("cimp.mips.codegen")
 
 
 def _invariant(report: DiffReport):
@@ -106,3 +114,37 @@ def test_fail_fast_stops_at_first_divergence():
 def test_zero_cases():
     report = run_diff(GenSpec(seed=4), 0)
     assert report == DiffReport(0, 0, 0, 0, {n: {} for n in default_engine_names(False)}, None)
+
+
+def _plain_bigstep(p, store, fuel, budget):
+    out = ceval_fixed(fuel, typecheck(p), store)
+    if isinstance(out, Done):
+        return ("done", {name: word32(out.store.get(name)) for name, _ in p.decls})
+    return ("out_of_fuel", None)
+
+
+def _plain_mips(p, store, fuel, budget):
+    out = simulate(codegen(p, emulate_mul=True), init=dict(store.items()), budget=budget)
+    if isinstance(out, Halted):
+        return ("done", dict(out.words))
+    if isinstance(out, Trap):
+        return ("error", f"trap: {out.reason}")
+    return ("out_of_fuel", None)
+
+
+def test_typed_case_is_typechecked_once(monkeypatch):
+    spec = GenSpec(seed=7, typed=True)
+    # engines given as plain (p, store, fuel, budget) callables still run
+    plain = run_diff(spec, 50, impls={"bigstep": _plain_bigstep, "mips": _plain_mips})
+    checked = []
+
+    def counting(p, *formulas):
+        checked.append(p)
+        return typecheck(p, *formulas)
+
+    monkeypatch.setattr(cimp.difftest, "typecheck", counting)
+    monkeypatch.setattr(mips_codegen, "typecheck", counting)
+    report = run_diff(spec, 50)
+    assert len(checked) == len({id(p) for p in checked}) == 50
+    assert report == plain
+    assert report.cases == 50 and report.ok

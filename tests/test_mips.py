@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import strategies as gen
 from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_program
-from cimp.generator import GenSpec, gen_program
+from cimp.generator import GenSpec, fuel_bound, gen_program
 from cimp.optimizer import optimize
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
@@ -235,6 +235,27 @@ def test_codegen_of_generated_programs_is_well_formed(seed, typed):
             assert parse_asm(emit_asm(prog)) == prog
 
 
+def test_codegen_of_a_typing_is_codegen_of_the_program():
+    # the parsed program shares no instruction objects, so it runs the
+    # simulator's per-object decode on a text with no repeats
+    finished = 0
+    for seed in range(300):
+        spec = GenSpec(seed=seed, typed=True)
+        p = gen_program(spec)
+        tp = typecheck(p)
+        ref = ceval_fixed(fuel_bound(spec), tp, Store())
+        for strategy in ("naive", "regalloc"):
+            prog = codegen(p, strategy=strategy, emulate_mul=True)
+            assert codegen(tp, strategy=strategy, emulate_mul=True) == prog
+            assert [label for label, _ in prog.data] == [f"var_{n}" for n, _ in p.decls]
+            out = simulate(prog, budget=10**5)
+            assert simulate(parse_asm(emit_asm(prog)), budget=10**5) == out
+            if isinstance(out, Halted) and isinstance(ref, Done):
+                finished += 1
+                assert out.words == {n: word32(ref.store.get(n)) for n, _ in p.decls}
+    assert finished > 300
+
+
 def test_fixed_instructions_are_built_once(monkeypatch):
     # only the lw, li and sw of each statement have a varying operand
     built = []
@@ -344,15 +365,23 @@ def test_simulate_trap_branch_to_end_of_text():
 
 
 def test_simulate_rejects_malformed_instructions():
-    for bad in (
-        Ins("mult", ("$t0", "$t1")),
-        Ins("addu", ("$t0",)),
-        Ins("li", ("$k0", 1)),
-        Ins("li", ("$t0", 70000)),
-        Ins("lw", ("$t0", Mem(0x8000, "$sp"))),
+    # a malformed instruction cannot be built, so no program handed to
+    # simulate or check can hold one
+    for op, args, reason in (
+        ("mult", ("$t0", "$t1"), "unknown mnemonic 'mult'"),
+        ("addu", ("$t0",), "addu takes 3 operands, got 1"),
+        ("li", ("$k0", 1), "bad reg operand '$k0' for li"),
+        ("li", ("$t0", 70000), "bad imm16u operand 70000 for li"),
+        ("lw", ("$t0", Mem(0x8000, "$sp")),
+         "bad addr operand Mem(offset=32768, base='$sp') for lw"),
     ):
-        with pytest.raises(ValueError):
-            simulate(MipsProgram(text=(LabelDef("main"), bad, ins("break"))))
+        for build in (lambda: Ins(op, args), lambda: ins(op, *args)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == reason
+    # a list of operands could change after the check
+    with pytest.raises(ValueError, match="operands must be a tuple"):
+        Ins("addu", ["$t0", "$t1", "$t2"])
 
 
 def test_check_gives_label_indices_and_names_each_fault():
@@ -364,13 +393,17 @@ def test_check_gives_label_indices_and_names_each_fault():
     for text, reason in (
         ((stop,), "no main label"),
         ((main, main, stop), "duplicate label 'main'"),
-        ((main, Ins("li", ("$t0", 70000))), "bad imm16u operand 70000 for li"),
         ((main, ins("j", "off")), "undefined branch target 'off'"),
         ((main, ins("lw", "$t0", "var_x")), "undefined data label 'var_x'"),
     ):
         with pytest.raises(ValueError) as err:
             check(MipsProgram(text=text))
         assert str(err.value) == reason
+    # an instruction that misfits its shape fails as it is built, before
+    # any program holds it
+    with pytest.raises(ValueError) as err:
+        Ins("li", ("$t0", 70000))
+    assert str(err.value) == "bad imm16u operand 70000 for li"
 
 
 def test_well_formed_is_check_plus_layout():

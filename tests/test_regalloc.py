@@ -6,18 +6,14 @@ import strategies as gen
 from cimp import regalloc
 from cimp.errors import UnsupportedNode
 from oracles import min_registers
+from reference import MalformedCode, ershov, listing, max_live, reg_exec
 from cimp.regalloc import (
     LoadConst,
     LoadVar,
-    MalformedCode,
     Op,
     Reload,
     Spill,
     alloc_codegen,
-    ershov,
-    listing,
-    max_live,
-    reg_exec,
 )
 from cimp.semantics import Store, aeval
 from cimp.syntax import BinOp, BitOp, IntLit, Neg, Var, node_count
