@@ -7,25 +7,27 @@ Concrete syntax:
     com      := "skip" | IDENT ":=" aexp | com ";" com
               | "if" formula "then" com "else" com "end"
               | "while" formula ("invariant" "{" formula "}")? "do" com "done"
-    formula  := disjunction ("->" formula)?
 
-Arithmetic precedence, low to high: ``+ -`` (left), ``*`` (left), the
-bit operators ``& | ^ << >>`` (left, one shared level), unary ``- ~``,
-casts ``i32(...)`` / ``u32(...)``, atoms.  Formula precedence, low to
-high: ``->`` (right), ``||`` (left), ``&&`` (left), ``!``, then
-comparisons and parenthesized formulas.  Conditions and assertions
-share this one grammar, but ``->`` belongs to specifications: one in an
-``if`` or ``while`` condition is an error located at the ``->``.
+Operator precedence is stated once: the tables ``ARITH_OPS``,
+``ARITH_PREFIX``, ``FORMULA_OPS`` and ``FORMULA_PREFIX`` below are the
+one source for both the parser and the printer.  Arithmetic operands
+are literals, variables, casts ``i32(...)`` / ``u32(...)`` and
+parentheses; formula operands are ``true``, ``false``, comparisons
+``= <= <`` and parentheses.  Conditions and assertions share the
+formula grammar, but ``->`` belongs to specifications: one in an ``if``
+or ``while`` condition is an error located at the ``->``.
 
 Integer literals are decimal or hexadecimal (``0x...``); the pretty
 printer always emits decimal.  Comments run from ``//`` to end of
 line.  ``;`` is a separator, not a terminator, and sequences associate
 to the right structurally.
 
-The parser is recursive descent.  The only backtracking point is an
-opening parenthesis in formula position, which may introduce either a
-parenthesized formula or the left operand of a comparison; both
-alternatives are tried and the error that made it furthest wins.
+The parser is recursive descent, with one precedence-climbing method
+for the binary operators of a table and one for its prefix operators.
+The only backtracking point is an opening parenthesis in formula
+position, which may introduce either a parenthesized formula or the
+left operand of a comparison; both alternatives are tried and the error
+that made it furthest wins.
 
 Sequences and chains of binary operators are parsed in loops.  What
 nests opens one level each: a parenthesis (a cast's included), a unary
@@ -84,6 +86,23 @@ KEYWORDS = frozenset(
 
 # Deepest nesting the parser accepts; see the module docstring.
 MAX_NESTING = 100
+
+# Binary operators level by level, loosest first: lexeme -> node class.
+# Operators associate to the left except those in RIGHT_ASSOC.  Arithmetic
+# and formulas keep separate tables, so an arithmetic chain never takes a
+# connective and '-' is never a formula prefix.
+ARITH_OPS = (
+    {"+": BinOp, "-": BinOp},
+    {"*": BinOp},
+    {"&": BitOp, "|": BitOp, "^": BitOp, "<<": BitOp, ">>": BitOp},
+)
+FORMULA_OPS = ({"->": Implies}, {"||": Or}, {"&&": And})
+RIGHT_ASSOC = frozenset({"->"})
+# Prefix operators, tighter than every binary level: lexeme -> node class.
+ARITH_PREFIX = {"-": Neg, "~": BitNot}
+FORMULA_PREFIX = {"!": Not}
+# The connectives' classes name their operator; BinOp and BitOp record it.
+_CONNECTIVE = {cls: lexeme for ops in FORMULA_OPS for lexeme, cls in ops.items()}
 
 
 class Token(NamedTuple):
@@ -180,6 +199,12 @@ def lex(source: str) -> list[Token]:
     return tokens
 
 
+def _binary_node(cls, op: Token, left, right):
+    if cls in _CONNECTIVE:
+        return cls(left, right, pos=op.pos)
+    return cls(op.lexeme, left, right, pos=op.pos)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -210,51 +235,67 @@ class _Parser:
             self.fail(label or f"'{lexeme}'")
         return self.advance()
 
-    def expect_ident(self) -> Token:
-        if self.peek().kind != "ident":
-            self.fail("an identifier")
-        return self.advance()
-
     def nest(self, opener: Token) -> None:
         """Open one nesting level; the caller closes it with depth -= 1."""
         if self.depth == MAX_NESTING:
             raise NestingError(opener.pos)
         self.depth += 1
 
-    # -- arithmetic expressions -------------------------------------------
+    def parenthesized(self, inner):
+        """'(' inner ')', one nesting level."""
+        self.nest(self.expect("("))
+        out = inner()
+        self.expect(")")
+        self.depth -= 1
+        return out
+
+    # -- operators ----------------------------------------------------------
 
     def aexp(self) -> AExpr:
-        left = self.aexp_mul()
-        while self.at("+", "-"):
-            op = self.advance()
-            right = self.aexp_mul()
-            left = BinOp(op.lexeme, left, right, pos=op.pos)
+        return self.binary(ARITH_OPS, ARITH_PREFIX, self.aexp_atom)
+
+    def formula(self) -> Assertion:
+        return self.binary(FORMULA_OPS, FORMULA_PREFIX, self.formula_atom)
+
+    def binary(self, levels, prefix, atom, level: int = 0):
+        """A chain of the operators of levels[level] over tighter operands.
+
+        One nested call per tighter level, so recursion is as deep as the
+        table whatever the chain's length.  The chain is read in a loop;
+        a left-associative one folds as it goes, '->' folds from the right.
+        """
+        if level == len(levels):
+            return self.prefix(prefix, atom)
+        ops = levels[level]
+        left = self.binary(levels, prefix, atom, level + 1)
+        pending = []  # (left operand, operator) of each '->' so far
+        while (op := self.tokens[self.i]).lexeme in ops:
+            cls = ops[op.lexeme]
+            if cls is Implies and self.guard:
+                raise CimpError("'->' may appear in specifications only", op.pos)
+            self.i += 1
+            right = self.binary(levels, prefix, atom, level + 1)
+            if op.lexeme in RIGHT_ASSOC:
+                pending.append((left, op))
+                left = right
+            else:
+                left = _binary_node(cls, op, left, right)
+        while pending:
+            first, op = pending.pop()
+            left = _binary_node(ops[op.lexeme], op, first, left)
         return left
 
-    def aexp_mul(self) -> AExpr:
-        left = self.aexp_bits()
-        while self.at("*"):
-            op = self.advance()
-            right = self.aexp_bits()
-            left = BinOp("*", left, right, pos=op.pos)
-        return left
-
-    def aexp_bits(self) -> AExpr:
-        left = self.aexp_unary()
-        while self.at("&", "|", "^", "<<", ">>"):
-            op = self.advance()
-            right = self.aexp_unary()
-            left = BitOp(op.lexeme, left, right, pos=op.pos)
-        return left
-
-    def aexp_unary(self) -> AExpr:
-        if self.at("-", "~"):
-            op = self.advance()
-            self.nest(op)
-            operand = self.aexp_unary()
-            self.depth -= 1
-            return (Neg if op.lexeme == "-" else BitNot)(operand, pos=op.pos)
-        return self.aexp_atom()
+    def prefix(self, prefix, atom):
+        """Prefix operators, each opening one nesting level, then an atom."""
+        op = self.tokens[self.i]
+        cls = prefix.get(op.lexeme)
+        if cls is None:
+            return atom()
+        self.i += 1
+        self.nest(op)
+        operand = self.prefix(prefix, atom)
+        self.depth -= 1
+        return cls(operand, pos=op.pos)
 
     def aexp_atom(self) -> AExpr:
         t = self.peek()
@@ -267,61 +308,12 @@ class _Parser:
             return Var(t.lexeme, pos=t.pos)
         if t.lexeme in ("i32", "u32") and t.kind == "keyword":
             self.advance()
-            self.nest(self.expect("("))
-            inner = self.aexp()
-            self.expect(")")
-            self.depth -= 1
-            return Cast(Ty(t.lexeme), inner, pos=t.pos)
+            return Cast(Ty(t.lexeme), self.parenthesized(self.aexp), pos=t.pos)
         if self.at("("):
-            self.nest(self.advance())
-            inner = self.aexp()
-            self.expect(")")
-            self.depth -= 1
-            return inner
+            return self.parenthesized(self.aexp)
         self.fail("an integer literal", "an identifier", "'('")
 
     # -- formulas -----------------------------------------------------------
-
-    def formula(self) -> Assertion:
-        # '->' is right-associative: read the operands in a loop, then
-        # fold them from the right
-        operands = [self.disjunction()]
-        arrows = []
-        while self.at("->"):
-            op = self.advance()
-            if self.guard:
-                raise CimpError("'->' may appear in specifications only", op.pos)
-            arrows.append(op)
-            operands.append(self.disjunction())
-        out = operands.pop()
-        while arrows:
-            out = Implies(operands.pop(), out, pos=arrows.pop().pos)
-        return out
-
-    def disjunction(self) -> Assertion:
-        left = self.conjunction()
-        while self.at("||"):
-            op = self.advance()
-            right = self.conjunction()
-            left = Or(left, right, pos=op.pos)
-        return left
-
-    def conjunction(self) -> Assertion:
-        left = self.negation()
-        while self.at("&&"):
-            op = self.advance()
-            right = self.negation()
-            left = And(left, right, pos=op.pos)
-        return left
-
-    def negation(self) -> Assertion:
-        if self.at("!"):
-            op = self.advance()
-            self.nest(op)
-            operand = self.negation()
-            self.depth -= 1
-            return Not(operand, pos=op.pos)
-        return self.formula_atom()
 
     def comparison(self) -> Cmp:
         left = self.aexp()
@@ -333,12 +325,9 @@ class _Parser:
 
     def formula_atom(self) -> Assertion:
         t = self.peek()
-        if t.lexeme == "true" and t.kind == "keyword":
+        if t.lexeme in ("true", "false") and t.kind == "keyword":
             self.advance()
-            return BoolLit(True, pos=t.pos)
-        if t.lexeme == "false" and t.kind == "keyword":
-            self.advance()
-            return BoolLit(False, pos=t.pos)
+            return BoolLit(t.lexeme == "true", pos=t.pos)
         if not self.at("("):
             return self.comparison()
         # Either a parenthesized formula or a comparison whose left
@@ -350,11 +339,7 @@ class _Parser:
         except ParseError as cmp_err:
             self.i, self.depth = start, depth
             try:
-                self.nest(self.advance())  # '('
-                inner = self.formula()
-                self.expect(")")
-                self.depth -= 1
-                return inner
+                return self.parenthesized(self.formula)
             except ParseError as paren_err:
                 raise (paren_err if paren_err.index >= cmp_err.index else cmp_err)
 
@@ -420,7 +405,9 @@ class _Parser:
         seen: set[str] = set()
         while self.at("var"):
             self.advance()
-            name_tok = self.expect_ident()
+            if self.peek().kind != "ident":
+                self.fail("an identifier")
+            name_tok = self.advance()
             if name_tok.lexeme in seen:
                 raise ParseError(
                     ("a fresh variable name",), name_tok, self.i - 1
@@ -467,40 +454,52 @@ def parse_assertion_text(source: str) -> Assertion:
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-_A_ADD, _A_MUL, _A_BIT, _A_UNARY, _A_ATOM = 1, 2, 3, 4, 5
-_F_IMP, _F_OR, _F_AND, _F_NOT, _F_ATOM = 1, 2, 3, 4, 5
+# The printer reads the parser's tables.  A node's level is its binary
+# level in its table (0 loosest), one past the tightest for a prefix
+# operator; an atom never needs parentheses.
+_LEVEL = {lexeme: level for table in (ARITH_OPS, FORMULA_OPS)
+          for level, ops in enumerate(table) for lexeme in ops}
+_ATOM = float("inf")
 
-# Each node's precedence level and its parts: text, or a subtree with
-# the least level it may print at without parentheses.
+
+def _infix(n):
+    """The left operand prints at the operator's level, the right one tighter
+    (the other way round for a right-associative operator)."""
+    lexeme = _CONNECTIVE.get(type(n)) or n.op
+    level = _LEVEL[lexeme]
+    left, right = (level + 1, level) if lexeme in RIGHT_ASSOC else (level, level + 1)
+    return level, ((n.left, left), f" {lexeme} ", (n.right, right))
+
+
+def _prefix(lexeme: str, level: int):
+    return lambda n: (level, (lexeme, (n.operand, level)))
+
+
+# Each node's level and its parts: text, or a subtree with the least
+# level it may print at without parentheses.
 _SHAPE = {
-    IntLit: lambda n: (_A_ATOM, (str(n.value),)),
-    Var: lambda n: (_A_ATOM, (n.name,)),
-    Cast: lambda n: (_A_ATOM, (f"{n.target}(", (n.operand, _A_ADD), ")")),
-    Neg: lambda n: (_A_UNARY, ("-", (n.operand, _A_UNARY))),
-    BitNot: lambda n: (_A_UNARY, ("~", (n.operand, _A_UNARY))),
-    BitOp: lambda n: (_A_BIT, ((n.left, _A_BIT), f" {n.op} ", (n.right, _A_UNARY))),
-    BinOp: lambda n: (
-        (_A_MUL, ((n.left, _A_MUL), " * ", (n.right, _A_BIT)))
-        if n.op == "*"
-        else (_A_ADD, ((n.left, _A_ADD), f" {n.op} ", (n.right, _A_MUL)))
-    ),
-    BoolLit: lambda n: (_F_ATOM, ("true" if n.value else "false",)),
-    Cmp: lambda n: (_F_ATOM, ((n.left, _A_ADD), f" {n.op} ", (n.right, _A_ADD))),
-    Not: lambda n: (_F_NOT, ("!", (n.operand, _F_NOT))),
-    And: lambda n: (_F_AND, ((n.left, _F_AND), " && ", (n.right, _F_NOT))),
-    Or: lambda n: (_F_OR, ((n.left, _F_OR), " || ", (n.right, _F_AND))),
-    Implies: lambda n: (_F_IMP, ((n.left, _F_OR), " -> ", (n.right, _F_IMP))),
+    IntLit: lambda n: (_ATOM, (str(n.value),)),
+    Var: lambda n: (_ATOM, (n.name,)),
+    Cast: lambda n: (_ATOM, (f"{n.target}(", (n.operand, 0), ")")),
+    BoolLit: lambda n: (_ATOM, ("true" if n.value else "false",)),
+    Cmp: lambda n: (_ATOM, ((n.left, 0), f" {n.op} ", (n.right, 0))),
+    **{cls: _infix for table in (ARITH_OPS, FORMULA_OPS) for ops in table for cls in ops.values()},
+    **{
+        cls: _prefix(lexeme, len(table))
+        for table, prefix in ((ARITH_OPS, ARITH_PREFIX), (FORMULA_OPS, FORMULA_PREFIX))
+        for lexeme, cls in prefix.items()
+    },
 }
 
 
-def _print(root, ctx: int) -> str:
+def _print(root) -> str:
     """Print an expression or formula with minimal parentheses.
 
     The parts still to print sit on an explicit stack, last first, so
     operator chains of any length print without recursion.
     """
     out: list[str] = []
-    todo: list = [(root, ctx)]
+    todo: list = [(root, 0)]
     while todo:
         item = todo.pop()
         if type(item) is str:
@@ -518,11 +517,11 @@ def _print(root, ctx: int) -> str:
 
 
 def pretty_aexpr(e: AExpr) -> str:
-    return _print(e, _A_ADD)
+    return _print(e)
 
 
 def pretty_assertion(a: Assertion) -> str:
-    return _print(a, _F_IMP)
+    return _print(a)
 
 
 def _com_lines(c: Com, indent: int) -> list[str]:

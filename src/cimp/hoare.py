@@ -64,9 +64,10 @@ from .syntax import (
     Skip,
     Var,
     While,
-    assertion_vars,
     children,
+    com_vars,
     distinct_nodes,
+    literal_value,
     statements,
     transform,
 )
@@ -108,11 +109,6 @@ BoundedResult = Union[Valid, Counterexample]
 
 # ---------------------------------------------------------------------------
 # Substitution
-
-
-def subst(a: Assertion, x: str, e: AExpr) -> Assertion:
-    """Replace every occurrence of variable x in a by e."""
-    return subst_all(a, {x: e})
 
 
 def subst_all(a: Assertion, sigma: dict[str, AExpr]) -> Assertion:
@@ -245,18 +241,10 @@ def _smt(a: Assertion) -> str:
     return done[id(a)]
 
 
-def _is_const(e: AExpr) -> bool:
-    match e:
-        case IntLit():
-            return True
-        case Neg(IntLit()):
-            return True
-    return False
-
-
 def _nonlinear(a: Assertion) -> bool:
     return any(
-        type(n) is BinOp and n.op == "*" and not (_is_const(n.left) or _is_const(n.right))
+        type(n) is BinOp and n.op == "*"
+        and literal_value(n.left) is None and literal_value(n.right) is None
         for n in distinct_nodes(a)
     )
 
@@ -265,7 +253,7 @@ def emit_smtlib(vc: VerificationCondition) -> str:
     """SMT-LIB2 script; the VC is valid iff the script is unsat."""
     logic = "QF_NIA" if _nonlinear(vc.formula) else "QF_LIA"
     lines = [f"(set-logic {logic})"]
-    for v in sorted(assertion_vars(vc.formula)):
+    for v in sorted(com_vars(vc.formula)):
         lines.append(f"(declare-const {v} Int)")
     lines.append(f"(assert (not {_smt(vc.formula)}))")
     lines.append("(check-sat)")
@@ -309,7 +297,7 @@ def bounded_check(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    names = sorted(assertion_vars(vc.formula))
+    names = sorted(com_vars(vc.formula))
     width = 2 * bound + 1
     if width ** len(names) > budget:
         raise BudgetExceeded(

@@ -44,6 +44,7 @@ from .syntax import (
     Skip,
     While,
     equal,
+    literal_value,
     map_children,
     transform,
 )
@@ -52,16 +53,6 @@ OPT_LEVELS = (0, 1, 2)
 
 _MOD = 1 << 32
 _HALF = 1 << 31
-
-
-def _lit_value(e: AExpr):
-    """Constant value of a folded literal (IntLit or Neg of one)."""
-    match e:
-        case IntLit(v):
-            return v
-        case Neg(IntLit(v)):
-            return -v
-    return None
 
 
 def _make_lit(k: int, wrap: bool) -> AExpr:
@@ -112,7 +103,7 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
         total = 0
         rest: list[tuple[int, AExpr]] = []
         for sign, t in terms:
-            v = _lit_value(t)
+            v = literal_value(t)
             if v is not None:
                 total += sign * v
             else:
@@ -146,7 +137,7 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
             node = type(node)(node.op, out, right, node.pos)
         out = node
         if type(out) is BinOp:  # "*", folded only between literals
-            lv, rv = _lit_value(out.left), _lit_value(out.right)
+            lv, rv = literal_value(out.left), literal_value(out.right)
             if lv is not None and rv is not None:
                 out = _make_lit(lv * rv, wrap)
     return out
@@ -204,7 +195,7 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
         if r == BoolLit(False):
             return l
     elif t is Cmp:
-        lv, rv = _lit_value(b.left), _lit_value(b.right)
+        lv, rv = literal_value(b.left), literal_value(b.right)
         if lv is not None and rv is not None:
             # In wrapping mode the outcome depends on the operands'
             # signedness unless both constants sit where the signed

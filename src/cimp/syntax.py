@@ -425,11 +425,20 @@ def com_vars(node) -> frozenset[str]:
     return frozenset(names)
 
 
-aexpr_vars = assertion_vars = com_vars
+assertion_vars = com_vars  # the name bench/cimp_calls.py calls
 
 
 def program_vars(p: Program) -> frozenset[str]:
     return frozenset(name for name, _ in p.decls) | com_vars(p.body)
+
+
+def literal_value(e) -> Optional[int]:
+    """The value of a folded literal (an IntLit or a Neg of one), else None."""
+    if type(e) is IntLit:
+        return e.value
+    if type(e) is Neg and type(e.operand) is IntLit:
+        return -e.operand.value
+    return None
 
 
 def node_count(node) -> int:

@@ -20,7 +20,7 @@ table it passes picks signed or unsigned order once per comparison.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .errors import CimpError
 from .semantics import MASK, Outcome, Store, compile_expr, run_fueled
@@ -202,8 +202,8 @@ def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
 # Fixed-width evaluation
 
 
-def eval_fixed(env: Mapping[str, Ty], s32: Store, e: AExpr) -> int:
-    """Value of e as a 32-bit word; arithmetic needs no types, so env is unused."""
+def eval_fixed(s32: Store, e: AExpr) -> int:
+    """Value of e as a 32-bit word; arithmetic needs no types."""
     return compile_expr(e, {})(s32._bindings)
 
 

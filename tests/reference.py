@@ -16,7 +16,7 @@ from typing import Optional
 
 from cimp import syntax as sx
 from cimp.errors import CimpError, UnsupportedNode
-from cimp.hoare import MissingInvariant, VerificationCondition, subst
+from cimp.hoare import MissingInvariant, VerificationCondition, subst_all
 from cimp.regalloc import LoadConst, LoadVar, Op, RegCode, RegInstr, Reload, Spill, _labels
 from cimp.semantics import Store
 from cimp.stack_machine import (
@@ -163,7 +163,7 @@ def ref_wlp(c, q):
         case sx.Skip():
             return q, []
         case sx.Assign(var, rhs):
-            return subst(q, var, rhs), []
+            return subst_all(q, {var: rhs}), []
         case sx.Seq(first, second):
             w2, s2 = ref_wlp(second, q)
             w1, s1 = ref_wlp(first, w2)

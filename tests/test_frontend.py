@@ -5,6 +5,10 @@ import strategies as gen
 from cimp import syntax as sx
 from cimp.errors import CimpError
 from cimp.frontend import (
+    ARITH_OPS,
+    ARITH_PREFIX,
+    FORMULA_OPS,
+    FORMULA_PREFIX,
     MAX_NESTING,
     LexError,
     NestingError,
@@ -355,6 +359,45 @@ def test_pretty_assertion_implication():
     assert pretty_assertion(a) == "(true -> false) -> true"
     b = sx.Implies(sx.BoolLit(True), sx.Implies(sx.BoolLit(False), sx.BoolLit(True)))
     assert pretty_assertion(b) == "true -> false -> true"
+
+
+
+def _binary(ops, lexeme, left, right):
+    cls = ops[lexeme]
+    return cls(lexeme, left, right) if cls in (sx.BinOp, sx.BitOp) else cls(left, right)
+
+
+@pytest.mark.parametrize(
+    "table, operand, parse_text, print_text",
+    [
+        (ARITH_OPS, sx.Var, lambda text: rhs("x := " + text), pretty_aexpr),
+        (FORMULA_OPS, lambda v: sx.Cmp("<", sx.Var(v), sx.IntLit(0)), parse_assertion_text,
+         pretty_assertion),
+    ],
+    ids=["arith", "formula"],
+)
+def test_parentheses_are_minimal_for_every_operator_pair(table, operand, parse_text, print_text):
+    ops = {lexeme: cls for level in table for lexeme, cls in level.items()}
+    a, b, c = map(operand, "abc")
+    for op1 in ops:
+        for op2 in ops:
+            flat = parse_text(f"{print_text(a)} {op1} {print_text(b)} {op2} {print_text(c)}")
+            groupings = (
+                _binary(ops, op2, _binary(ops, op1, a, b), c),
+                _binary(ops, op1, a, _binary(ops, op2, b, c)),
+            )
+            assert flat in groupings
+            for tree in groupings:
+                text = print_text(tree)
+                # parentheses exactly when the parser would group otherwise
+                assert ("(" in text) == (tree != flat), (op1, op2, text)
+                assert parse_text(text) == tree
+
+
+def test_every_table_operator_lexes_as_one_op_token():
+    for table, prefix in ((ARITH_OPS, ARITH_PREFIX), (FORMULA_OPS, FORMULA_PREFIX)):
+        for lexeme in [*prefix, *(lexeme for level in table for lexeme in level)]:
+            assert kinds_and_lexemes(lexeme) == [("op", lexeme), ("eoi", "")]
 
 
 def test_pretty_program_layout():

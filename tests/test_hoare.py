@@ -17,7 +17,7 @@ from cimp.hoare import (
     VerificationCondition,
     bounded_check,
     emit_smtlib,
-    subst,
+    subst_all,
     vcgen,
     wlp,
 )
@@ -41,28 +41,28 @@ COUNTING = "while x <= 9 invariant { 0 <= x && x <= 10 } do x := x + 1 done"
 
 
 # ---------------------------------------------------------------------------
-# subst
+# substitution
 
 
 def test_subst_in_negated_comparison():
     a = A("!(x <= 0)")
-    assert subst(a, "x", C("y := x + 1").rhs) == A("!(x + 1 <= 0)")
+    assert subst_all(a, {"x": C("y := x + 1").rhs}) == A("!(x + 1 <= 0)")
 
 
 def test_subst_ignores_other_vars():
     a = A("y = 2")
-    assert subst(a, "x", sx.IntLit(7)) == a
+    assert subst_all(a, {"x": sx.IntLit(7)}) == a
 
 
 def test_subst_hits_all_occurrences():
     a = A("x < x + x")
-    assert subst(a, "x", sx.IntLit(1)) == A("1 < 1 + 1")
+    assert subst_all(a, {"x": sx.IntLit(1)}) == A("1 < 1 + 1")
 
 
 @settings(max_examples=300)
 @given(gen.assertions(), st.sampled_from(["a", "b", "x", "y"]), gen.aexprs(), gen.stores())
 def test_substitution_lemma(a, x, e, s):
-    lhs = beval(s, subst(a, x, e))
+    lhs = beval(s, subst_all(a, {x: e}))
     rhs = beval(s.set(x, aeval(s, e)), a)
     assert lhs == rhs
 
@@ -323,7 +323,7 @@ def test_wlp_loop_free_exactness(c, q, s):
 @given(loop_free_coms(), gen.assertions(max_depth=2), gen.assertions(max_depth=2))
 def test_wlp_monotone_in_postcondition(c, q1, q2):
     # cap the enumeration grid: 5 values per variable, at most 4 variables
-    names = sx.com_vars(c) | sx.assertion_vars(q1) | sx.assertion_vars(q2)
+    names = sx.com_vars(c) | sx.com_vars(q1) | sx.com_vars(q2)
     assume(len(names) <= 4)
     imp = VerificationCondition("top", sx.Implies(q1, q2))
     if isinstance(bounded_check(imp, 2, budget=10**6), Valid):
@@ -405,7 +405,7 @@ def test_vc_folds_cost_distinct_nodes(monkeypatch):
     assert emit_smtlib(top) == ref_emit_smtlib(top)
     assert len(formatted) == len({id(n) for n in formatted}) == distinct
     visited.clear()
-    assert sx.assertion_vars(top.formula) == {"x", "y"}
+    assert sx.com_vars(top.formula) == {"x", "y"}
     assert len(visited) == len({id(n) for n in visited}) == distinct
 
 

@@ -1,9 +1,10 @@
-"""Every module-level name defined in src/cimp is used somewhere else.
+"""Every module-level name defined in src/cimp is used, and named once.
 
 A function, class or constant that no other line of src/, tests/ or
 bench/ names is dead code.  Lines inside the definition itself do not
 count, so a function that only calls itself is flagged too.  Module
-protocol names such as ``__all__`` are exempt.
+protocol names such as ``__all__`` are exempt.  A module-level alias
+(``a = b``) of a name defined in src/cimp gives one thing two names.
 """
 
 import ast
@@ -43,3 +44,22 @@ def test_every_module_level_name_is_used():
             if all(p == path and line in own for p, line in seen[name]):
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+# Aliases that bench/cimp_calls.py calls by name; bench/ changes only
+# together with the benchmark, so these go when it stops calling them.
+_BENCH_ALIASES = {"assertion_vars"}
+
+
+def test_no_module_level_name_is_an_alias_of_another():
+    trees = [(path, ast.parse(path.read_text())) for path in (ROOT / "src" / "cimp").rglob("*.py")]
+    defined = {name for _, tree in trees for name, _ in _definitions(tree)}
+    aliases = sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name} = {node.value.id}"
+        for path, tree in trees
+        for name, node in _definitions(tree)
+        if isinstance(getattr(node, "value", None), ast.Name)
+        and node.value.id in defined
+        and name not in _BENCH_ALIASES
+    )
+    assert not aliases, "aliases of names defined in src/cimp:\n" + "\n".join(aliases)

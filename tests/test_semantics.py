@@ -120,7 +120,7 @@ def test_beval_examples():
 @settings(max_examples=100)
 @given(gen.aexprs(), gen.stores(), st.integers(-9, 9))
 def test_aeval_depends_only_on_free_vars(e, s, extra):
-    free = sx.aexpr_vars(e)
+    free = sx.com_vars(e)
     fresh = next(n for n in ("q0", "q1", "q2") if n not in free)
     assert aeval(s, e) == aeval(s.set(fresh, extra), e)
 

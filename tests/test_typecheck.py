@@ -225,30 +225,30 @@ def test_generated_typed_programs_check(p):
 
 def test_u32_wraparound():
     e = sx.BinOp("+", sx.IntLit(0xFFFFFFFF), sx.IntLit(1))
-    assert eval_fixed({}, Store(), e) == 0
+    assert eval_fixed(Store(), e) == 0
 
 
 def test_cast_is_bit_reinterpretation():
     e = sx.Cast(sx.Ty.I32, sx.IntLit(0xFFFFFFFF))
-    w = eval_fixed({}, Store(), e)
+    w = eval_fixed(Store(), e)
     assert w == 0xFFFFFFFF
     assert to_signed(w) == -1
 
 
 def test_neg_is_twos_complement():
-    assert eval_fixed({}, Store(), sx.Neg(sx.IntLit(1))) == 0xFFFFFFFF
+    assert eval_fixed(Store(), sx.Neg(sx.IntLit(1))) == 0xFFFFFFFF
 
 
 def test_logical_shift_right():
     e = sx.BitOp(">>", sx.IntLit(0x80000000), sx.IntLit(1))
-    assert eval_fixed({}, Store(), e) == 0x40000000
+    assert eval_fixed(Store(), e) == 0x40000000
 
 
 @settings(max_examples=300, deadline=None)
 @given(gen.aexprs(), gen.stores())
 def test_ring_homomorphism_on_core_expressions(e, s):
     s32 = Store({n: word32(v) for n, v in s.items()})
-    assert eval_fixed({}, s32, e) == word32(aeval(s, e))
+    assert eval_fixed(s32, e) == word32(aeval(s, e))
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,7 +256,7 @@ def test_ring_homomorphism_on_core_expressions(e, s):
 def test_small_values_agree_exactly(e, s):
     v = aeval(s, e)
     if 0 <= v < 2**16 and all(0 <= x < 2**16 for _, x in s.items()):
-        assert eval_fixed({}, Store(dict(s.items())), e) == v
+        assert eval_fixed(Store(dict(s.items())), e) == v
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,7 +264,7 @@ def test_small_values_agree_exactly(e, s):
 def test_shift_normalization(s, w, k):
     a = sx.BitOp("<<", sx.IntLit(w), sx.IntLit(k))
     b = sx.BitOp("<<", sx.IntLit(w), sx.IntLit(k + 32))
-    assert eval_fixed({}, s, a) == eval_fixed({}, s, b)
+    assert eval_fixed(s, a) == eval_fixed(s, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,7 +272,7 @@ def test_shift_normalization(s, w, k):
 def test_cast_involution(t, w):
     other = sx.Ty.U32 if t is sx.Ty.I32 else sx.Ty.I32
     e = sx.Cast(t, sx.Cast(other, sx.IntLit(w)))
-    assert eval_fixed({}, Store(), e) == w
+    assert eval_fixed(Store(), e) == w
 
 
 @settings(max_examples=100, deadline=None)
