@@ -492,7 +492,7 @@ _SHAPE = {
 }
 
 
-def _print(root) -> str:
+def pretty_expr(root: AExpr | Assertion) -> str:
     """Print an expression or formula with minimal parentheses.
 
     The parts still to print sit on an explicit stack, last first, so
@@ -516,14 +516,6 @@ def _print(root) -> str:
     return "".join(out)
 
 
-def pretty_aexpr(e: AExpr) -> str:
-    return _print(e)
-
-
-def pretty_assertion(a: Assertion) -> str:
-    return _print(a)
-
-
 def _com_lines(c: Com, indent: int) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
@@ -534,17 +526,17 @@ def _com_lines(c: Com, indent: int) -> list[str]:
             case Skip():
                 lines.append(pad + "skip")
             case Assign(var, rhs):
-                lines.append(f"{pad}{var} := {pretty_aexpr(rhs)}")
+                lines.append(f"{pad}{var} := {pretty_expr(rhs)}")
             case If(cond, then_branch, else_branch):
-                lines.append(f"{pad}if {pretty_assertion(cond)} then")
+                lines.append(f"{pad}if {pretty_expr(cond)} then")
                 lines += _com_lines(then_branch, indent + 1)
                 lines.append(pad + "else")
                 lines += _com_lines(else_branch, indent + 1)
                 lines.append(pad + "end")
             case While(cond, invariant, body):
-                head = f"{pad}while {pretty_assertion(cond)}"
+                head = f"{pad}while {pretty_expr(cond)}"
                 if invariant is not None:
-                    head += f" invariant {{ {pretty_assertion(invariant)} }}"
+                    head += f" invariant {{ {pretty_expr(invariant)} }}"
                 lines.append(head + " do")
                 lines += _com_lines(body, indent + 1)
                 lines.append(pad + "done")

@@ -7,7 +7,9 @@ an arithmetic expression reaches $t0:
   pushed, every operator pops twice and pushes once.
 * regalloc runs the tree register allocator over $t0..$t7 and lowers
   its register code directly, spilling through $sp only when a subtree
-  needs more than eight registers.
+  needs more than eight registers.  The allocator covers every
+  arithmetic node, so typed bit code gets registers too: ``~`` is a
+  ``nor`` in its operand's register and a cast generates no code.
 
 Variables live in the data segment under ``var_<name>``.  Typed
 programs pick slt or sltu from the declared comparison type; untyped
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from ..errors import CimpError, UnsupportedNode
-from ..regalloc import LoadConst, LoadVar, Op, Reload, Spill, alloc_codegen
+from ..regalloc import OP_KINDS, LoadConst, LoadVar, Reload, Spill, alloc_codegen
 from ..stack_machine import lower
 from ..syntax import (
     AExpr,
@@ -48,7 +50,6 @@ from ..syntax import (
     Ty,
     Var,
     program_vars,
-    transform,
     walk,
 )
 from ..typecheck import TypedProgram, typecheck, word32
@@ -73,21 +74,26 @@ _MUL_LOW_BIT = ins("sll", "$at", "$t9", 31)
 _MUL_SHIFT_LHS = ins("sll", "$t8", "$t8", 1)
 _MUL_SHIFT_RHS = ins("srl", "$t9", "$t9", 1)
 _T1_FROM_T0 = ins("addu", "$t1", "$t0", "$zero")
-# regalloc's Op(kind, lo, lo, lo + 1) and Op(kind, lo, lo + 1, lo)
+# the instruction for each regalloc Op kind but mul, which is emulated
+_MNEMONIC = {
+    "add": "addu", "sub": "subu", "and": "and", "or": "or", "xor": "xor",
+    "sll": "sllv", "srl": "srlv", "not": "nor",
+}
+# regalloc's Op(kind, lo, lo, lo + 1), Op(kind, lo, lo + 1, lo) and
+# Op("not", lo, lo, lo)
 _REG_OP = {
     (kind, lo, a, b): ins(mnemonic, _T[lo], _T[a], _T[b])
-    for kind, mnemonic in (("add", "addu"), ("sub", "subu"))
-    for lo in range(7)
-    for a, b in ((lo, lo + 1), (lo + 1, lo))
+    for kind, mnemonic in _MNEMONIC.items()
+    for lo in range(8)
+    for a, b in ((lo, lo + 1), (lo + 1, lo), (lo, lo))
+    if max(a, b) < 8
 }
 # naive lowering: what follows an operator's operands, result pushed
 _OPERANDS_TO_T0_T1 = _POP[1] + _POP[0]
 _NAIVE_TAIL = {
-    op: _OPERANDS_TO_T0_T1 + (ins(mnemonic, "$t0", "$t0", "$t1"),) + _PUSH[0]
-    for op, mnemonic in (
-        ("+", "addu"), ("-", "subu"),
-        ("&", "and"), ("|", "or"), ("^", "xor"), ("<<", "sllv"), (">>", "srlv"),
-    )
+    op: _OPERANDS_TO_T0_T1 + (ins(_MNEMONIC[kind], "$t0", "$t0", "$t1"),) + _PUSH[0]
+    for op, kind in OP_KINDS.items()
+    if kind != "mul"
 }
 _NAIVE_TAIL[Neg] = _POP[0] + (ins("subu", "$t0", "$zero", "$t0"),) + _PUSH[0]
 _NAIVE_TAIL[BitNot] = _POP[0] + (ins("nor", "$t0", "$t0", "$zero"),) + _PUSH[0]
@@ -168,10 +174,9 @@ class _Codegen:
     them is done, so a deep expression needs no recursion.
     """
 
-    def __init__(self, ty_of, strategy: str, typed: bool):
+    def __init__(self, ty_of, strategy: str):
         self.ty_of = ty_of
         self.strategy = strategy
-        self.typed = typed
         self.out: list[MipsInstr] = []
         self._counter = itertools.count()  # numbers labels and multiplications
 
@@ -212,25 +217,6 @@ class _Codegen:
 
     def tree_aexp(self, e: AExpr) -> None:
         """Register-allocated lowering; the value ends up in $t0."""
-        if self.typed:
-            # casts generate no code; the tree allocator covers core
-            # operators only, so bit operations go the naive way
-            bits = False
-
-            def strip(n):
-                nonlocal bits
-                t = type(n)
-                if t is Cast:
-                    return n.operand
-                if t is BitOp or t is BitNot:
-                    bits = True
-                return n
-
-            e = transform(e, strip)
-            if bits:
-                self.naive_aexp(e)
-                self.out += _POP[0]
-                return
         out = self.out
         for instr in alloc_codegen(e, 8):
             t = type(instr)
@@ -243,7 +229,6 @@ class _Codegen:
             elif t is Reload:
                 out += _POP[instr.dst]
             elif instr.kind == "mul":
-                assert t is Op
                 self.mul_into("$v0", _T[instr.lhs], _T[instr.rhs])
                 out.append(_FROM_V0[instr.dst])
             else:
@@ -299,24 +284,26 @@ def codegen(
         tp = typecheck(p)
     else:
         tp = None
+    if tp is None or not emulate_mul:
+        # one walk: an untyped program's bit node is reported before
+        # any multiplication
+        positions = []
         for n in walk(p.body, code_only=True):
-            if type(n) in (BitOp, BitNot, Cast):
+            t = type(n)
+            if t is BinOp:
+                if n.op == "*":
+                    positions.append(n.pos)
+            elif tp is None and (t is BitOp or t is BitNot or t is Cast):
                 raise UnsupportedNode(
                     "bit operations and casts need a typed program", n.pos
                 )
-    if not emulate_mul:
-        positions = [
-            n.pos
-            for n in walk(p.body, code_only=True)
-            if type(n) is BinOp and n.op == "*"
-        ]
-        if positions:
+        if positions and not emulate_mul:
             raise MulNotSupported(positions)
     if tp is None:
-        gen = _Codegen(lambda node: Ty.I32, strategy, False)
+        gen = _Codegen(lambda node: Ty.I32, strategy)
         names = sorted(program_vars(p))
     else:
-        gen = _Codegen(tp.ty_of, strategy, True)
+        gen = _Codegen(tp.ty_of, strategy)
         names = [name for name, _ in p.decls]
     lower(p.body, gen)
     data = tuple((f"var_{name}", 0) for name in names)

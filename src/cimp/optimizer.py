@@ -23,7 +23,7 @@ recurses through them untouched.
 
 from __future__ import annotations
 
-from .semantics import compile_expr
+from .semantics import MASK, SIGN, compile_expr
 from .syntax import (
     AExpr,
     And,
@@ -51,24 +51,20 @@ from .syntax import (
 
 OPT_LEVELS = (0, 1, 2)
 
-_MOD = 1 << 32
-_HALF = 1 << 31
-
-
 def _make_lit(k: int, wrap: bool) -> AExpr:
     if wrap:
-        return IntLit(k % _MOD)
+        return IntLit(k & MASK)
     return IntLit(k) if k >= 0 else Neg(IntLit(-k))
 
 
 def _append_const(acc: AExpr, k: int, wrap: bool) -> AExpr:
     if wrap:
-        k %= _MOD
+        k &= MASK
         if k == 0:
             return acc
         # prefer the smaller magnitude: x + (2^32 - 5) reads as x - 5
-        if _MOD - k < k:
-            return BinOp("-", acc, IntLit(_MOD - k))
+        if -k & MASK < k:
+            return BinOp("-", acc, IntLit(-k & MASK))
         return BinOp("+", acc, IntLit(k))
     if k == 0:
         return acc
@@ -112,8 +108,8 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
             out = _make_lit(total, wrap)
         # A negative leading term with a positive constant rebuilds
         # as "k - ..." rather than "-t + k", which would add a node.
-        elif rest[0][0] < 0 and (total % _MOD != 0 if wrap else total > 0):
-            out = IntLit(total % _MOD if wrap else total)
+        elif rest[0][0] < 0 and ((total & MASK) != 0 if wrap else total > 0):
+            out = IntLit(total & MASK if wrap else total)
             for sign, t in rest:
                 out = BinOp("+" if sign > 0 else "-", out, t)
         else:
@@ -200,7 +196,7 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
             # In wrapping mode the outcome depends on the operands'
             # signedness unless both constants sit where the signed
             # and unsigned orders coincide.
-            if not wrap or (0 <= lv < _HALF and 0 <= rv < _HALF):
+            if not wrap or (0 <= lv < SIGN and 0 <= rv < SIGN):
                 return BoolLit(compile_expr(b)({}))
     return b
 

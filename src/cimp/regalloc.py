@@ -3,10 +3,15 @@
 Ershov (Sethi-Ullman) numbering assigns each tree node the number of
 registers needed to evaluate it without touching memory; the labels are
 computed once per node, bottom-up, before code generation.  `alloc_codegen`
-turns a core arithmetic expression into straight-line register code for a
+turns every arithmetic expression into straight-line register code for a
 machine with k general registers, evaluating the heavier subtree first and
 spilling to a LIFO stack only when both subtrees need every available
 register.
+
+Leaves are labeled 1, and a binary node, core or bitwise, by the join
+rule.  Negation is read as ``0 - e``, so its labels and code are those of
+a subtraction from a literal zero.  ``~e`` is computed in e's register
+and a cast generates no code, so each is labeled as its operand.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import UnsupportedNode
-from .syntax import AExpr, BinOp, IntLit, Neg, Var, transform, walk
+from .syntax import AExpr, BinOp, BitNot, BitOp, Cast, IntLit, Neg, Var, walk
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ class LoadVar:
 
 @dataclass(frozen=True)
 class Op:
-    kind: str  # "add" | "sub" | "mul"
+    kind: str  # an OP_KINDS value, or "not" with lhs = rhs = dst
     dst: int
     lhs: int
     rhs: int
@@ -51,7 +55,11 @@ class Reload:
 RegInstr = Union[LoadConst, LoadVar, Op, Spill, Reload]
 RegCode = tuple[RegInstr, ...]
 
-OP_KINDS = {"+": "add", "-": "sub", "*": "mul"}
+OP_KINDS = {
+    "+": "add", "-": "sub", "*": "mul",
+    "&": "and", "|": "or", "^": "xor", "<<": "sll", ">>": "srl",
+}
+_ZERO = IntLit(0)  # the left operand every Neg is read with
 
 
 def _join(left: int, right: int) -> int:
@@ -60,19 +68,19 @@ def _join(left: int, right: int) -> int:
 
 def _labels(e: AExpr) -> dict[int, int]:
     """Ershov number of every node of e, keyed by id, in one bottom-up pass."""
-    labels: dict[int, int] = {}
+    labels = {id(_ZERO): 1}
     for n in reversed(list(walk(e))):  # every node after its subtrees
         t = type(n)
         if t is IntLit or t is Var:
             labels[id(n)] = 1
+        elif t is BinOp or t is BitOp:
+            labels[id(n)] = _join(labels[id(n.left)], labels[id(n.right)])
         elif t is Neg:
             labels[id(n)] = _join(1, labels[id(n.operand)])
-        elif t is BinOp:
-            labels[id(n)] = _join(labels[id(n.left)], labels[id(n.right)])
+        elif t is BitNot or t is Cast:
+            labels[id(n)] = labels[id(n.operand)]
         else:
-            raise UnsupportedNode(
-                "register allocation covers + - * and negation only", n.pos
-            )
+            raise TypeError(f"not an arithmetic expression: {n!r}")
     return labels
 
 
@@ -80,8 +88,6 @@ def alloc_codegen(e: AExpr, k: int) -> RegCode:
     """Compile `e` to register code; the result lands in register 0."""
     if k < 2:
         raise ValueError("need at least 2 registers")
-    # Neg becomes the binary form the labeling already assumes
-    e = transform(e, lambda n: BinOp("-", IntLit(0), n.operand) if type(n) is Neg else n)
     return tuple(_gen(e, _labels(e), k))
 
 
@@ -103,20 +109,26 @@ def _gen(e: AExpr, labels: dict[int, int], k: int) -> list[RegInstr]:
             out.append(LoadConst(lo, e.value))
         elif t is Var:
             out.append(LoadVar(lo, e.name))
+        elif t is Cast:
+            todo.append((e.operand, lo))
+        elif t is BitNot:
+            todo += (Op("not", lo, lo, lo), (e.operand, lo))
         else:
-            assert t is BinOp
-            kind = OP_KINDS[e.op]
-            ll, lr = labels[id(e.left)], labels[id(e.right)]
+            if t is Neg:
+                kind, left, right = "sub", _ZERO, e.operand
+            else:
+                kind, left, right = OP_KINDS[e.op], e.left, e.right
+            ll, lr = labels[id(left)], labels[id(right)]
             avail = k - lo
             if ll >= avail and lr >= avail:
                 # Neither side fits while the other's value is pinned:
                 # evaluate the right operand, park it on the spill stack,
                 # then redo the left with every register free and bring the
                 # right back into a scratch.
-                todo += (Op(kind, lo, lo, lo + 1), Reload(lo + 1), (e.left, lo),
-                         Spill(lo), (e.right, lo))
+                todo += (Op(kind, lo, lo, lo + 1), Reload(lo + 1), (left, lo),
+                         Spill(lo), (right, lo))
             elif lr > ll:
-                todo += (Op(kind, lo, lo + 1, lo), (e.left, lo + 1), (e.right, lo))
+                todo += (Op(kind, lo, lo + 1, lo), (left, lo + 1), (right, lo))
             else:
-                todo += (Op(kind, lo, lo, lo + 1), (e.right, lo + 1), (e.left, lo))
+                todo += (Op(kind, lo, lo, lo + 1), (right, lo + 1), (left, lo))
     return out

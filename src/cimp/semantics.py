@@ -172,8 +172,8 @@ TERMINAL = Terminal()
 # ---------------------------------------------------------------------------
 # Expression compilation
 
-MASK = 0xFFFFFFFF
-_SIGN = 1 << 31
+MASK = 0xFFFFFFFF  # the bits of a 32-bit word
+SIGN = 1 << 31  # its sign bit
 
 # Binary operators and comparisons.  A 32-bit chain masks its value at its
 # end only, which every operator but >> commutes with; >> masks its own.
@@ -269,7 +269,7 @@ def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
         test, f, g = _OPS[n.op], sub(n.left), sub(n.right)
         if wrap and word[id(n)] is Ty.I32:
             # i32 order on words: flipping the sign bit maps it onto u32 order
-            return lambda env: test(f(env) ^ _SIGN, g(env) ^ _SIGN)
+            return lambda env: test(f(env) ^ SIGN, g(env) ^ SIGN)
         return lambda env: test(f(env), g(env))
     if t is Not:
         f = sub(n.operand)

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Optional, Union
 
 from .errors import CimpError
-from .semantics import MASK, Outcome, Store, compile_expr, run_fueled
+from .semantics import MASK, SIGN, Outcome, Store, compile_expr, run_fueled
 from .syntax import (
     AExpr,
     Assertion,
@@ -41,10 +41,6 @@ from .syntax import (
     Var,
     walk,
 )
-
-_MOD = 1 << 32
-_SIGN = 1 << 31
-
 
 class TypeMismatch(CimpError):
     """Two sides of an operation disagree, with no implicit coercion."""
@@ -83,7 +79,7 @@ def word32(v: int) -> int:
 
 
 def to_signed(w: int) -> int:
-    return w - _MOD if w & _SIGN else w
+    return (w ^ SIGN) - SIGN
 
 
 class _Checker:

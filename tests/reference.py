@@ -7,8 +7,9 @@ pattern-matches each instruction and builds a new ``Store`` per write.
 ``ref_vcgen`` and ``ref_emit_smtlib`` are the textbook VC generator, one
 substitution per assignment and one recursive call per statement, and
 the recursive SMT-LIB2 printer that formats each occurrence of a node.
-``ershov``, ``reg_exec``, ``max_live`` and ``listing`` read the register
-code ``regalloc.alloc_codegen`` emits: its spill-free register need, its
+``ershov`` labels a core expression by the textbook recursion, apart
+from the allocator's own labeling.  ``reg_exec``, ``max_live`` and
+``listing`` read the register code ``regalloc.alloc_codegen`` emits: its
 value, its peak live registers and its text.
 """
 
@@ -17,7 +18,7 @@ from typing import Optional
 from cimp import syntax as sx
 from cimp.errors import CimpError, UnsupportedNode
 from cimp.hoare import MissingInvariant, VerificationCondition, subst_all
-from cimp.regalloc import LoadConst, LoadVar, Op, RegCode, RegInstr, Reload, Spill, _labels
+from cimp.regalloc import LoadConst, LoadVar, Op, RegCode, RegInstr, Reload, Spill
 from cimp.semantics import Store
 from cimp.stack_machine import (
     Iadd,
@@ -239,12 +240,22 @@ class MalformedCode(CimpError):
 
 
 def ershov(e: sx.AExpr) -> int:
-    """Registers needed to evaluate `e` with no spills.
+    """Registers needed to evaluate core expression `e` with no spills.
 
     Leaves (variables and constants alike) are labeled 1.  Negation is
-    labeled as if written 0 - e.
+    labeled as if written 0 - e.  A binary node whose operands need l and
+    r registers needs max(l, r) when they differ and l + 1 when they tie.
     """
-    return _labels(e)[id(e)]
+    match e:
+        case sx.IntLit() | sx.Var():
+            return 1
+        case sx.Neg(a):
+            l, r = 1, ershov(a)
+        case sx.BinOp(_, a, b):
+            l, r = ershov(a), ershov(b)
+        case _:
+            raise TypeError(f"not a core expression: {e!r}")
+    return max(l, r) if l != r else l + 1
 
 
 def reg_exec(code: RegCode, s: Store, k: Optional[int] = None) -> int:

@@ -407,12 +407,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ((), "control.stack"),
         (("--backend", "mips", "--emulate-mul"), "control.naive.s"),
         (("--backend", "mips", "--regalloc", "su", "--emulate-mul"), "control.su.s"),
+        (("--backend", "mips", "--emulate-mul"), "typed.naive.s"),
+        (("--backend", "mips", "--regalloc", "su", "--emulate-mul"), "typed.su.s"),
     ],
 )
 def test_compile_output_is_pinned(capsys, flags, expected):
     # control.imp has if, while, &&, ||, !, true, false and *: the jump
-    # code layout, the label names and their numbering are all pinned
-    out = _run(capsys, "compile", str(GOLDEN / "control.imp"), *flags)
+    # code layout, the label names and their numbering are all pinned.
+    # typed.imp pins the bit operators, ~, casts and signed and unsigned
+    # comparisons.
+    source = GOLDEN / (expected.split(".")[0] + ".imp")
+    out = _run(capsys, "compile", str(source), *flags)
     assert out == (0, (GOLDEN / expected).read_text(), "")
 
 

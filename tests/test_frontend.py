@@ -19,8 +19,7 @@ from cimp.frontend import (
     parse_assertion_text,
     parse_program,
     pretty,
-    pretty_aexpr,
-    pretty_assertion,
+    pretty_expr,
 )
 
 
@@ -267,8 +266,8 @@ def test_implication_in_a_condition_fails_at_its_first_arrow():
 def test_roundtrip_long_implication_chain(n):
     text = " -> ".join(f"x = {i}" for i in range(n))
     a = parse_assertion_text(text)
-    assert pretty_assertion(a) == text
-    assert sx.equal(parse_assertion_text(pretty_assertion(a)), a)
+    assert pretty_expr(a) == text
+    assert sx.equal(parse_assertion_text(pretty_expr(a)), a)
 
 
 def test_implication_lowest_precedence():
@@ -325,12 +324,12 @@ def test_parse_error_furthest_alternative_wins():
 
 def test_pretty_precedence_no_parens():
     e = sx.BinOp("+", sx.Var("a"), sx.BinOp("*", sx.IntLit(1), sx.IntLit(2)))
-    assert pretty_aexpr(e) == "a + 1 * 2"
+    assert pretty_expr(e) == "a + 1 * 2"
 
 
 def test_pretty_forced_parens():
     e = sx.BinOp("*", sx.BinOp("+", sx.Var("a"), sx.IntLit(1)), sx.IntLit(2))
-    assert pretty_aexpr(e) == "(a + 1) * 2"
+    assert pretty_expr(e) == "(a + 1) * 2"
 
 
 def test_pretty_skip():
@@ -339,26 +338,26 @@ def test_pretty_skip():
 
 def test_pretty_left_assoc_parens_on_right():
     e = sx.BinOp("-", sx.Var("a"), sx.BinOp("-", sx.Var("b"), sx.Var("c")))
-    assert pretty_aexpr(e) == "a - (b - c)"
+    assert pretty_expr(e) == "a - (b - c)"
     e2 = sx.BinOp("-", sx.BinOp("-", sx.Var("a"), sx.Var("b")), sx.Var("c"))
-    assert pretty_aexpr(e2) == "a - b - c"
+    assert pretty_expr(e2) == "a - b - c"
 
 
 def test_pretty_unary_stacking():
-    assert pretty_aexpr(sx.Neg(sx.Neg(sx.Var("x")))) == "--x"
-    assert pretty_aexpr(sx.Neg(sx.BinOp("*", sx.Var("x"), sx.Var("y")))) == "-(x * y)"
+    assert pretty_expr(sx.Neg(sx.Neg(sx.Var("x")))) == "--x"
+    assert pretty_expr(sx.Neg(sx.BinOp("*", sx.Var("x"), sx.Var("y")))) == "-(x * y)"
 
 
 def test_pretty_bool_minimal_parens():
     b = sx.And(sx.Or(sx.BoolLit(True), sx.BoolLit(False)), sx.BoolLit(True))
-    assert pretty_assertion(b) == "(true || false) && true"
+    assert pretty_expr(b) == "(true || false) && true"
 
 
 def test_pretty_assertion_implication():
     a = sx.Implies(sx.Implies(sx.BoolLit(True), sx.BoolLit(False)), sx.BoolLit(True))
-    assert pretty_assertion(a) == "(true -> false) -> true"
+    assert pretty_expr(a) == "(true -> false) -> true"
     b = sx.Implies(sx.BoolLit(True), sx.Implies(sx.BoolLit(False), sx.BoolLit(True)))
-    assert pretty_assertion(b) == "true -> false -> true"
+    assert pretty_expr(b) == "true -> false -> true"
 
 
 
@@ -368,27 +367,26 @@ def _binary(ops, lexeme, left, right):
 
 
 @pytest.mark.parametrize(
-    "table, operand, parse_text, print_text",
+    "table, operand, parse_text",
     [
-        (ARITH_OPS, sx.Var, lambda text: rhs("x := " + text), pretty_aexpr),
-        (FORMULA_OPS, lambda v: sx.Cmp("<", sx.Var(v), sx.IntLit(0)), parse_assertion_text,
-         pretty_assertion),
+        (ARITH_OPS, sx.Var, lambda text: rhs("x := " + text)),
+        (FORMULA_OPS, lambda v: sx.Cmp("<", sx.Var(v), sx.IntLit(0)), parse_assertion_text),
     ],
     ids=["arith", "formula"],
 )
-def test_parentheses_are_minimal_for_every_operator_pair(table, operand, parse_text, print_text):
+def test_parentheses_are_minimal_for_every_operator_pair(table, operand, parse_text):
     ops = {lexeme: cls for level in table for lexeme, cls in level.items()}
     a, b, c = map(operand, "abc")
     for op1 in ops:
         for op2 in ops:
-            flat = parse_text(f"{print_text(a)} {op1} {print_text(b)} {op2} {print_text(c)}")
+            flat = parse_text(f"{pretty_expr(a)} {op1} {pretty_expr(b)} {op2} {pretty_expr(c)}")
             groupings = (
                 _binary(ops, op2, _binary(ops, op1, a, b), c),
                 _binary(ops, op1, a, _binary(ops, op2, b, c)),
             )
             assert flat in groupings
             for tree in groupings:
-                text = print_text(tree)
+                text = pretty_expr(tree)
                 # parentheses exactly when the parser would group otherwise
                 assert ("(" in text) == (tree != flat), (op1, op2, text)
                 assert parse_text(text) == tree
@@ -425,21 +423,21 @@ def test_pretty_if_layout():
 @settings(max_examples=200)
 @given(gen.aexprs(bits=True))
 def test_roundtrip_aexpr(e):
-    c = parse_program(f"x := {pretty_aexpr(e)}").body
+    c = parse_program(f"x := {pretty_expr(e)}").body
     assert c.rhs == e
 
 
 @settings(max_examples=150)
 @given(gen.bexprs(bits=True))
 def test_roundtrip_bexpr(b):
-    c = parse_program(f"if {pretty_assertion(b)} then skip else skip end").body
+    c = parse_program(f"if {pretty_expr(b)} then skip else skip end").body
     assert c.cond == b
 
 
 @settings(max_examples=150)
 @given(gen.assertions())
 def test_roundtrip_assertion(a):
-    assert parse_assertion_text(pretty_assertion(a)) == a
+    assert parse_assertion_text(pretty_expr(a)) == a
 
 
 @settings(max_examples=200)

@@ -63,3 +63,26 @@ def test_no_module_level_name_is_an_alias_of_another():
         and name not in _BENCH_ALIASES
     )
     assert not aliases, "aliases of names defined in src/cimp:\n" + "\n".join(aliases)
+
+
+# The 32-bit word format is stated once on the source side, in
+# semantics.py; mips/ keeps its own, being the independent target machine.
+_WORD_CONSTANTS = {1 << 31, (1 << 32) - 1, 1 << 32}
+_CONSTANT_EXPR = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+
+
+def test_word_format_is_stated_once():
+    src = ROOT / "src" / "cimp"
+    restated = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        if rel.parts[0] == "mips" or rel.name == "semantics.py":
+            continue
+        for name, node in _definitions(ast.parse(path.read_text())):
+            value = getattr(node, "value", None)
+            if value is None or not all(isinstance(n, _CONSTANT_EXPR) for n in ast.walk(value)):
+                continue
+            v = eval(compile(ast.Expression(value), str(path), "eval"), {"__builtins__": {}})
+            if type(v) is int and v in _WORD_CONSTANTS:
+                restated.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name} = {v:#x}")
+    assert not restated, "word constants outside semantics.py:\n" + "\n".join(restated)

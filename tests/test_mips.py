@@ -12,7 +12,7 @@ from cimp.generator import GenSpec, fuel_bound, gen_program
 from cimp.optimizer import optimize
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
-from cimp.syntax import BinOp, IntLit, SrcPos
+from cimp.syntax import Assign, BinOp, BitOp, IntLit, Program, SrcPos, Ty, Var
 from cimp.typecheck import ceval_fixed, typecheck, word32
 from cimp.mips.isa import check
 from cimp.mips import (
@@ -716,8 +716,6 @@ def _wide_sum(depth):
 
 
 def test_regalloc_spills_on_mips():
-    from cimp.syntax import Assign, Program
-
     e = _wide_sum(8)
     assert any(isinstance(i, Spill) for i in alloc_codegen(e, 8))
     prog = codegen(Program(decls=(), body=Assign("x", e)), strategy="regalloc")
@@ -728,6 +726,38 @@ def test_regalloc_spills_on_mips():
 def test_regalloc_no_stack_traffic_for_shallow_trees():
     text = emit_asm(codegen(parse_program("x := (1 + 2) + (3 + 4)"), strategy="regalloc"))
     assert "$sp" not in text
+
+
+def test_regalloc_typed_bit_code_stays_in_registers():
+    src = "var x: u32; var a: u32; var b: u32; var c: i32; x := (a ^ b) & ~u32(c) << 3"
+    text = emit_asm(codegen(parse_program(src), strategy="regalloc"))
+    assert "$sp" not in text
+
+
+_WORDS = (0, 1, 2**31 - 1, 2**31, 2**32 - 1)
+
+
+@pytest.mark.parametrize("ops", [("^", "^"), ("^", "-")])
+def test_regalloc_spills_typed_bit_tree(ops):
+    # 256 leaves, each a distinct u32 variable; ershov 9 > 8 registers
+    leaves = iter(range(256))
+
+    def build(d):
+        if d == 0:
+            return Var(f"v{next(leaves)}")
+        op = ops[d % 2]
+        return (BitOp if op == "^" else BinOp)(op, build(d - 1), build(d - 1))
+
+    e = build(8)
+    assert any(isinstance(i, Spill) for i in alloc_codegen(e, 8))
+    names = [f"v{i}" for i in range(256)]
+    p = Program(decls=tuple((n, Ty.U32) for n in ("x", *names)), body=Assign("x", e))
+    tp = typecheck(p)
+    prog = codegen(tp, strategy="regalloc")
+    for r in range(len(_WORDS)):
+        init = {n: _WORDS[(i + r) % len(_WORDS)] for i, n in enumerate(names)}
+        expect = _final_words(p, ceval_fixed(1, tp, Store(init)))
+        assert simulate(prog, init=init, budget=10**5) == Halted(expect)
 
 
 def test_naive_uses_stack_for_every_operand():

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as gen
 from cimp import regalloc
-from cimp.errors import UnsupportedNode
 from oracles import min_registers
 from reference import MalformedCode, ershov, listing, max_live, reg_exec
 from cimp.regalloc import (
@@ -16,7 +17,7 @@ from cimp.regalloc import (
     alloc_codegen,
 )
 from cimp.semantics import Store, aeval
-from cimp.syntax import BinOp, BitOp, IntLit, Neg, Var, node_count
+from cimp.syntax import BinOp, BitNot, BitOp, Cast, IntLit, Neg, Ty, Var, node_count, transform, walk
 
 
 def V(n):
@@ -59,9 +60,30 @@ def test_ershov_neg_counts_as_binary():
     assert ershov(Neg(add(V("a"), V("b")))) == 2
 
 
-def test_ershov_rejects_bit_operations():
-    with pytest.raises(UnsupportedNode):
-        ershov(BitOp("&", V("a"), V("b")))
+# each core operator and the bit operator that stands in for it
+_AS_BITS = {"+": "^", "-": "<<", "*": "&"}
+_KIND_AS_BITS = {"add": "xor", "sub": "sll", "mul": "and"}
+
+
+def _as_bits(e):
+    """e with each core operator replaced, and each -e read as 0 << e."""
+    def f(n):
+        if type(n) is BinOp:
+            return BitOp(_AS_BITS[n.op], n.left, n.right)
+        return BitOp("<<", IntLit(0), n.operand) if type(n) is Neg else n
+
+    return transform(e, f)
+
+
+def _kinds_as_bits(code):
+    return tuple(replace(i, kind=_KIND_AS_BITS[i.kind]) if isinstance(i, Op) else i for i in code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen.aexprs(), st.sampled_from([2, 3, 4]))
+def test_bit_operations_allocate_like_core(e, k):
+    # the same registers, spills and reloads; only the operation differs
+    assert alloc_codegen(_as_bits(e), k) == _kinds_as_bits(alloc_codegen(e, k))
 
 
 def test_ershov_matches_oracle_exhaustively_depth3():
@@ -143,9 +165,20 @@ def test_codegen_requires_two_registers():
         alloc_codegen(V("a"), 1)
 
 
-def test_codegen_rejects_bit_operations():
-    with pytest.raises(UnsupportedNode):
-        alloc_codegen(BitOp("^", V("a"), V("b")), 4)
+def _without_nots(code):
+    return tuple(i for i in code if not (isinstance(i, Op) and i.kind == "not"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen.aexprs(bits=True), st.sampled_from([2, 3, 4]))
+def test_complement_and_casts_add_no_register(e, k):
+    # wrapping every node in a cast of a complement leaves the code as it
+    # was, plus one "not" per node, computed in the node's own register
+    code = alloc_codegen(transform(e, lambda n: Cast(Ty.U32, BitNot(n))), k)
+    nots = [i for i in code if isinstance(i, Op) and i.kind == "not"]
+    assert len(nots) == node_count(e) + sum(type(n) is BitNot for n in walk(e))
+    assert all(i.lhs == i.rhs == i.dst for i in nots)
+    assert _without_nots(code) == _without_nots(alloc_codegen(e, k))
 
 
 @settings(max_examples=500, deadline=None)
