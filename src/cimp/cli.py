@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .difftest import DEFAULT_ENGINES, ENGINE_NAMES, check_engines, run_diff
+from .difftest import DEFAULT_ENGINES, ENGINE_NAMES, run_diff
 from .errors import CimpError
 from .frontend import parse_assertion_text, parse_program
 from .generator import GenSpec
@@ -144,7 +144,6 @@ def _cmd_compile(args) -> int:
 
 def _cmd_run(args) -> int:
     p = _read_program(args.file)
-    check_engines((args.engine,), p.typed)
     store = Store({})
     if args.store_in:
         store = parse_store(Path(args.store_in).read_text())

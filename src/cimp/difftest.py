@@ -1,22 +1,23 @@
 """Differential execution of generated programs across engines.
 
 Each case runs every selected engine on the same program and initial
-store and compares canonical outcomes.  Untyped programs compare exact
-final stores across the unbounded engines; typed programs compare
-32-bit words between the fixed-width reference and the MIPS simulator.
+store and compares canonical outcomes: the exact final store of an
+untyped program, the declared names' 32-bit words of a typed one.
 Divergence is data, not an error: it lands in the report.
 
 ``DEFAULT_ENGINES`` is the one engine table: ``cimp run`` calls one
-entry, ``cimp fuzz`` (``run_diff``) several, and both check the names
-with ``check_engines``.  Its bigstep and mips engines share one
-typecheck of a typed program, as ``codegen`` accepts a ``TypedProgram``.
+entry and ``cimp fuzz`` (``run_diff``) several.  Every engine runs
+typed and untyped programs alike, and the engines of one case share one
+typecheck of a typed program, as ``compile_program`` and ``codegen``
+accept a ``TypedProgram``.
 
 Engines:
-    bigstep     fueled big-step (fixed-width when the program is typed)
-    smallstep   fueled small-step (untyped only)
-    stackvm     stack-machine compile + fueled VM (untyped only)
+    bigstep     ``semantics.run_fueled`` with the ``BIG_STEP`` cost table
+    smallstep   ``semantics.run_fueled`` with the ``SMALL_STEP`` cost table
+    stackvm     stack-machine compile + fueled VM (word mode when typed)
     mips        codegen + instruction-level simulator (``cimp run``
-                takes untyped programs too; ``cimp fuzz`` typed only)
+                takes untyped programs too; ``cimp fuzz`` typed only,
+                where the generator's values fit 32 bits)
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from typing import Callable, Optional
 from .frontend import pretty
 from .generator import GenSpec, fuel_bound, gen_program
 from .mips import Halted, Trap, codegen, simulate
-from .semantics import Done, Store, ceval_fuel, run_small
+from .semantics import BIG_STEP, SMALL_STEP, Done, Store, run_fueled
 from .stack_machine import MachineError, compile_program, vm_exec
 from .syntax import Program
-from .typecheck import TypedProgram, ceval_fixed, to_signed, typecheck, word32
+from .typecheck import TypedProgram, to_signed, typecheck, word32
 
 ENGINE_NAMES = ("bigstep", "smallstep", "stackvm", "mips")
 
@@ -62,9 +63,12 @@ class DiffReport:
         return self.divergences == 0 and self.skipped == 0
 
 
-def _outcome(out) -> Outcome:
-    """A fueled run's result (Done, OutOfFuel or MachineError) as an outcome."""
+def _outcome(p: Program, out) -> Outcome:
+    """A fueled run's result (Done, OutOfFuel or MachineError) as an
+    outcome; a typed program's store reads as its declared words."""
     if isinstance(out, Done):
+        if p.typed:
+            return ("done", {name: word32(out.store.get(name)) for name, _ in p.decls})
         return ("done", out.store)
     if isinstance(out, MachineError):
         return ("error", out.reason)
@@ -78,25 +82,27 @@ def _outcome(out) -> Outcome:
 _last_typing: Optional[TypedProgram] = None
 
 
-def _typing(p: Program) -> TypedProgram:
+def _source(p: Program) -> Program | TypedProgram:
+    """What the engines take: p's shared typing, or p itself if untyped."""
     global _last_typing
+    if not p.typed:
+        return p
     tp = _last_typing
     if tp is None or tp.program is not p:
         tp = _last_typing = typecheck(p)
     return tp
 
 
-def _eng_bigstep(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    if not p.typed:
-        return _outcome(ceval_fuel(fuel, p.body, store))
-    kind, out = _outcome(ceval_fixed(fuel, _typing(p), store))
-    if kind == "done":
-        return ("done", {name: word32(out.get(name)) for name, _ in p.decls})
-    return (kind, out)
+def _tree_engine(cost) -> Engine:
+    def run(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
+        types = _source(p)._types if p.typed else None
+        return _outcome(p, run_fueled(fuel, p.body, store, types, cost))
+
+    return run
 
 
 def _eng_mips(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    prog = codegen(_typing(p) if p.typed else p, emulate_mul=True)
+    prog = codegen(_source(p), emulate_mul=True)
     out = simulate(prog, init=dict(store.items()), budget=budget)
     if isinstance(out, Halted):
         if p.typed:
@@ -109,26 +115,13 @@ def _eng_mips(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
 
 
 DEFAULT_ENGINES = {
-    "bigstep": _eng_bigstep,
-    "smallstep": lambda p, store, fuel, budget: _outcome(run_small(fuel, p.body, store)),
-    "stackvm": lambda p, store, fuel, budget: _outcome(vm_exec(fuel, compile_program(p), store)),
+    "bigstep": _tree_engine(BIG_STEP),
+    "smallstep": _tree_engine(SMALL_STEP),
+    "stackvm": lambda p, store, fuel, budget: _outcome(
+        p, vm_exec(fuel, compile_program(_source(p)), store)
+    ),
     "mips": _eng_mips,
 }
-
-
-def check_engines(names, typed: bool) -> None:
-    """Raise ValueError on an unknown engine name, or on an untyped-only
-    engine asked to run a typed program."""
-    for name in names:
-        if name not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {name!r}")
-    for name in names:
-        if typed and name in ("smallstep", "stackvm"):
-            raise ValueError(f"engine {name} runs untyped programs only")
-
-
-def default_engine_names(typed: bool) -> tuple[str, ...]:
-    return ("bigstep", "mips") if typed else ("bigstep", "smallstep", "stackvm")
 
 
 def _init_store(rng: random.Random, p: Program, typed: bool) -> Store:
@@ -155,8 +148,11 @@ def run_diff(
     """Generate count cases from spec and compare engine outcomes."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    names = tuple(engines) if engines else default_engine_names(spec.typed)
-    check_engines(names, spec.typed)
+    # mips wraps at 32 bits, so it runs typed generation only
+    names = tuple(engines or (n for n in ENGINE_NAMES if spec.typed or n != "mips"))
+    for name in names:
+        if name not in ENGINE_NAMES:
+            raise ValueError(f"unknown engine {name!r}")
     if "mips" in names and not spec.typed:
         raise ValueError("engine mips requires typed generation")
     table = dict(DEFAULT_ENGINES)

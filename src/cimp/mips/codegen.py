@@ -52,7 +52,7 @@ from ..syntax import (
     program_vars,
     walk,
 )
-from ..typecheck import TypedProgram, typecheck, word32
+from ..typecheck import TypedProgram, typing, word32
 from .isa import Ins, LabelDef, Mem, MipsInstr, MipsProgram, ins
 
 STRATEGIES = ("naive", "regalloc")
@@ -278,12 +278,7 @@ def codegen(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if isinstance(p, TypedProgram):
-        tp, p = p, p.program
-    elif p.typed:
-        tp = typecheck(p)
-    else:
-        tp = None
+    p, tp = typing(p)
     if tp is None or not emulate_mul:
         # one walk: an untyped program's bit node is reported before
         # any multiplication
@@ -294,17 +289,11 @@ def codegen(
                 if n.op == "*":
                     positions.append(n.pos)
             elif tp is None and (t is BitOp or t is BitNot or t is Cast):
-                raise UnsupportedNode(
-                    "bit operations and casts need a typed program", n.pos
-                )
+                raise UnsupportedNode.at(n, "is only available in typed programs")
         if positions and not emulate_mul:
             raise MulNotSupported(positions)
-    if tp is None:
-        gen = _Codegen(lambda node: Ty.I32, strategy)
-        names = sorted(program_vars(p))
-    else:
-        gen = _Codegen(tp.ty_of, strategy)
-        names = [name for name, _ in p.decls]
+    gen = _Codegen(tp.ty_of if tp else lambda node: Ty.I32, strategy)
+    names = [name for name, _ in p.decls] if tp else sorted(program_vars(p))
     lower(p.body, gen)
     data = tuple((f"var_{name}", 0) for name in names)
     text = (LabelDef("main"), *gen.out, ins("break"))

@@ -1,9 +1,13 @@
 """Stack-machine compiler and fueled virtual machine.
 
-The machine has a single operand stack of unbounded integers, a store,
-and relative branches: a branch with offset ``delta`` at index ``pc``
-transfers control to ``pc + 1 + delta``, so ``delta = 0`` is a no-op
-and negative offsets jump backwards over the branch itself.
+The machine has a single operand stack, a store, and relative branches:
+a branch with offset ``delta`` at index ``pc`` transfers control to
+``pc + 1 + delta``, so ``delta = 0`` is a no-op and negative offsets
+jump backwards over the branch itself.  Untyped code runs on unbounded
+integers, typed code in word mode: literals, the initial store and each
+arithmetic result are 32-bit words, ``~e`` is ``e`` xor 2^32 - 1 and a
+cast emits nothing.  Branches then order words unsigned, so an i32 ``<``
+or ``<=`` first flips the sign bit of both operands.
 
 Compilation is the classic scheme: expressions in postorder (leaving
 exactly one value on the stack), boolean expressions as conditional
@@ -33,7 +37,7 @@ from dataclasses import dataclass, make_dataclass
 from typing import Union
 
 from .errors import UnsupportedNode
-from .semantics import OUT_OF_FUEL, Done, OutOfFuel, Store
+from .semantics import MASK, OUT_OF_FUEL, SIGN, Done, OutOfFuel, Store
 from .syntax import (
     AExpr,
     And,
@@ -54,10 +58,12 @@ from .syntax import (
     Program,
     Seq,
     Skip,
+    Ty,
     Var,
     While,
     walk,
 )
+from .typecheck import TypedProgram, typing
 
 # ---------------------------------------------------------------------------
 # Instructions: a frozen dataclass each, with at most one field.  The
@@ -69,6 +75,11 @@ Isetvar = make_dataclass("Isetvar", [("x", str)], frozen=True)
 Iadd = make_dataclass("Iadd", [], frozen=True)
 Isub = make_dataclass("Isub", [], frozen=True)
 Imul = make_dataclass("Imul", [], frozen=True)
+Iand = make_dataclass("Iand", [], frozen=True)
+Ior = make_dataclass("Ior", [], frozen=True)
+Ixor = make_dataclass("Ixor", [], frozen=True)
+Ishl = make_dataclass("Ishl", [], frozen=True)
+Ishr = make_dataclass("Ishr", [], frozen=True)
 Ibranch = make_dataclass("Ibranch", [("delta", int)], frozen=True)
 Ibeq = make_dataclass("Ibeq", [("delta", int)], frozen=True)
 Ibne = make_dataclass("Ibne", [("delta", int)], frozen=True)
@@ -77,7 +88,8 @@ Ibgt = make_dataclass("Ibgt", [("delta", int)], frozen=True)
 Ihalt = make_dataclass("Ihalt", [], frozen=True)
 
 Instr = Union[
-    Iconst, Ivar, Isetvar, Iadd, Isub, Imul, Ibranch, Ibeq, Ibne, Ible, Ibgt, Ihalt
+    Iconst, Ivar, Isetvar, Iadd, Isub, Imul, Iand, Ior, Ixor, Ishl, Ishr,
+    Ibranch, Ibeq, Ibne, Ible, Ibgt, Ihalt,
 ]
 
 Code = tuple[Instr, ...]
@@ -86,6 +98,7 @@ Code = tuple[Instr, ...]
 @dataclass(frozen=True)
 class StackProgram:
     code: Code
+    words: bool = False  # word mode: compiled from a typed program
 
 
 @dataclass(frozen=True)
@@ -106,36 +119,42 @@ VmResult = Union[Done, OutOfFuel, MachineError]
 # ---------------------------------------------------------------------------
 # Compilation
 
-_ARITH_INSTR = {"+": Iadd, "-": Isub, "*": Imul}
+_ARITH_INSTR = {"+": Iadd, "-": Isub, "*": Imul,
+                "&": Iand, "|": Ior, "^": Ixor, "<<": Ishl, ">>": Ishr}
 # the branches taken when a comparison's value is (False, True);
 # l < r branches as r > l, with the operands swapped
 _CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
 
 
-def _emit(root, todo: list) -> list:
+def _emit(root, todo: list, words: bool = False) -> list:
     """Postorder code for a work stack of expressions and instructions.
 
-    The tasks are run last first.  A fixed-width node raises
-    UnsupportedNode: the first in root in source order.
+    The tasks are run last first.  Unless ``words``, a fixed-width node
+    raises UnsupportedNode: the first in root in source order.
     """
     out: list = []
+    m = MASK if words else -1
     while todo:
         task = todo.pop()
         t = type(task)
         if t is IntLit:
-            out.append(Iconst(task.value))
+            out.append(Iconst(task.value & m))
         elif t is Var:
             out.append(Ivar(task.name))
-        elif t is BinOp:
+        elif t is BinOp or (words and t is BitOp):
             todo += (_ARITH_INSTR[task.op](), task.right, task.left)
         elif t is Neg:
             out.append(Iconst(0))
             todo += (Isub(), task.operand)
+        elif words and t is BitNot:
+            todo += (Ixor(), Iconst(MASK), task.operand)
+        elif words and t is Cast:
+            todo.append(task.operand)
         elif t is BitOp or t is BitNot or t is Cast:
             # report the first one in source order, not in code order
             nodes = walk(root, code_only=True)
             first = next(n for n in nodes if type(n) in (BitOp, BitNot, Cast))
-            raise UnsupportedNode.at(first, "has no stack-machine encoding")
+            raise UnsupportedNode.at(first, "is only available in typed programs")
         elif t in _DECODE:
             out.append(task)
         else:
@@ -203,10 +222,11 @@ def lower(root, target) -> None:
 class _StackTarget:
     """``lower``'s target for the stack machine.  A label is a one-element
     list holding its index once placed; branches are patched to relative
-    offsets when the code is finished."""
+    offsets when the code is finished.  ``ty_of`` gives a typed program's
+    comparison types, and is None for untyped code."""
 
-    def __init__(self):
-        self.out, self.patches = [], []
+    def __init__(self, ty_of=None):
+        self.out, self.patches, self.ty_of = [], [], ty_of
 
     def label(self, kind: str) -> list:
         return [None]
@@ -220,11 +240,14 @@ class _StackTarget:
 
     def branch(self, b: Cmp, cond: bool, label: list) -> None:
         first, second = (b.right, b.left) if b.op == "<" else (b.left, b.right)
-        self.out += _emit(b, [second, first])
+        todo = [second, first]
+        if self.ty_of is not None and b.op != "=" and self.ty_of(b) is Ty.I32:
+            todo = [Ixor(), Iconst(SIGN), second, Ixor(), Iconst(SIGN), first]
+        self.out += _emit(b, todo, self.ty_of is not None)
         self.jump(label, _CMP_BRANCH[b.op][cond])
 
     def assign(self, var: str, rhs: AExpr) -> None:
-        self.out += _emit(rhs, [Isetvar(var), rhs])
+        self.out += _emit(rhs, [Isetvar(var), rhs], self.ty_of is not None)
 
     def code(self) -> Code:
         for at, cls, label in self.patches:
@@ -251,14 +274,18 @@ def compile_bexp(b: BExpr, cond: bool, ofs: int) -> Code:
     return target.code()
 
 
-def compile_com(c: Com) -> Code:
-    target = _StackTarget()
+def compile_com(c: Com, ty_of=None) -> Code:
+    """Code for c; word-mode code given a typed program's ``ty_of``."""
+    target = _StackTarget(ty_of)
     lower(c, target)
     return target.code()
 
 
-def compile_program(p: Program) -> StackProgram:
-    return StackProgram(compile_com(p.body) + (Ihalt(),))
+def compile_program(p: Program | TypedProgram) -> StackProgram:
+    """Compile a program; a typed one (``typecheck.typing``) to word-mode code."""
+    p, tp = typing(p)
+    code = compile_com(p.body, tp and tp.ty_of) + (Ihalt(),)
+    return StackProgram(code, tp is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +300,11 @@ _DECODE = {
     Iadd: (_ARITH, operator.add),
     Isub: (_ARITH, operator.sub),
     Imul: (_ARITH, operator.mul),
+    Iand: (_ARITH, operator.and_),
+    Ior: (_ARITH, operator.or_),
+    Ixor: (_ARITH, operator.xor),
+    Ishl: (_ARITH, lambda v, k: v << (k & 31)),
+    Ishr: (_ARITH, lambda v, k: v >> (k & 31)),
     Ibeq: (_COND, operator.eq),
     Ibne: (_COND, operator.ne),
     Ible: (_COND, operator.le),
@@ -283,13 +315,15 @@ _DECODE = {
 }
 
 
-def _decode(code: Code) -> list[tuple[int, object]]:
+def _decode(code: Code, words: bool) -> list[tuple[int, object]]:
     """(opcode, argument) pairs; a branch's argument holds its pc increment."""
     out = []
     for i in code:
         if type(i) not in _DECODE:
             raise TypeError(f"not an Instr: {i!r}")
         op, fn = _DECODE[type(i)]
+        if words and op == _ARITH:  # word mode: results are taken mod 2^32
+            fn = lambda v, k, f=fn: f(v, k) & MASK  # noqa: E731
         field = next(iter(vars(i).values()), None)
         if op == _COND or op == _JUMP:
             field += 1
@@ -297,25 +331,30 @@ def _decode(code: Code) -> list[tuple[int, object]]:
     return out
 
 
-def run_fragment(fuel: int, code: Code, state: VmState) -> tuple[str, VmState]:
+def run_fragment(
+    fuel: int, code: Code, state: VmState, words: bool = False
+) -> tuple[str, VmState]:
     """Execute until halt, fuel exhaustion, an error, or pc leaving the code.
 
     Returns (status, final state) with status one of "halt", "outoffuel",
     "error", "exit"; "exit" means pc moved outside [0, len(code)) other
     than via Ihalt, which is the normal way a code fragment finishes.
-    Error states keep the pc of the offending instruction.
+    Error states keep the pc of the offending instruction.  In word mode
+    the store's values are read as words.
 
     The code is decoded once into (opcode, argument) pairs, dispatch is
     by integer compares, and the store is a private dict updated in place
     (Ertl and Gregg, "The structure and performance of efficient
     interpreters", JILP 2003).
     """
-    prog = _decode(code)
+    prog = _decode(code, words)
     n = len(prog)
     pc = state.pc
     stack = list(state.stack)
     push, pop = stack.append, stack.pop
     env = dict(state.store.items())
+    if words:
+        env = {x: v & MASK for x, v in env.items()}
     status = "error"  # what a bare break means: a stack underflow
     while True:
         if not 0 <= pc < n:
@@ -357,7 +396,7 @@ def vm_exec(fuel: int, prog: StackProgram, s0: Store) -> VmResult:
     """Run a whole program from pc 0 with an empty stack."""
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    status, st = run_fragment(fuel, prog.code, VmState(0, (), s0))
+    status, st = run_fragment(fuel, prog.code, VmState(0, (), s0), prog.words)
     if status == "halt":
         return Done(st.store)
     if status == "outoffuel":

@@ -11,7 +11,10 @@ order words.
 right-hand side of every assignment and the operands of every comparison,
 in loop conditions and invariants alike, and then in any formulas passed
 with the program, such as a Hoare triple's pre- and postcondition.  It
-loops along left spines, so operator chains of any length typecheck.
+loops along left spines, so operator chains of any length typecheck.  It
+records one type per comparison, the common type of its operands, as
+that is all the engines read: ``TypedProgram.ty_of`` answers for
+comparisons only.
 ``ceval_fixed`` is ``semantics.run_fueled`` over 32-bit words: the type
 table it passes picks signed or unsigned order once per comparison.
 ``eval_fixed`` and ``beval_fixed`` compile and apply one expression.
@@ -20,7 +23,7 @@ table it passes picks signed or unsigned order once per comparison.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import CimpError
 from .semantics import MASK, SIGN, Outcome, Store, compile_expr, run_fueled
@@ -58,11 +61,10 @@ class UndeclaredVariable(CimpError):
 
 
 class TypedProgram:
-    """A checked program plus the type assigned to every value node.
+    """A checked program plus the operand type of every comparison.
 
-    `ty_of` answers for arithmetic expressions and for comparison nodes
-    (where it reports the common operand type, which is what a backend
-    needs to pick signed or unsigned ordering).
+    `ty_of` answers for comparison nodes only: their common operand type
+    is all an engine reads, to order words signed or unsigned.
     """
 
     def __init__(self, program: Program, env: dict[str, Ty], types: dict[int, Ty]):
@@ -70,7 +72,7 @@ class TypedProgram:
         self.env = env
         self._types = types
 
-    def ty_of(self, node: Union[AExpr, Cmp]) -> Ty:
+    def ty_of(self, node: Cmp) -> Ty:
         return self._types[id(node)]
 
 
@@ -85,9 +87,6 @@ def to_signed(w: int) -> int:
 class _Checker:
     def __init__(self, env: dict[str, Ty]):
         self.env = env
-        self.types: dict[int, Ty] = {}
-
-    # -- arithmetic -------------------------------------------------------
 
     def synth(self, e: AExpr) -> Optional[Ty]:
         """Type of e, or None when e is a literal-only (polymorphic) tree.
@@ -102,13 +101,11 @@ class _Checker:
         t = self._synth_operand(e)
         for e in reversed(spine):
             if isinstance(e, BitOp):
-                self._expect(e.left, t, Ty.U32)
+                self._meet(e.left, Ty.U32, t)
                 self.check(e.right, Ty.U32)
                 t = Ty.U32
             else:
-                t = self._unify(e.left, t, e.right, self.synth(e.right))
-            if t is not None:
-                self.types[id(e)] = t
+                t = self._meet(e.right, t, self.synth(e.right))
         return t
 
     def _synth_operand(self, e: AExpr) -> Optional[Ty]:
@@ -118,59 +115,37 @@ class _Checker:
             t = self.env.get(e.name)
             if t is None:
                 raise UndeclaredVariable(e.name, e.pos)
-            self.types[id(e)] = t
             return t
         if isinstance(e, Neg):
-            t = self.synth(e.operand)
-            if t is not None:
-                self.types[id(e)] = t
-            return t
+            return self.synth(e.operand)
         if isinstance(e, BitNot):
             self.check(e.operand, Ty.U32)
-            self.types[id(e)] = Ty.U32
             return Ty.U32
         assert isinstance(e, Cast)
-        if self.synth(e.operand) is None:
-            # a cast imposes no context on its operand
-            self._adopt(e.operand, Ty.I32)
-        self.types[id(e)] = e.target
+        self.synth(e.operand)  # a cast imposes no context on its operand
         return e.target
 
-    def _unify(self, left: AExpr, tl: Optional[Ty], right: AExpr, tr: Optional[Ty]):
-        """Common type of operands that synthesized tl and tr, if either did."""
-        if tl is None:
-            if tr is not None:
-                self._adopt(left, tr)
-            return tr
-        if tr is None:
-            self._adopt(right, tl)
-        elif tr is not tl:
-            raise TypeMismatch(str(tl), str(tr), right.pos)
-        return tl
+    def _meet(self, e: AExpr, t: Optional[Ty], s: Optional[Ty]) -> Optional[Ty]:
+        """Common type of a context of type t and e, which synthesized s;
+        None stands for a literal-only type on either side."""
+        if t is not None and s is not None and s is not t:
+            raise TypeMismatch(str(t), str(s), e.pos)
+        return t or s
 
     def check(self, e: AExpr, t: Ty) -> None:
-        self._expect(e, self.synth(e), t)
-
-    def _expect(self, e: AExpr, s: Optional[Ty], t: Ty) -> None:
-        """e, which synthesized s, is used where t is expected."""
-        if s is None:
-            self._adopt(e, t)
-        elif s is not t:
-            raise TypeMismatch(str(t), str(s), e.pos)
-
-    def _adopt(self, e: AExpr, t: Ty) -> None:
-        # e synthesized as polymorphic, so it is built solely from
-        # IntLit, Neg and BinOp; stamp the whole spine with t
-        for n in walk(e):
-            self.types[id(n)] = t
+        self._meet(e, t, self.synth(e))
 
     def common(self, left: AExpr, right: AExpr) -> Ty:
-        t = self._unify(left, self.synth(left), right, self.synth(right))
-        if t is None:  # two literal-only operands default to i32
-            t = Ty.I32
-            self._adopt(left, t)
-            self._adopt(right, t)
-        return t
+        # two literal-only operands default to i32
+        return self._meet(right, self.synth(left), self.synth(right)) or Ty.I32
+
+
+def typing(p: Program | TypedProgram) -> tuple[Program, Optional[TypedProgram]]:
+    """p's program and typing (None if untyped), checking a typed ``Program``;
+    a caller that needs the typing too passes the ``TypedProgram``."""
+    if isinstance(p, TypedProgram):
+        return p.program, p
+    return p, typecheck(p) if p.typed else None
 
 
 def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
@@ -183,6 +158,7 @@ def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
         raise ValueError("typecheck needs a program with declarations")
     env = {name: ty if ty is not None else Ty.I32 for name, ty in p.decls}
     checker = _Checker(env)
+    types: dict[int, Ty] = {}
     for n in chain(walk(p.body), *map(walk, formulas)):
         if type(n) is Assign:
             declared = env.get(n.var)
@@ -190,8 +166,8 @@ def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
                 raise UndeclaredVariable(n.var, n.pos)
             checker.check(n.rhs, declared)
         elif type(n) is Cmp:
-            checker.types[id(n)] = checker.common(n.left, n.right)
-    return TypedProgram(p, env, checker.types)
+            types[id(n)] = checker.common(n.left, n.right)
+    return TypedProgram(p, env, types)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ the recursive SMT-LIB2 printer that formats each occurrence of a node.
 ``ershov`` labels a core expression by the textbook recursion, apart
 from the allocator's own labeling.  ``reg_exec``, ``max_live`` and
 ``listing`` read the register code ``regalloc.alloc_codegen`` emits: its
-value, its peak live registers and its text.
+value (bit operations on 32-bit words), its peak live registers and its
+text.
 """
 
 from typing import Optional
@@ -258,8 +259,27 @@ def ershov(e: sx.AExpr) -> int:
     return max(l, r) if l != r else l + 1
 
 
+# add, sub and mul over unbounded integers; the bit kinds over 32-bit
+# words, which agree with them mod 2^32
+_REG_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "and": lambda a, b: a & b & MASK,
+    "or": lambda a, b: (a | b) & MASK,
+    "xor": lambda a, b: (a ^ b) & MASK,
+    "sll": lambda a, b: (a << (b & 31)) & MASK,
+    "srl": lambda a, b: (a & MASK) >> (b & 31),
+    "not": lambda a, b: ~(a | b) & MASK,  # nor; regalloc reads one register twice
+}
+
+
 def reg_exec(code: RegCode, s: Store, k: Optional[int] = None) -> int:
-    """Run register code against a store and return register 0."""
+    """Run register code against a store and return register 0.
+
+    Core code computes over unbounded integers; code with a bit kind
+    computes a value whose low 32 bits are the word it denotes.
+    """
     regs: dict[int, int] = {}
     stack: list[int] = []
 
@@ -281,14 +301,9 @@ def reg_exec(code: RegCode, s: Store, k: Optional[int] = None) -> int:
             regs[check(ins.dst)] = s.get(ins.name)
         elif isinstance(ins, Op):
             a, b = read(ins.lhs), read(ins.rhs)
-            if ins.kind == "add":
-                regs[check(ins.dst)] = a + b
-            elif ins.kind == "sub":
-                regs[check(ins.dst)] = a - b
-            elif ins.kind == "mul":
-                regs[check(ins.dst)] = a * b
-            else:
+            if ins.kind not in _REG_OPS:
                 raise MalformedCode(f"unknown operation {ins.kind!r}")
+            regs[check(ins.dst)] = _REG_OPS[ins.kind](a, b)
         elif isinstance(ins, Spill):
             stack.append(read(ins.src))
         else:

@@ -216,7 +216,8 @@ def test_unreached_bit_operator_is_harmless_in_untyped_programs(tmp_path, capsys
     for engine in ("bigstep", "smallstep"):
         assert _run(capsys, "run", path, "--engine", engine) == (0, "y=3\n", ""), engine
     reached = _src(tmp_path, "y := 3; x := 1 & 2\n", "reached.imp")
-    for engine in ("bigstep", "smallstep"):
+    # the compiling engines reach every node, and say the same
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
         code, out, err = _run(capsys, "run", reached, "--engine", engine)
         assert (code, out) == (1, ""), engine
         assert err == (
@@ -304,12 +305,19 @@ def test_run_malformed_store(tmp_path, capsys):
     assert "error" in err
 
 
-def test_run_typed_rejects_untyped_only_engines(tmp_path, capsys):
-    path = _src(tmp_path, TYPED_WRAP)
-    for engine in ("smallstep", "stackvm"):
-        code, _, err = _run(capsys, "run", path, "--engine", engine)
-        assert code == 1
-        assert "untyped" in err
+def test_run_typed_agrees_on_every_engine(tmp_path, capsys):
+    # the generator draws neither a literal of 2^32 or more nor a negative
+    # initial value; every engine must read both as 32-bit words
+    big = _src(tmp_path, "var w: i32; var x: i32; var y: i32; var z: u32;\n"
+               "x := 4294967297; if x < 2 then y := 1 else y := 2 end;\n"
+               "if z < 4294967297 then w := w - 1 else w := w + 1 end\n", "big.imp")
+    init = tmp_path / "init.store"
+    init.write_text("w=-5\nz=-5\n")
+    for engine in ("bigstep", "smallstep", "stackvm", "mips"):
+        out = _run(capsys, "run", _src(tmp_path, TYPED_WRAP), "--engine", engine)
+        assert out == (0, "x=-1\ny=4294967295\n", ""), engine
+        out = _run(capsys, "run", big, "--engine", engine, "--store-in", str(init))
+        assert out == (0, "w=-4\nx=1\ny=1\nz=4294967291\n", ""), engine
 
 
 def test_run_negative_fuel_rejected(tmp_path, capsys):
@@ -409,13 +417,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (("--backend", "mips", "--regalloc", "su", "--emulate-mul"), "control.su.s"),
         (("--backend", "mips", "--emulate-mul"), "typed.naive.s"),
         (("--backend", "mips", "--regalloc", "su", "--emulate-mul"), "typed.su.s"),
+        ((), "typed.stack"),
     ],
 )
 def test_compile_output_is_pinned(capsys, flags, expected):
     # control.imp has if, while, &&, ||, !, true, false and *: the jump
     # code layout, the label names and their numbering are all pinned.
     # typed.imp pins the bit operators, ~, casts and signed and unsigned
-    # comparisons.
+    # comparisons, and on the stack backend the word-mode encodings.
     source = GOLDEN / (expected.split(".")[0] + ".imp")
     out = _run(capsys, "compile", str(source), *flags)
     assert out == (0, (GOLDEN / expected).read_text(), "")

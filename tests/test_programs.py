@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from cimp.cli import main
+from cimp.difftest import DEFAULT_ENGINES
 from cimp.frontend import parse_program, pretty
-from cimp.mips import MulNotSupported, codegen, simulate
-from cimp.semantics import Done, Store, ceval_fuel
+from cimp.mips import MulNotSupported, codegen
+from cimp.semantics import Store
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -16,6 +17,7 @@ FINAL_STORES = {
     "fibonacci.imp": {"a": 2584, "b": 4181, "i": 18, "t": 4181},
     "nested_conditionals.imp": {"x": 7, "y": 3, "z": 6},
     "mul_demo.imp": {"n": 6, "m": 7, "p": 42},
+    "wraparound.imp": {"big": 2**32 - 1, "next": 0, "signed_view": 2**32 - 1},
 }
 
 
@@ -25,27 +27,18 @@ def _load(name):
 
 def test_corpus_is_complete():
     names = sorted(p.name for p in PROGRAMS.glob("*.imp"))
-    assert names == sorted(FINAL_STORES) + ["wraparound.imp"]
+    assert names == sorted(FINAL_STORES)
 
 
 @pytest.mark.parametrize("name", sorted(FINAL_STORES))
-def test_untyped_examples_run_everywhere(name):
+def test_examples_run_everywhere(name):
     p = _load(name)
-    out = ceval_fuel(10**6, p.body, Store({}))
-    assert isinstance(out, Done)
-    assert dict(out.store.items()) == FINAL_STORES[name]
-    halted = simulate(codegen(p, emulate_mul=True))
-    assert halted.words == FINAL_STORES[name]
+    for engine, run in DEFAULT_ENGINES.items():
+        kind, store = run(p, Store({}), 10**6, 10**7)
+        assert (kind, dict(store.items())) == ("done", FINAL_STORES[name]), engine
 
 
-def test_wraparound_example():
-    p = _load("wraparound.imp")
-    assert p.typed
-    expected = {"big": 2**32 - 1, "next": 0, "signed_view": 2**32 - 1}
-    assert simulate(codegen(p)).words == expected
-
-
-@pytest.mark.parametrize("name", sorted(FINAL_STORES) + ["wraparound.imp"])
+@pytest.mark.parametrize("name", sorted(FINAL_STORES))
 def test_examples_round_trip(name):
     p = _load(name)
     assert parse_program(pretty(p)) == p

@@ -16,8 +16,9 @@ from cimp.regalloc import (
     Spill,
     alloc_codegen,
 )
-from cimp.semantics import Store, aeval
+from cimp.semantics import MASK, Store, aeval
 from cimp.syntax import BinOp, BitNot, BitOp, Cast, IntLit, Neg, Ty, Var, node_count, transform, walk
+from cimp.typecheck import eval_fixed
 
 
 def V(n):
@@ -179,6 +180,32 @@ def test_complement_and_casts_add_no_register(e, k):
     assert len(nots) == node_count(e) + sum(type(n) is BitNot for n in walk(e))
     assert all(i.lhs == i.rhs == i.dst for i in nots)
     assert _without_nots(code) == _without_nots(alloc_codegen(e, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen.aexprs(bits=True), gen.word_stores(), st.sampled_from([2, 3, 4]))
+def test_bit_code_computes_the_word(e, s, k):
+    # the allocator's bit code, spills included, has the 32-bit value of e
+    assert reg_exec(alloc_codegen(e, k), s, k) & MASK == eval_fixed(s, e)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bit_code_spills_keep_the_word(k):
+    # a complete tree one level deeper than k registers allow, over every
+    # bit operator, ~ and a cast, with words that stress sign and shifts
+    ops = ("&", "|", "^", "<<", ">>")
+    leaves = iter([0, 1, 2**31 - 1, 2**31, 2**32 - 1, 5, 31, 33] * 8)
+
+    def build(d):
+        if d == 0:
+            return Cast(Ty.I32, BitNot(IntLit(next(leaves))))
+        return BitOp(ops[d % len(ops)], build(d - 1), BitOp("^", V(f"x{d}"), build(d - 1)))
+
+    e = build(k)
+    code = alloc_codegen(e, k)
+    assert any(isinstance(i, Spill) for i in code)
+    s = Store({f"x{d}": 2**32 - d for d in range(k + 1)})
+    assert reg_exec(code, s, k) & MASK == eval_fixed(s, e)
 
 
 @settings(max_examples=500, deadline=None)

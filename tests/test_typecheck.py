@@ -34,10 +34,11 @@ def test_u32_arithmetic_with_casts():
 
 
 def test_plain_literals_adopt_declared_type():
-    tp = check("var x: u32; x := x + 1")
-    rhs = tp.program.body.rhs
-    assert tp.ty_of(rhs) is sx.Ty.U32
-    assert tp.ty_of(rhs.right) is sx.Ty.U32
+    # 0 - 1 adopts u32 from x, so it is the largest word, not -1
+    tp = check("var x: u32; if 0 - 1 < x then skip else skip end")
+    cond = tp.program.body.cond
+    assert tp.ty_of(cond) is sx.Ty.U32
+    assert beval_fixed(tp, Store({"x": 5}), cond) is False
 
 
 def test_cast_bridges_signedness():
@@ -45,9 +46,11 @@ def test_cast_bridges_signedness():
 
 
 def test_undecorated_declaration_defaults_to_i32():
-    tp = check("var x; x := 5")
+    tp = check("var x; if x < 0 then skip else skip end")
     assert tp.env == {"x": sx.Ty.I32}
-    assert tp.ty_of(tp.program.body.rhs) is sx.Ty.I32
+    cond = tp.program.body.cond
+    assert tp.ty_of(cond) is sx.Ty.I32
+    assert beval_fixed(tp, Store({"x": 2**31}), cond) is True  # the word of -2^31
 
 
 def test_literal_comparison_defaults_to_i32():
@@ -161,56 +164,23 @@ def test_untyped_program_is_a_precondition_violation():
 
 
 # ---------------------------------------------------------------------------
-# annotation completeness
+# comparison types
 
 
-def _value_nodes(tp):
-    def from_aexpr(e):
-        yield e
-        if isinstance(e, sx.Neg):
-            yield from from_aexpr(e.operand)
-        elif isinstance(e, (sx.BinOp, sx.BitOp)):
-            yield from from_aexpr(e.left)
-            yield from from_aexpr(e.right)
-        elif isinstance(e, sx.BitNot):
-            yield from from_aexpr(e.operand)
-        elif isinstance(e, sx.Cast):
-            yield from from_aexpr(e.operand)
-
-    def from_bexpr(b):
-        if isinstance(b, sx.Cmp):
-            yield b
-            yield from from_aexpr(b.left)
-            yield from from_aexpr(b.right)
-        elif isinstance(b, sx.Not):
-            yield from from_bexpr(b.operand)
-        elif isinstance(b, (sx.And, sx.Or)):
-            yield from from_bexpr(b.left)
-            yield from from_bexpr(b.right)
-
-    def from_com(c):
-        if isinstance(c, sx.Assign):
-            yield from from_aexpr(c.rhs)
-        elif isinstance(c, sx.Seq):
-            yield from from_com(c.first)
-            yield from from_com(c.second)
-        elif isinstance(c, sx.If):
-            yield from from_bexpr(c.cond)
-            yield from from_com(c.then_branch)
-            yield from from_com(c.else_branch)
-        elif isinstance(c, sx.While):
-            yield from from_bexpr(c.cond)
-            yield from from_com(c.body)
-
-    return list(from_com(tp.program.body))
+_ORDER = {"=": lambda l, r: l == r, "<": lambda l, r: l < r, "<=": lambda l, r: l <= r}
 
 
 @settings(max_examples=100, deadline=None)
-@given(gen.typed_programs())
-def test_every_value_node_is_annotated(p):
+@given(gen.typed_programs(), gen.word_stores())
+def test_every_comparison_orders_by_its_type(p, s):
+    # i32 comparisons order words as signed integers, u32 ones as unsigned
     tp = typecheck(p)
-    for node in _value_nodes(tp):
-        assert isinstance(tp.ty_of(node), sx.Ty)
+    for node in sx.walk(p.body):
+        if type(node) is sx.Cmp:
+            left, right = eval_fixed(s, node.left), eval_fixed(s, node.right)
+            if tp.ty_of(node) is sx.Ty.I32:
+                left, right = to_signed(left), to_signed(right)
+            assert beval_fixed(tp, s, node) == _ORDER[node.op](left, right)
 
 
 @settings(max_examples=100, deadline=None)
