@@ -160,13 +160,15 @@ class ParseError(CimpError):
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>[ \t\r\n]+|//[^\n]*)
-    | (?P<int>0[xX][0-9A-Fa-f]+|[0-9]+)
+    ((?:[ \t\r\n]|//[^\n]*)*)  # whitespace and comments, skipped
+    (?:
+      (?P<int>0[xX][0-9A-Fa-f]+|[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|<<|>>|<=|&&|\|\||->|[+\-*&|^~=<!])
     | (?P<punct>[();:{}])
+    | (?P<eoi>\Z)
     | (?P<bad>.)
-    """,
+    )""",
     re.VERBOSE | re.DOTALL,
 )
 
@@ -176,27 +178,27 @@ def lex(source: str) -> list[Token]:
 
     The result is a list of ``Token`` tuples that always ends with an
     end-of-input token.  Any character outside the token alphabet
-    raises LexError at its position.  Only whitespace can span lines,
-    so positions are tracked from the offset where the current line
-    starts; a tab or a carriage return counts as one column.
+    raises LexError at its position.  Each token is one match that skips
+    the whitespace and comments before it.  Only whitespace spans lines,
+    so positions count from where the current line starts; a tab or a
+    carriage return counts as one column.
     """
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    line, line_start, new = 1, 0, tuple.__new__
     for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = m.start() + text.rindex("\n") + 1
-            continue
-        col = m.start() - line_start + 1
+        kind, skipped = m.lastgroup, m[1]
+        start = m.start(kind)
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = source.rindex("\n", 0, start) + 1
+        text = m[kind]
         if kind == "name":
             kind = "keyword" if text in KEYWORDS else "ident"
         elif kind == "bad":
-            raise LexError(text, SrcPos(line, col))
-        tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eoi", "", line, len(source) - line_start + 1))
-    return tokens
+            raise LexError(text, SrcPos(line, start - line_start + 1))
+        tokens.append(new(Token, (kind, text, line, start - line_start + 1)))
+        if kind == "eoi":
+            return tokens
 
 
 def _binary_node(cls, op: Token, left, right):

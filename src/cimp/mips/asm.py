@@ -14,7 +14,7 @@ import re
 
 from ..errors import CimpError
 from ..syntax import SrcPos
-from .isa import SHAPES, LabelDef, Mem, MipsProgram, ins
+from .isa import SHAPES, Ins, LabelDef, Mem, MipsProgram, ins
 
 
 class AsmError(CimpError):
@@ -43,9 +43,9 @@ def _line(item) -> str:
 def emit_asm(prog: MipsProgram) -> str:
     """The program as text; each distinct instruction object is formatted once.
 
-    Codegen shares the instructions whose operands never change, such as
-    the pushes and pops of the operand stack, so the text is mostly
-    repeats of a few objects.  The memo lives only for this call.
+    In a codegen result equal instructions are one object, and most of
+    the text repeats a few of them, such as the pushes and pops of the
+    operand stack.  The memo lives only for this call.
     """
     lines = ["\t.data"]
     for label, word in prog.data:
@@ -79,11 +79,13 @@ def _parse_operand(kind: str, token: str, line_no: int):
 
 
 def parse_asm(src: str) -> MipsProgram:
-    """Parse assembly text, checking mnemonics, operands and labels."""
+    """Parse assembly text, checking mnemonics, operands and labels;
+    each distinct instruction line is parsed once, its repeats sharing it."""
     data: list[tuple[str, int]] = []
     text: list = []
-    # (line, label, kind) for each referenced label, checked after the pass
+    # (line, label, kind) for each referenced label at its text's first line
     refs: list[tuple[int, str, str]] = []
+    made: dict[str, Ins] = {}  # instruction text -> its one instruction object
     defined: dict[str, int] = {}
     section = "text"
 
@@ -121,19 +123,21 @@ def parse_asm(src: str) -> MipsProgram:
             define(name, line_no)
             text.append(LabelDef(name))
             continue
-        parts = line.split(None, 1)
-        op = parts[0]
-        shape = SHAPES.get(op, ())
-        tokens = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
-        # tokens past the shape stay text, so Ins reports the operand count
-        args = [_parse_operand(k, t, line_no) for k, t in zip(shape, tokens)]
-        try:
-            item = ins(op, *args, *tokens[len(shape) :])
-        except ValueError as err:
-            raise AsmError(line_no, str(err)) from None
-        for kind, arg in zip(shape, args):
-            if kind == "label" or (kind == "addr" and isinstance(arg, str)):
-                refs.append((line_no, arg, kind))
+        item = made.get(line)
+        if item is None:  # parsed at its first line; a repeat is the same object
+            parts = line.split(None, 1)
+            op = parts[0]
+            shape = SHAPES.get(op, ())
+            tokens = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
+            # tokens past the shape stay text, so Ins reports the operand count
+            args = [_parse_operand(k, t, line_no) for k, t in zip(shape, tokens)]
+            try:
+                item = made[line] = ins(op, *args, *tokens[len(shape) :])
+            except ValueError as err:
+                raise AsmError(line_no, str(err)) from None
+            for kind, arg in zip(shape, args):
+                if kind == "label" or (kind == "addr" and isinstance(arg, str)):
+                    refs.append((line_no, arg, kind))
         text.append(item)
 
     data_names = {name for name, _ in data}

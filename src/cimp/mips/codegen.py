@@ -20,11 +20,11 @@ inlined, otherwise MulNotSupported reports every ``*`` position.
 Statements and conditions are laid out by ``stack_machine.lower``, the
 jump-code scheme the stack backend uses too; this module supplies the
 labels, jumps, assignments and compare-and-branch sequences.  Every
-``Ins`` checks its shape when it is built: the fixed ones once, when
-this module is imported, after which each program shares them; the rest
-when they are emitted.  Lowering appends to one list and walks naive
-expressions from an explicit stack, so a long sequence costs no
-recursion.
+``Ins`` checks its shape when it is built, and each distinct value is
+built once, the fixed ones at import and the rest when a program first
+emits them, so equal instructions of one program are one object.
+Lowering appends to one list and walks naive expressions from an
+explicit stack, so a long sequence costs no recursion.
 
 ``codegen`` takes a typed program already checked, as a
 ``TypedProgram``, so a caller that needs the typing too checks once.
@@ -59,21 +59,23 @@ STRATEGIES = ("naive", "regalloc")
 
 _MUL_CLOBBERS = ("$t8", "$t9", "$at")
 
-# Instructions whose operands never change are built here, once, so
-# each is shape-checked at import and then shared by every program that
-# uses it.  Only instructions with a varying operand (an li/lui/ori
-# constant, an lw/sw of var_<name>, a branch to a fresh label, a
-# register chosen by a caller of emit_mul_emulation) are built where
-# they are emitted.
+# Instructions whose operands never change are built here, once per
+# value, and shared by every program that uses them.  The rest (an
+# li/lui/ori constant, an lw/sw of var_<name>, a branch to a label, a
+# register chosen by a caller of emit_mul_emulation) go through
+# ``_Codegen.ins``, whose table starts from these, so within one program
+# equal instructions are one object.
+_FIXED: dict[tuple, Ins] = {}  # (op, args) -> the one instruction of that value
+_fixed = lambda op, *args: _FIXED.setdefault((op, args), ins(op, *args))  # noqa: E731
 _SP0 = Mem(0, "$sp")
 _T = tuple(f"$t{i}" for i in range(8))  # the registers regalloc hands out
-_PUSH = tuple((ins("addiu", "$sp", "$sp", -4), ins("sw", r, _SP0)) for r in _T)
-_POP = tuple((ins("lw", r, _SP0), ins("addiu", "$sp", "$sp", 4)) for r in _T)
-_FROM_V0 = tuple(ins("addu", r, "$v0", "$zero") for r in _T)
-_MUL_LOW_BIT = ins("sll", "$at", "$t9", 31)
-_MUL_SHIFT_LHS = ins("sll", "$t8", "$t8", 1)
-_MUL_SHIFT_RHS = ins("srl", "$t9", "$t9", 1)
-_T1_FROM_T0 = ins("addu", "$t1", "$t0", "$zero")
+_PUSH = tuple((_fixed("addiu", "$sp", "$sp", -4), _fixed("sw", r, _SP0)) for r in _T)
+_POP = tuple((_fixed("lw", r, _SP0), _fixed("addiu", "$sp", "$sp", 4)) for r in _T)
+_FROM_V0 = tuple(_fixed("addu", r, "$v0", "$zero") for r in _T)
+_MUL_LOW_BIT = _fixed("sll", "$at", "$t9", 31)
+_MUL_SHIFT_LHS = _fixed("sll", "$t8", "$t8", 1)
+_MUL_SHIFT_RHS = _fixed("srl", "$t9", "$t9", 1)
+_T1_FROM_T0 = _fixed("addu", "$t1", "$t0", "$zero")
 # the instruction for each regalloc Op kind but mul, which is emulated
 _MNEMONIC = {
     "add": "addu", "sub": "subu", "and": "and", "or": "or", "xor": "xor",
@@ -82,7 +84,7 @@ _MNEMONIC = {
 # regalloc's Op(kind, lo, lo, lo + 1), Op(kind, lo, lo + 1, lo) and
 # Op("not", lo, lo, lo)
 _REG_OP = {
-    (kind, lo, a, b): ins(mnemonic, _T[lo], _T[a], _T[b])
+    (kind, lo, a, b): _fixed(mnemonic, _T[lo], _T[a], _T[b])
     for kind, mnemonic in _MNEMONIC.items()
     for lo in range(8)
     for a, b in ((lo, lo + 1), (lo + 1, lo), (lo, lo))
@@ -91,17 +93,17 @@ _REG_OP = {
 # naive lowering: what follows an operator's operands, result pushed
 _OPERANDS_TO_T0_T1 = _POP[1] + _POP[0]
 _NAIVE_TAIL = {
-    op: _OPERANDS_TO_T0_T1 + (ins(_MNEMONIC[kind], "$t0", "$t0", "$t1"),) + _PUSH[0]
+    op: _OPERANDS_TO_T0_T1 + (_fixed(_MNEMONIC[kind], "$t0", "$t0", "$t1"),) + _PUSH[0]
     for op, kind in OP_KINDS.items()
     if kind != "mul"
 }
-_NAIVE_TAIL[Neg] = _POP[0] + (ins("subu", "$t0", "$zero", "$t0"),) + _PUSH[0]
-_NAIVE_TAIL[BitNot] = _POP[0] + (ins("nor", "$t0", "$t0", "$zero"),) + _PUSH[0]
+_NAIVE_TAIL[Neg] = _POP[0] + (_fixed("subu", "$t0", "$zero", "$t0"),) + _PUSH[0]
+_NAIVE_TAIL[BitNot] = _POP[0] + (_fixed("nor", "$t0", "$t0", "$zero"),) + _PUSH[0]
 _MUL = object()  # naive lowering: multiply the two pushed operands
 # comparisons: $at := a test of $t0 against $t1 that is zero exactly
 # when left = right, left <= right (not right < left) or not left < right
 _CMP_TEST = {
-    (op, ty): ins(mnemonic, "$at", *regs)
+    (op, ty): _fixed(mnemonic, "$at", *regs)
     for ty, slt in ((Ty.I32, "slt"), (Ty.U32, "sltu"))
     for op, mnemonic, regs in (
         ("=", "subu", ("$t0", "$t1")),
@@ -123,8 +125,8 @@ class MulNotSupported(CimpError):
         super().__init__(f"multiplication requires --emulate-mul (at {where})", first)
 
 
-def load_imm(reg: str, value: int) -> list[Ins]:
-    """Load value mod 2**32 into reg: li when it fits, else lui/ori."""
+def load_imm(reg: str, value: int, ins=ins) -> list[Ins]:
+    """Load value mod 2**32 into reg, built by ins: li if it fits, else lui/ori."""
     v = word32(value)
     if v <= 0xFFFF:
         return [ins("li", reg, v)]
@@ -134,8 +136,8 @@ def load_imm(reg: str, value: int) -> list[Ins]:
     return out
 
 
-def emit_mul_emulation(dst: str, lhs: str, rhs: str, tag: int = 0) -> list[MipsInstr]:
-    """Shift-and-add product: dst := lhs * rhs mod 2**32.
+def emit_mul_emulation(dst: str, lhs: str, rhs: str, tag: int = 0, ins=ins) -> list[MipsInstr]:
+    """Shift-and-add product: dst := lhs * rhs mod 2**32, built by ins.
 
     dst, lhs, rhs must be pairwise distinct and none may be $t8, $t9 or
     $at, which the loop clobbers along with dst.  At most 32 iterations.
@@ -179,12 +181,20 @@ class _Codegen:
         self.strategy = strategy
         self.out: list[MipsInstr] = []
         self._counter = itertools.count()  # numbers labels and multiplications
+        self.made = dict(_FIXED)  # (op, args) -> this program's instruction
+
+    def ins(self, op: str, *args) -> Ins:
+        """``ins(op, *args)``, built once per distinct value in this program."""
+        made = self.made.get((op, args))
+        if made is None:
+            made = self.made[op, args] = ins(op, *args)
+        return made
 
     def label(self, kind: str) -> str:
         return f"{kind}_{next(self._counter)}"
 
     def mul_into(self, dst: str, lhs: str, rhs: str) -> None:
-        self.out += emit_mul_emulation(dst, lhs, rhs, tag=next(self._counter))
+        self.out += emit_mul_emulation(dst, lhs, rhs, tag=next(self._counter), ins=self.ins)
 
     def naive_aexp(self, e: AExpr) -> None:
         """Stack lowering: the value ends up pushed on the operand stack."""
@@ -196,10 +206,10 @@ class _Codegen:
             if t is tuple:
                 out += n
             elif t is IntLit:
-                out += load_imm("$t0", n.value)
+                out += load_imm("$t0", n.value, self.ins)
                 out += _PUSH[0]
             elif t is Var:
-                out.append(ins("lw", "$t0", f"var_{n.name}"))
+                out.append(self.ins("lw", "$t0", f"var_{n.name}"))
                 out += _PUSH[0]
             elif t is Cast:  # casts reinterpret bits and generate no code
                 todo.append(n.operand)
@@ -221,9 +231,9 @@ class _Codegen:
         for instr in alloc_codegen(e, 8):
             t = type(instr)
             if t is LoadConst:
-                out += load_imm(_T[instr.dst], instr.value)
+                out += load_imm(_T[instr.dst], instr.value, self.ins)
             elif t is LoadVar:
-                out.append(ins("lw", _T[instr.dst], f"var_{instr.name}"))
+                out.append(self.ins("lw", _T[instr.dst], f"var_{instr.name}"))
             elif t is Spill:
                 out += _PUSH[instr.src]
             elif t is Reload:
@@ -238,7 +248,7 @@ class _Codegen:
         self.out.append(LabelDef(label))
 
     def jump(self, label: str) -> None:
-        self.out.append(ins("j", label))
+        self.out.append(self.ins("j", label))
 
     def assign(self, var: str, rhs: AExpr) -> None:
         if self.strategy == "regalloc":
@@ -246,7 +256,7 @@ class _Codegen:
         else:
             self.naive_aexp(rhs)
             self.out += _POP[0]
-        self.out.append(ins("sw", "$t0", f"var_{var}"))
+        self.out.append(self.ins("sw", "$t0", f"var_{var}"))
 
     def branch(self, b: Cmp, cond: bool, target: str) -> None:
         """Branch to target when (left op right) == cond."""
@@ -264,7 +274,7 @@ class _Codegen:
             out += _OPERANDS_TO_T0_T1
         out.append(_CMP_TEST[b.op, self.ty_of(b)])
         branch = "bne" if cond == (b.op == "<") else "beq"
-        out.append(ins(branch, "$at", "$zero", target))
+        out.append(self.ins(branch, "$at", "$zero", target))
 
 
 def codegen(

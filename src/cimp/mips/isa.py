@@ -6,16 +6,19 @@ targets are label names.  Label definitions live in the text stream as
 their own entries; the simulator resolves them to instruction indices.
 
 An ``Ins`` checks its operand shape when it is built, so no instruction
-that misfits its shape exists.  ``check`` adds the program-level rules
-(main present, text labels unique, every branch target and data label
-defined): the simulator loads a program only after ``check``, and
-``well_formed`` is ``check`` plus codegen's layout.
+that misfits its shape exists, and equal instructions of a ``codegen``
+result are one object, so memos per object work once per distinct
+instruction.  ``check`` adds the program-level rules (main present, text
+labels unique, every branch target and data label defined): the
+simulator loads a program only after ``check``, and ``well_formed`` is
+``check`` plus codegen's layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
+
+from ..syntax import frozen
 
 REGISTERS = (
     "$zero",
@@ -46,7 +49,7 @@ REGISTERS = (
 _REGSET = frozenset(REGISTERS)
 
 
-@dataclass(frozen=True)
+@frozen
 class Mem:
     """offset($base) addressing."""
 
@@ -54,7 +57,7 @@ class Mem:
     base: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Ins:
     """One instruction; building it raises ValueError unless the
     operands fit the shape ``SHAPES`` gives op."""
@@ -66,7 +69,7 @@ class Ins:
         _check_shape(self.op, self.args)
 
 
-@dataclass(frozen=True)
+@frozen
 class LabelDef:
     name: str
 
@@ -74,7 +77,7 @@ class LabelDef:
 MipsInstr = Union[Ins, LabelDef]
 
 
-@dataclass(frozen=True)
+@frozen
 class MipsProgram:
     data: tuple[tuple[str, int], ...] = ()
     text: tuple[MipsInstr, ...] = ()
@@ -118,10 +121,10 @@ def operand_ok(kind: str, arg) -> bool:
         return isinstance(arg, str) and arg in _REGSET
     if kind in _IMM_RANGE:
         lo, hi = _IMM_RANGE[kind]
-        return isinstance(arg, int) and lo <= arg <= hi
+        return type(arg) is int and lo <= arg <= hi  # a bool is no operand
     if kind == "addr":
-        if isinstance(arg, Mem):
-            return arg.base in _REGSET and -0x8000 <= arg.offset <= 0x7FFF
+        if type(arg) is Mem:
+            return arg.base in _REGSET and operand_ok("imm16s", arg.offset)
         return isinstance(arg, str) and not arg.startswith("$")
     assert kind == "label"
     return isinstance(arg, str) and not arg.startswith("$")
@@ -163,8 +166,8 @@ def check(prog: MipsProgram) -> dict[str, int]:
     prog cannot run when main is missing, a text label is defined twice,
     or a branch target or data label is undefined.  Shapes need no test
     here, as every ``Ins`` passed its own when it was built.  Each
-    distinct instruction object is checked once: codegen shares the ones
-    whose operands never change.
+    distinct instruction object is checked once, and in a codegen
+    result equal instructions are one object.
     """
     target: dict[str, int] = {}
     for i, item in enumerate(prog.text):

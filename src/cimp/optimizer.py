@@ -50,6 +50,7 @@ from .syntax import (
 )
 
 OPT_LEVELS = (0, 1, 2)
+_ZERO, _ONE, _TRUE, _FALSE = IntLit(0), IntLit(1), BoolLit(True), BoolLit(False)  # built once
 
 def _make_lit(k: int, wrap: bool) -> AExpr:
     if wrap:
@@ -143,23 +144,22 @@ def _structural_step(e: AExpr) -> AExpr:
     if type(e) is not BinOp:
         return e
     op, l, r = e.op, e.left, e.right
-    zero, one = IntLit(0), IntLit(1)
     if op == "-":
         if equal(l, r):
-            return zero
-        if r == zero:
+            return _ZERO
+        if r == _ZERO:
             return l
     elif op == "+":
-        if l == zero:
+        if l == _ZERO:
             return r
-        if r == zero:
+        if r == _ZERO:
             return l
     else:  # "*"
-        if l == zero or r == zero:
-            return zero
-        if l == one:
+        if l == _ZERO or r == _ZERO:
+            return _ZERO
+        if l == _ONE:
             return r
-        if r == one:
+        if r == _ONE:
             return l
     return e
 
@@ -173,22 +173,22 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
     t = type(b)
     if t is Not:
         if type(b.operand) is BoolLit:
-            return BoolLit(not b.operand.value)
+            return _FALSE if b.operand.value else _TRUE
     elif t is And:
         l, r = b.left, b.right
-        if l == BoolLit(False) or r == BoolLit(False):
-            return BoolLit(False)
-        if l == BoolLit(True):
+        if l == _FALSE or r == _FALSE:
+            return _FALSE
+        if l == _TRUE:
             return r
-        if r == BoolLit(True):
+        if r == _TRUE:
             return l
     elif t is Or:
         l, r = b.left, b.right
-        if l == BoolLit(True) or r == BoolLit(True):
-            return BoolLit(True)
-        if l == BoolLit(False):
+        if l == _TRUE or r == _TRUE:
+            return _TRUE
+        if l == _FALSE:
             return r
-        if r == BoolLit(False):
+        if r == _FALSE:
             return l
     elif t is Cmp:
         lv, rv = literal_value(b.left), literal_value(b.right)
@@ -218,11 +218,11 @@ def _dead_step(c: Com) -> Com:
         if isinstance(c.second, Skip):
             return c.first
     elif t is If:
-        if c.cond == BoolLit(True):
+        if c.cond == _TRUE:
             return c.then_branch
-        if c.cond == BoolLit(False):
+        if c.cond == _FALSE:
             return c.else_branch
-    elif t is While and c.cond == BoolLit(False):
+    elif t is While and c.cond == _FALSE:
         return Skip()
     return c
 
@@ -261,7 +261,7 @@ def optimize(p: Program, level: int) -> Program:
 
     def step(n):
         # Arithmetic is optimized whole where code consumes it, at
-        # assignments and comparisons.
+        # assignments and comparisons, so the walk stops there.
         t = type(n)
         if t is Assign:
             return map_children(n, opt_aexp)
@@ -273,4 +273,4 @@ def optimize(p: Program, level: int) -> Program:
             return _dead_step(n)
         return n
 
-    return Program(p.decls, transform(p.body, step, code_only=True))
+    return Program(p.decls, transform(p.body, step, code_only=True, stop_at=(Assign, Cmp)))

@@ -16,25 +16,24 @@ and a cast generates no code, so each is labeled as its operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .syntax import AExpr, BinOp, BitNot, BitOp, Cast, IntLit, Neg, Var, walk
+from .syntax import AExpr, BinOp, BitNot, BitOp, Cast, IntLit, Neg, Var, frozen, walk
 
 
-@dataclass(frozen=True)
+@frozen
 class LoadConst:
     dst: int
     value: int
 
 
-@dataclass(frozen=True)
+@frozen
 class LoadVar:
     dst: int
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Op:
     kind: str  # an OP_KINDS value, or "not" with lhs = rhs = dst
     dst: int
@@ -42,12 +41,12 @@ class Op:
     rhs: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Spill:
     src: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Reload:
     dst: int
 

@@ -19,10 +19,11 @@ only.  Invariants are specification: no engine runs them and no
 backend compiles them, and traversals called with ``code_only=True``
 pass them by.
 
-All nodes are frozen dataclasses, so structural equality and hashing
-come for free.  Source positions are carried in a ``pos`` field that is
-excluded from comparison: two trees that differ only in positions are
-equal, which is what round-trip and optimizer tests rely on.
+All nodes are frozen dataclasses with slots and a cheap ``__init__``
+(see ``frozen``), so structural equality and hashing come for free.
+Source positions are carried in a ``pos`` field that is excluded from
+comparison: two trees that differ only in positions are equal, which is
+what round-trip and optimizer tests rely on.
 
 Analyses that only need to reach every node use the generic traversal defined
 below instead of a walker per node class.  At import,
@@ -39,11 +40,28 @@ they cost its distinct nodes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterator, Optional, Union, get_args, get_type_hints
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """``dataclass(frozen=True, slots=True)``, whose ``__init__`` writes each
+    slot through its member descriptor, not ``object.__setattr__``, then
+    calls ``__post_init__`` if the class has one; the rest is dataclass's."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        env["set_" + f.name], env["default_" + f.name] = getattr(cls, f.name).__set__, f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
+        body.append(f"set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n  " + "\n  ".join(body), env)
+    cls.__init__ = env["__init__"]
+    return cls
+
+
+@frozen
 class SrcPos:
     """1-based line/column of a token in the source text."""
 
@@ -68,7 +86,7 @@ class Ty(enum.Enum):
 # Arithmetic expressions
 
 
-@dataclass(frozen=True)
+@frozen
 class IntLit:
     """Integer literal; nonnegative as parsed (negation is a Neg node)."""
 
@@ -76,19 +94,19 @@ class IntLit:
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Var:
     name: str
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Neg:
     operand: "AExpr"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class BinOp:
     """Core arithmetic: op is one of '+', '-', '*'."""
 
@@ -98,7 +116,7 @@ class BinOp:
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class BitOp:
     """Fixed-width bit operation: op is one of '&', '|', '^', '<<', '>>'."""
 
@@ -108,13 +126,13 @@ class BitOp:
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class BitNot:
     operand: "AExpr"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Cast:
     """Explicit reinterpreting cast, the only signed/unsigned bridge."""
 
@@ -130,13 +148,13 @@ AExpr = Union[IntLit, Var, Neg, BinOp, BitOp, BitNot, Cast]
 # Formulas
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolLit:
     value: bool
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Cmp:
     """Comparison: op is one of '=', '<=', '<'."""
 
@@ -146,20 +164,20 @@ class Cmp:
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Not:
     operand: "Assertion"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class And:
     left: "Assertion"
     right: "Assertion"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Or:
     left: "Assertion"
     right: "Assertion"
@@ -169,7 +187,7 @@ class Or:
 BExpr = Union[BoolLit, Cmp, Not, And, Or]
 
 
-@dataclass(frozen=True)
+@frozen
 class Implies:
     """Implication, the one connective only specifications may use."""
 
@@ -190,26 +208,26 @@ def ATrue() -> BoolLit:
 # Commands and programs
 
 
-@dataclass(frozen=True)
+@frozen
 class Skip:
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Assign:
     var: str
     rhs: AExpr
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Seq:
     first: "Com"
     second: "Com"
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class If:
     cond: BExpr
     then_branch: "Com"
@@ -217,7 +235,7 @@ class If:
     pos: Optional[SrcPos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class While:
     cond: BExpr
     invariant: Optional[Assertion]
@@ -228,7 +246,7 @@ class While:
 Com = Union[Skip, Assign, Seq, If, While]
 
 
-@dataclass(frozen=True)
+@frozen
 class Program:
     """Optional variable declarations followed by the program body.
 
@@ -361,16 +379,18 @@ def statements(c) -> list:
     return out
 
 
-def transform(node, f, *, code_only: bool = False):
+def transform(node, f, *, code_only: bool = False, stop_at: tuple[type, ...] = ()):
     """Bottom-up rewrite: f gets each node once its subtrees are rewritten.
 
     Iterative like ``walk``.  f must depend on the node alone, not on its
     context: a subtree shared by several parents is rewritten once and
     the result is shared in turn, and ``map_children`` keeps every
     unchanged node, so rewriting touches only the paths that change.
-    With code_only, loop invariants are kept as they are.
+    With code_only, loop invariants are kept as they are; a node of a
+    class in stop_at goes to f as it is, with nothing below it visited.
     """
     subtrees = _CODE_SUBTREES if code_only else _SUBTREES
+    subtrees = {**subtrees, **dict.fromkeys(stop_at, ())} if stop_at else subtrees
     done: dict[int, object] = {}
     lookup = lambda k: done.get(id(k), k)  # noqa: E731  (skipped invariants stay)
     todo = [node]

@@ -105,6 +105,23 @@ def test_lex_bad_character_after_comment_lines():
     assert ei.value.pos == sx.SrcPos(4, 4)
 
 
+def test_lex_positions_after_skipped_text():
+    # each token is one match that also skips the whitespace and comments
+    # before it, so positions must count what that match skipped
+    src = "x :=\t0x1F; // c\r\n\ty := 0X2a // end"
+    assert [tuple(t) for t in lex(src)] == [
+        ("ident", "x", 1, 1), ("op", ":=", 1, 3), ("int", "0x1F", 1, 6),
+        ("punct", ";", 1, 10), ("ident", "y", 2, 2), ("op", ":=", 2, 4),
+        ("int", "0X2a", 2, 7), ("eoi", "", 2, 18),
+    ]
+    assert rhs("x := 0X2a") == sx.IntLit(42)
+    for bad, char, pos in (("x := 1 //\r\n\t@", "@", sx.SrcPos(2, 2)),
+                           ("x := 1 /", "/", sx.SrcPos(1, 8))):
+        with pytest.raises(LexError) as ei:
+            lex(bad)
+        assert (ei.value.char, ei.value.pos) == (char, pos)
+
+
 def test_lex_token_is_a_plain_tuple():
     assert tuple(lex("while")[0]) == ("keyword", "while", 1, 1)
     assert lex("")[0].describe() == "end of input"

@@ -1,5 +1,6 @@
 import importlib
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,27 @@ def test_ins_checks_shape():
         ins("sll", "$t0", "$t1", 32)
     with pytest.raises(ValueError):
         ins("lw", "$t0", Mem(0, "$k0"))
+
+
+@pytest.mark.parametrize("op, args", [
+    ("li", ("$t0", True)),
+    ("addiu", ("$t0", "$t0", False)),
+    ("sll", ("$t0", "$t0", True)),
+    ("lw", ("$t0", Mem(True, "$sp"))),
+])
+def test_a_bool_is_no_operand(op, args):
+    # an int-valued bool would print as True, which parse_asm rejects
+    with pytest.raises(ValueError, match="bad"):
+        Ins(op, args)
+    with pytest.raises(ValueError, match="bad"):
+        ins(op, *args)
+
+
+def test_instructions_are_frozen():
+    for item in (ins("sw", "$t0", Mem(0, "$sp")), Mem(0, "$sp"), LabelDef("main")):
+        for f in fields(item):
+            with pytest.raises(FrozenInstanceError):
+                setattr(item, f.name, getattr(item, f.name))
 
 
 def test_load_imm_small_uses_li():
@@ -257,7 +279,9 @@ def test_codegen_of_a_typing_is_codegen_of_the_program():
 
 
 def test_fixed_instructions_are_built_once(monkeypatch):
-    # only the lw, li and sw of each statement have a varying operand
+    # a program builds each distinct instruction once: the fixed ones are
+    # built at import, and the lw, li and sw that every statement repeats
+    # and the final break once each
     built = []
     monkeypatch.setattr(mips_codegen, "ins", lambda *a: built.append(a) or ins(*a))
     n = 50
@@ -265,7 +289,7 @@ def test_fixed_instructions_are_built_once(monkeypatch):
     for strategy in ("naive", "regalloc"):
         built.clear()
         prog = codegen(p, strategy=strategy)
-        assert len(built) == 3 * n + 1  # and the final break
+        assert len(built) == 4
         assert simulate(prog)["x"] == n
 
 
@@ -277,6 +301,36 @@ def test_emit_asm_formats_each_instruction_object_once(monkeypatch):
     text = emit_asm(prog)
     assert len(calls) == len({id(i) for i in prog.text}) < len(prog.text)
     assert text.splitlines()[-len(prog.text):] == [real(i) for i in prog.text]
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+@pytest.mark.parametrize("strategy", ["naive", "regalloc"])
+def test_equal_instructions_of_a_program_are_one_object(strategy, typed):
+    for seed in range(100):
+        p = gen_program(GenSpec(seed=seed, typed=typed))
+        text = codegen(p, strategy=strategy, emulate_mul=True).text
+        assert len({id(i) for i in text}) == len(set(text))
+
+
+def test_parse_asm_parses_each_distinct_line_once(monkeypatch):
+    prog = codegen(parse_program("x := 1 + 2;\ny := x - 3"))
+    calls = []
+    monkeypatch.setattr(mips_asm, "ins", lambda *a: calls.append(a) or ins(*a))
+    back = parse_asm(emit_asm(prog))
+    assert back == prog
+    assert len(calls) == len({i for i in prog.text if type(i) is Ins}) < len(prog.text)
+    assert len({id(i) for i in back.text}) == len(set(back.text))
+
+
+def test_parse_asm_reports_a_repeated_line_where_it_first_occurs():
+    lines = ["main:", "\tj end", "\tbeq $t0, $t0, nowhere", "\tj end",
+             "\tbeq $t0, $t0, nowhere", "end:", "\tli $t0, 70000", "\tli $t0, 70000"]
+    with pytest.raises(AsmError) as ei:
+        parse_asm("\n".join(lines[:6]))
+    assert (ei.value.line, ei.value.reason) == (3, "undefined branch target 'nowhere'")
+    with pytest.raises(AsmError) as ei:
+        parse_asm("\n".join(lines[:2] + lines[5:]))
+    assert ei.value.line == 4
 
 
 # ---------------------------------------------------------------------------

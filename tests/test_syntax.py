@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_args
 
 import pytest
@@ -119,6 +120,16 @@ def test_traversal_yields_exactly_the_subtree_fields(node):
     assert _same_objects(children(node), kids)
     assert _same_objects(walk(node), [node] + kids)
     assert map_children(node, lambda k: k) is node
+
+
+@pytest.mark.parametrize("node", SAMPLES + [SrcPos(1, 2)], ids=lambda n: type(n).__name__)
+def test_nodes_are_frozen_and_hash_without_positions(node):
+    for f in fields(node):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, f.name, getattr(node, f.name))
+    if "pos" in {f.name for f in fields(node)}:
+        moved = replace(node, pos=SrcPos(9, 9))
+        assert moved.pos == SrcPos(9, 9) and moved == node and hash(moved) == hash(node)
 
 
 def test_absent_invariant_is_not_a_child():
