@@ -153,7 +153,7 @@ def _cmd_run(args) -> int:
         sys.stdout.write(_store_lines(p, value))
         return 0
     if kind == "out_of_fuel":
-        print("budget exhausted" if args.engine == "mips" else "out of fuel")
+        print("budget exhausted" if args.engine.startswith("mips") else "out of fuel")
         return 0
     print(f"internal error: {value}", file=sys.stderr)
     return 2

@@ -18,12 +18,15 @@ Engines:
     mips        codegen + instruction-level simulator (``cimp run``
                 takes untyped programs too; ``cimp fuzz`` typed only,
                 where the generator's values fit 32 bits)
+    mips-su     the same with Sethi-Ullman register allocation
+                (``--regalloc su``), which keeps values in registers
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .frontend import pretty
@@ -34,7 +37,9 @@ from .stack_machine import MachineError, compile_program, vm_exec
 from .syntax import Program
 from .typecheck import TypedProgram, to_signed, typecheck, word32
 
-ENGINE_NAMES = ("bigstep", "smallstep", "stackvm", "mips")
+ENGINE_NAMES = ("bigstep", "smallstep", "stackvm", "mips", "mips-su")
+# they wrap at 32 bits, so cimp fuzz runs them on typed generation only
+_WORD_ENGINES = ("mips", "mips-su")
 
 # outcome: ("done", comparable) | ("out_of_fuel", None) | ("error", reason)
 Outcome = tuple
@@ -101,8 +106,8 @@ def _tree_engine(cost) -> Engine:
     return run
 
 
-def _eng_mips(p: Program, store: Store, fuel: int, budget: int) -> Outcome:
-    prog = codegen(_source(p), emulate_mul=True)
+def _eng_mips(p: Program, store: Store, fuel: int, budget: int, strategy="naive") -> Outcome:
+    prog = codegen(_source(p), strategy=strategy, emulate_mul=True)
     out = simulate(prog, init=dict(store.items()), budget=budget)
     if isinstance(out, Halted):
         if p.typed:
@@ -121,6 +126,7 @@ DEFAULT_ENGINES = {
         p, vm_exec(fuel, compile_program(_source(p)), store)
     ),
     "mips": _eng_mips,
+    "mips-su": partial(_eng_mips, strategy="regalloc"),
 }
 
 
@@ -148,13 +154,12 @@ def run_diff(
     """Generate count cases from spec and compare engine outcomes."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    # mips wraps at 32 bits, so it runs typed generation only
-    names = tuple(engines or (n for n in ENGINE_NAMES if spec.typed or n != "mips"))
+    names = tuple(engines or (n for n in ENGINE_NAMES if spec.typed or n not in _WORD_ENGINES))
     for name in names:
         if name not in ENGINE_NAMES:
             raise ValueError(f"unknown engine {name!r}")
-    if "mips" in names and not spec.typed:
-        raise ValueError("engine mips requires typed generation")
+        if name in _WORD_ENGINES and not spec.typed:
+            raise ValueError(f"engine {name} requires typed generation")
     table = dict(DEFAULT_ENGINES)
     if impls:
         table.update(impls)

@@ -210,16 +210,55 @@ def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] =
     its position when called, so an unreached one is harmless.  ``memo``
     maps id(node) to its closure: a subtree shared by several parents
     (as in a VC) compiles once.  The left spine of binary operators
-    compiles to one closure that loops over its operands, and that of
-    ``&&`` or ``||`` to a balanced tree of two-operand closures, and the
-    right spine of ``->`` to one closure that loops over its premises, so
-    chains of any length compile and run without deep recursion.
+    compiles to one closure that loops over its operands, and so does a
+    long right spine (the VC of ``x := 1 - x`` repeated nests one); the left
+    spine of ``&&`` or ``||`` compiles to a balanced tree of two-operand
+    closures, and the right spine of ``->`` to one closure that loops
+    over its premises, so chains of any length compile and run without
+    deep recursion.
     """
     memo = {} if memo is None else memo
     f = memo.get(id(e))
     if f is None:
         f = memo[id(e)] = _compile_node(e, word, memo)
     return f
+
+
+# Right spines up to this long compile to nested closures, which run
+# faster than the loop that longer ones need to stay out of recursion.
+_SHORT_RIGHT = 32
+
+
+def _long_right_spine(n, wrap: bool) -> bool:
+    """Whether n starts a right spine of over _SHORT_RIGHT binary operators."""
+    for _ in range(_SHORT_RIGHT):
+        if not (type(n) is BinOp or (wrap and type(n) is BitOp)):
+            return False
+        n = n.right
+    return True
+
+
+def _right_chain(n, wrap: bool, sub):
+    """One closure for a long right spine: it evaluates the spine's left
+    operands in order, then folds from the innermost operator out; the
+    operators agree mod 2^32, so one mask at the end suffices."""
+    m = MASK if wrap else -1
+    ops, fs = [], []
+    while type(n) is BinOp or (wrap and type(n) is BitOp):
+        ops.append(_OPS[n.op])
+        fs.append(sub(n.left))
+        n = n.right
+    ops.reverse()
+    g = sub(n)
+
+    def right_chain(env):
+        xs = [f(env) for f in fs]
+        v = g(env)
+        for op, x in zip(ops, reversed(xs)):
+            v = op(x, v)
+        return v & m
+
+    return right_chain
 
 
 def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
@@ -246,6 +285,9 @@ def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
         f = sub(n.operand)
         return lambda env: -f(env) & m
     if t is BinOp or t is BitOp:
+        r = n.right
+        if (type(r) is BinOp or type(r) is BitOp) and _long_right_spine(r, wrap):
+            return _right_chain(n, wrap, sub)
         steps = []
         while type(n) is BinOp or (wrap and type(n) is BitOp):
             steps.append((_OPS[n.op], sub(n.right)))

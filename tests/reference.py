@@ -12,6 +12,8 @@ from the allocator's own labeling.  ``reg_exec``, ``max_live`` and
 ``listing`` read the register code ``regalloc.alloc_codegen`` emits: its
 value (bit operations on 32-bit words), its peak live registers and its
 text.
+``ref_simulate`` restates the MIPS simulator's flat dispatch loop over
+its decoded code: every instruction one at a time, no translated blocks.
 """
 
 from typing import Optional
@@ -19,6 +21,7 @@ from typing import Optional
 from cimp import syntax as sx
 from cimp.errors import CimpError, UnsupportedNode
 from cimp.hoare import MissingInvariant, VerificationCondition, subst_all
+from cimp.mips import sim
 from cimp.regalloc import LoadConst, LoadVar, Op, RegCode, RegInstr, Reload, Spill
 from cimp.semantics import Store
 from cimp.stack_machine import (
@@ -355,3 +358,71 @@ def _mnemonic(ins: RegInstr) -> str:
 def listing(code: RegCode) -> str:
     """One instruction per line, in `OP ADD r0 r0 r1` style."""
     return "".join(_mnemonic(i) + "\n" for i in code)
+
+
+def ref_simulate(prog, init=None, budget=10**6):
+    """(outcome, executed): what ``sim.simulate`` returns, and how many
+    instructions ran.  Unless the outcome is BudgetExhausted, executed is
+    the least budget that gives the same outcome (an escape from the text
+    costs nothing; the trapping load or store, and the break, count)."""
+    target = sim.check(prog)
+    init = init or {}
+    addr_of, mem = {}, {}
+    for i, (label, word) in enumerate(prog.data):
+        addr_of[label] = addr = sim.DATA_BASE + 4 * i
+        mem[addr] = init.get(sim._var_name(label), word) & MASK
+    code = sim._decode(prog.text, target, addr_of)
+    regs = [0] * (sim._SINK + 1)
+    regs[sim._SLOT["$sp"]] = sim.STACK_TOP
+    pc = target["main"]
+    escape = sim.Trap(f"pc {len(prog.text)} outside the text segment")
+    for executed in range(budget):
+        op, a, b, c = code[pc]
+        pc += 1
+        if op == sim._END:
+            return escape, executed
+        if op == sim._BREAK:
+            words = {sim._var_name(label): mem[addr_of[label]] for label, _ in prog.data}
+            return sim.Halted(words), executed + 1
+        if op in (sim._LWR, sim._SWR):
+            addr = (regs[b] + c) & MASK
+            if addr & 3:
+                kind = "load" if op == sim._LWR else "store"
+                return sim.Trap(f"unaligned {kind} at {addr:#010x}"), executed + 1
+            if op == sim._LWR:
+                regs[a] = mem.get(addr, 0)
+            else:
+                mem[addr] = regs[a]
+        elif op == sim._LW:
+            regs[a] = mem[b]
+        elif op == sim._SW:
+            mem[b] = regs[a]
+        elif op == sim._LI:
+            regs[a] = b
+        elif op in (sim._BEQ, sim._BNE):
+            if (regs[a] == regs[b]) == (op == sim._BEQ):
+                pc = c
+        else:
+            x, y = regs[b], (c if op in (sim._ADDIU, sim._ORI, sim._SLL, sim._SRL) else regs[c])
+            regs[a] = _REF_ALU[op](x, y) & MASK
+    if code[pc][0] == sim._END:
+        return escape, budget
+    return sim.BudgetExhausted(), budget
+
+
+_REF_ALU = {
+    sim._ADDIU: lambda x, y: x + y,
+    sim._ADDU: lambda x, y: x + y,
+    sim._SUBU: lambda x, y: x - y,
+    sim._SLL: lambda x, y: x << y,
+    sim._SRL: lambda x, y: x >> y,
+    sim._SLT: lambda x, y: int(_signed(x) < _signed(y)),
+    sim._SLTU: lambda x, y: int(x < y),
+    sim._ORI: lambda x, y: x | y,
+    sim._NOR: lambda x, y: ~(x | y),
+    sim._AND: lambda x, y: x & y,
+    sim._OR: lambda x, y: x | y,
+    sim._XOR: lambda x, y: x ^ y,
+    sim._SLLV: lambda x, y: x << (y & 31),
+    sim._SRLV: lambda x, y: x >> (y & 31),
+}

@@ -103,7 +103,7 @@ def test_02_engine_agreement():
         typed = run_diff(GenSpec(seed=20260102, typed=True), 500)
         assert typed.cases == 500
         assert typed.divergences == 0 and typed.skipped == 0
-        assert set(typed.tallies) == {"bigstep", "smallstep", "stackvm", "mips"}
+        assert set(typed.tallies) == {"bigstep", "smallstep", "stackvm", "mips", "mips-su"}
 
 
 # ---------------------------------------------------------------------------

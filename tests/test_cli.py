@@ -288,6 +288,13 @@ def test_run_budget_exhausted(tmp_path, capsys):
     assert out == "budget exhausted\n"
 
 
+def test_run_budget_exhausted_under_su(tmp_path, capsys):
+    path = _src(tmp_path, SPIN)
+    assert _run(capsys, "run", path, "--engine", "mips-su", "--budget", "5000") == (
+        0, "budget exhausted\n", ""
+    )
+
+
 def test_run_store_in(tmp_path, capsys):
     init = tmp_path / "init.store"
     init.write_text("x=5\n")
@@ -552,6 +559,21 @@ def test_vc_long_implication_chain(tmp_path, capsys, terms):
     assert (out_dir / "vc_0_top.smt2").read_text().count("(=> ") == terms
 
 
+@pytest.mark.parametrize("lines", [600, 10**4])
+def test_right_nested_chains_of_long_sequences(tmp_path, capsys, lines):
+    # the VC of x := 1 - x repeated nests 1 - (1 - (...)) one level per
+    # statement on the right, and compile_expr folds that spine in a loop
+    path = _src(tmp_path, "x := 1 - x;\n" * (lines - 1) + "x := 1 - x\n")
+    x = lines % 2
+    assert _run(capsys, "vc", path, "--post", "x = x", "--bounded-check", "2") == (
+        0, "vc_0_top: valid\n", ""
+    )
+    assert _run(capsys, "vc", path, "--pre", "x = 0", "--post", f"x = {1 - x}",
+                "--bounded-check", "2") == (1, "vc_0_top: counterexample x=0\n", "")
+    for engine in difftest.ENGINE_NAMES:
+        assert _run(capsys, "run", path, "--engine", engine) == (0, f"x={x}\n", ""), engine
+
+
 def test_compile_regalloc_su_long_sum(tmp_path, capsys):
     path = _src(tmp_path, LONG_SUM)
     code, out, err = _run(capsys, "compile", path, "--backend", "mips", "--regalloc", "su")
@@ -655,6 +677,7 @@ def test_fuzz_typed(capsys):
     code, out, _ = _run(capsys, "fuzz", "--seed", "7", "--count", "25", "--typed")
     assert code == 0
     assert "mips:" in out
+    assert "mips-su:" in out
 
 
 def test_fuzz_engine_subset(capsys):

@@ -54,6 +54,16 @@ def test_default_engine_names():
     assert typed.divergences == 0
 
 
+def test_mips_su_engine_agrees_on_typed_cases():
+    # su keeps values in registers, so its code, and its translated
+    # blocks, differ from the naive strategy's
+    report = run_diff(GenSpec(seed=31, typed=True), 150, engines=("bigstep", "mips-su"))
+    assert report.divergences == 0
+    assert report.tallies["mips-su"] == report.tallies["bigstep"]
+    with pytest.raises(ValueError, match="engine mips-su requires typed generation"):
+        run_diff(GenSpec(seed=0), 1, engines=("bigstep", "mips-su"))
+
+
 def test_engine_validation():
     with pytest.raises(ValueError):
         run_diff(GenSpec(seed=0), 1, engines=("warp",))

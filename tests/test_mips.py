@@ -1,3 +1,4 @@
+import functools
 import importlib
 import random
 from dataclasses import FrozenInstanceError, fields
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as gen
+from reference import ref_simulate
 from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_program
 from cimp.generator import GenSpec, fuel_bound, gen_program
@@ -42,6 +44,7 @@ from cimp.mips import (
 # the modules, not the functions of the same name that cimp.mips exports
 mips_asm = importlib.import_module("cimp.mips.asm")
 mips_codegen = importlib.import_module("cimp.mips.codegen")
+mips_sim = importlib.import_module("cimp.mips.sim")
 
 
 def compile_run(src, init=None, strategy="naive", emulate_mul=False, budget=10**6):
@@ -510,6 +513,157 @@ def test_simulate_memory_layout_constants():
     )
     out = simulate(prog, init={"y": 2})
     assert out == Halted({"x": 5, "y": 7})
+
+
+# ---------------------------------------------------------------------------
+# translated blocks, checked against the flat loop in tests/reference.py
+
+
+def _at_every_budget(prog, init=None):
+    """simulate equals ref_simulate at every budget up to the least
+    sufficient one and two past it."""
+    out, least = ref_simulate(prog, init, 10**6)
+    for budget in range(least + 3):
+        assert simulate(prog, init, budget) == ref_simulate(prog, init, budget)[0], budget
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_cases(typed: bool) -> list:
+    """Seeds 0-299, naive and su, at -O0 and -O2: each program, its
+    initial words, and the reference outcome at full budget, at the least
+    sufficient budget, one below it and at half of it."""
+    cases = []
+    for seed in range(300):
+        p = gen_program(GenSpec(seed=seed, typed=typed))
+        rng = random.Random(seed)
+        names = [name for name, _ in p.decls] or list("abcd")
+        init = {n: rng.getrandbits(32) if typed else rng.randint(-20, 40) for n in names}
+        for level in (0, 2):
+            for strategy in ("naive", "regalloc"):
+                prog = codegen(optimize(p, level), strategy=strategy, emulate_mul=True)
+                out, least = ref_simulate(prog, init, 10**6)
+                assert out != BudgetExhausted()
+                budgets = (10**6, least, least - 1, least // 2)
+                cases.append((prog, init, [(b, ref_simulate(prog, init, b)[0]) for b in budgets]))
+    return cases
+
+
+@pytest.mark.parametrize("hot", [1, mips_sim._HOT])
+@pytest.mark.parametrize("typed", [False, True])
+def test_blocks_match_the_flat_loop_on_generated_programs(typed, hot, monkeypatch):
+    """The outcomes equal at every budget of _generated_cases, so the
+    least sufficient budgets agree too."""
+    monkeypatch.setattr(mips_sim, "_HOT", hot)
+    for prog, init, expected in _generated_cases(typed):
+        for budget, out in expected:
+            assert simulate(prog, init, budget) == out
+
+
+# enough trips that the loop's blocks get hot at the default threshold
+_TRIPS = mips_sim._HOT + 5
+
+
+def _hot_loop(body, before="", after="", data="var_x: .word 0\nvar_y: .word 0"):
+    """A program that runs body _TRIPS times: before, then the loop, then after."""
+    return parse_asm(
+        f"\t.data\n{data}\n\t.text\nmain:\n\tli $t9, {_TRIPS}\n{before}"
+        f"loop:\n{body}\taddiu $t9, $t9, -1\n\tbne $t9, $zero, loop\n{after}\tbreak"
+    )
+
+
+_PUSH_POP = "\taddiu $sp, $sp, -8\n\tsw $t9, 4($sp)\n\tsw $t9, 0($sp)\n" \
+    "\tlw $t0, 4($sp)\n\tlw $t1, 0($sp)\n\taddiu $sp, $sp, 8\n"
+_POP_PUSH = "\taddiu $sp, $sp, 8\n\tsw $t9, -4($sp)\n\tsw $t9, 0($sp)\n" \
+    "\tlw $t0, -4($sp)\n\tlw $t1, 0($sp)\n\taddiu $sp, $sp, -8\n"
+
+
+@pytest.mark.parametrize("hot", [1, 2, mips_sim._HOT])
+def test_blocks_keep_budget_and_traps_of_hand_made_loops(hot, monkeypatch):
+    monkeypatch.setattr(mips_sim, "_HOT", hot)
+    # $sp misaligned once the loop is hot: the same trap, at the same pc
+    prog = _hot_loop(_PUSH_POP, after="\taddiu $sp, $sp, 2\n\tli $t9, 3\n\tj loop\n")
+    out = _at_every_budget(prog)
+    assert out == Trap("unaligned store at 0x7fffeffe")
+    # $sp near 0 and near 2^32: the pushes wrap, and cold code after the
+    # loop reads back the wrapped words
+    for sp, body, k in (("\tli $sp, 4\n", _PUSH_POP, -4),
+                        ("\tlui $sp, 65535\n\tori $sp, $sp, 65532\n", _POP_PUSH, 4)):
+        read_back = f"\tlw $t2, {k}($sp)\n\tsw $t2, var_x\n\tlw $t2, {2 * k}($sp)\n\tsw $t2, var_y\n"
+        out = _at_every_budget(_hot_loop(body, before=sp, after=read_back))
+        assert out == Halted({"x": 1, "y": 1})
+    # $sp inside the data segment: stack slots are the data words, so a
+    # load of var_x must see the store through 0($sp)
+    alias = "\tlw $t0, var_x\n\taddiu $t0, $t0, 1\n\tsw $t0, 0($sp)\n" \
+        "\tlw $t1, var_x\n\taddu $t1, $t1, $t1\n\tsw $t1, var_y\n"
+    out = _at_every_budget(_hot_loop(alias, before="\tlui $sp, 4096\n"))
+    assert out == Halted({"x": _TRIPS, "y": 2 * _TRIPS})
+    # break right after a hot block, and at the end of a block of its own
+    _at_every_budget(_hot_loop("\tsw $t9, var_x\n"))
+    stop = parse_asm(
+        f"\t.data\nvar_x: .word 0\n\t.text\nmain:\n\tli $t9, {_TRIPS}\nloop:\n"
+        "\taddiu $t9, $t9, -1\n\tbeq $t9, $zero, out\n\tj loop\n"
+        "out:\n\tsw $t9, var_x\n\tli $t0, 7\n\tbreak"
+    )
+    assert _at_every_budget(stop) == Halted({"x": 0})
+    # a hot loop that leaves by a branch to the end of the text; at the
+    # least budget that branch is the last instruction paid for
+    escape = MipsProgram(text=(
+        LabelDef("main"), ins("li", "$t9", _TRIPS), LabelDef("loop"),
+        ins("addiu", "$t9", "$t9", -1), ins("beq", "$t9", "$zero", "end"),
+        ins("j", "loop"), LabelDef("end"),
+    ))
+    assert _at_every_budget(escape) == Trap("pc 7 outside the text segment")
+
+
+def test_hot_blocks_are_translated_once_per_shape():
+    mips_sim._translate.cache_clear()
+    # two products per trip, each a multiplication loop of 17 iterations
+    prog = codegen(parse_program(
+        "var x: u32; var y: u32; var i: u32;\n"
+        "while i < 4 do x := x * 100000; y := y * 70000; i := i + 1 done"
+    ), emulate_mul=True)
+    init = {"x": 3, "y": 5}
+    assert simulate(prog, init) == ref_simulate(prog, init)[0]
+    info = mips_sim._translate.cache_info()
+    # both products run the same loop, at other labels and on other words
+    assert info.currsize > 0 and info.hits > 0
+    assert info.maxsize == 512
+
+
+@pytest.mark.parametrize("line", [
+    "addu $sp, $sp, $t0",       # $sp written other than by addiu $sp, $sp, k
+    "addiu $t0, $sp, 4",        # $sp read as a value
+    "lw $t0, 0($t1)",           # a base other than $sp
+    "sw $t0, 2($sp)",           # an offset that cannot be aligned
+])
+def test_translator_declines_blocks_it_cannot_keep_exact(line):
+    text = parse_asm(f"main:\n\tli $t0, 4\n\t{line}\n\tj main\n").text
+    code = mips_sim._decode(text, {"main": 0}, {})
+    for start in (0, 1):
+        shape, _ = mips_sim._block(code, start)
+        assert mips_sim._translate(shape) is None
+
+
+def test_blocks_of_one_shape_share_one_source():
+    # the same loop at another place, over other words and constants
+    a = parse_asm("\t.data\nvar_x: .word 0\nvar_y: .word 0\n\t.text\nmain:\n\tj far\n"
+                  "far:\n\tlw $t0, var_y\n\tli $t1, 7\n\taddiu $sp, $sp, -4\n\tsw $t0, 0($sp)\n"
+                  "\tlw $t1, 0($sp)\n\taddiu $sp, $sp, 4\n\tbne $t1, $zero, far\n\tbreak")
+    b = parse_asm("\t.data\nvar_x: .word 0\n\t.text\nmain:\n"
+                  "\tlw $t0, var_x\n\tli $t1, 9\n\taddiu $sp, $sp, -4\n\tsw $t0, 0($sp)\n"
+                  "\tlw $t1, 0($sp)\n\taddiu $sp, $sp, 4\n\tbne $t1, $zero, main\n\tbreak")
+    blocks = []
+    for prog, start in ((a, 1), (b, 0)):
+        addr_of = {label: DATA_BASE + 4 * i for i, (label, _) in enumerate(prog.data)}
+        blocks.append(mips_sim._block(mips_sim._decode(prog.text, check(prog), addr_of), start))
+    assert blocks[0][0] == blocks[1][0]
+    assert blocks[0][1] == (DATA_BASE + 4, 7, 0) and blocks[1][1] == (DATA_BASE, 9, 0)
+    src = mips_sim._source(blocks[0][0])
+    # no label, address or constant is in the source; the pushed word is
+    # reused from its local, not loaded back, and $sp ends where it began
+    assert "var_" not in src and "far" not in src and str(DATA_BASE) not in src
+    assert "mem.get" not in src and "regs[21] =" not in src
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from cimp.generator import GenSpec, gen_program
 from cimp.typecheck import typecheck
 from reference import ref_eval
 from cimp.semantics import (
+    _SHORT_RIGHT,
     Done,
     Next,
     OutOfFuel,
@@ -285,6 +286,35 @@ def test_compile_expr_matches_reference_on_operator_chains(steps, env):
         e = CHAIN_OPS[op](op, e, right)
     _agree(e, env)
     _agree(e, env, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(CHAIN_OPS)), gen.aexprs(max_depth=1, bits=True)),
+        min_size=_SHORT_RIGHT - 2,
+        max_size=_SHORT_RIGHT + 6,
+    ),
+    word_envs,
+)
+def test_compile_expr_matches_reference_on_right_spines(steps, env):
+    # a right spine over _SHORT_RIGHT operators folds in one loop, a
+    # shorter one nests closures; both keep ref_eval's order and value
+    e = sx.Var("x")
+    for op, left in steps:
+        e = CHAIN_OPS[op](op, left, e)
+    _agree(e, env)
+    _agree(e, env, {})
+
+
+@pytest.mark.parametrize("terms", [600, 10**4])
+def test_compile_expr_folds_long_right_spines(terms):
+    # 1 - (1 - (... - x)), as the VC of x := 1 - x repeated nests it
+    e = sx.Var("x")
+    for _ in range(terms):
+        e = sx.BinOp("-", sx.IntLit(1), e)
+    assert compile_expr(e)({"x": 7}) == 7 - (terms % 2) * (2 * 7 - 1)
+    assert compile_expr(e, {})({"x": 2**32 - 1}) == (2**32 - 1 if terms % 2 == 0 else 2)
 
 
 def test_compile_expr_chain_of_shifts_masks_before_shifting_right():
