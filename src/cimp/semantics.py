@@ -210,8 +210,9 @@ def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] =
     its position when called, so an unreached one is harmless.  ``memo``
     maps id(node) to its closure: a subtree shared by several parents
     (as in a VC) compiles once.  The left spine of binary operators
-    compiles to one closure that loops over its operands, and so does a
-    long right spine (the VC of ``x := 1 - x`` repeated nests one); the left
+    compiles to one closure that loops over its operands, and so does the
+    right spine (the VC of ``x := 1 - x`` repeated nests one) where it is
+    the longer of the two; the left
     spine of ``&&`` or ``||`` compiles to a balanced tree of two-operand
     closures, and the right spine of ``->`` to one closure that loops
     over its premises, so chains of any length compile and run without
@@ -224,22 +225,17 @@ def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] =
     return f
 
 
-# Right spines up to this long compile to nested closures, which run
-# faster than the loop that longer ones need to stay out of recursion.
-_SHORT_RIGHT = 32
-
-
-def _long_right_spine(n, wrap: bool) -> bool:
-    """Whether n starts a right spine of over _SHORT_RIGHT binary operators."""
-    for _ in range(_SHORT_RIGHT):
-        if not (type(n) is BinOp or (wrap and type(n) is BitOp)):
-            return False
-        n = n.right
-    return True
+def _spine(n, side: str, wrap: bool) -> int:
+    """How many binary operators n's left or right spine holds."""
+    k = 0
+    while type(n) is BinOp or (wrap and type(n) is BitOp):
+        k += 1
+        n = getattr(n, side)
+    return k
 
 
 def _right_chain(n, wrap: bool, sub):
-    """One closure for a long right spine: it evaluates the spine's left
+    """One closure for a right spine: it evaluates the spine's left
     operands in order, then folds from the innermost operator out; the
     operators agree mod 2^32, so one mask at the end suffices."""
     m = MASK if wrap else -1
@@ -285,8 +281,7 @@ def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
         f = sub(n.operand)
         return lambda env: -f(env) & m
     if t is BinOp or t is BitOp:
-        r = n.right
-        if (type(r) is BinOp or type(r) is BitOp) and _long_right_spine(r, wrap):
+        if _spine(n.right, "right", wrap) > _spine(n.left, "left", wrap):
             return _right_chain(n, wrap, sub)
         steps = []
         while type(n) is BinOp or (wrap and type(n) is BitOp):

@@ -11,7 +11,6 @@ from cimp.generator import GenSpec, gen_program
 from cimp.typecheck import typecheck
 from reference import ref_eval
 from cimp.semantics import (
-    _SHORT_RIGHT,
     Done,
     Next,
     OutOfFuel,
@@ -292,17 +291,18 @@ def test_compile_expr_matches_reference_on_operator_chains(steps, env):
 @given(
     st.lists(
         st.tuples(st.sampled_from(sorted(CHAIN_OPS)), gen.aexprs(max_depth=1, bits=True)),
-        min_size=_SHORT_RIGHT - 2,
-        max_size=_SHORT_RIGHT + 6,
+        min_size=1,
+        max_size=40,
     ),
+    st.lists(st.booleans(), min_size=40, max_size=40),
     word_envs,
 )
-def test_compile_expr_matches_reference_on_right_spines(steps, env):
-    # a right spine over _SHORT_RIGHT operators folds in one loop, a
-    # shorter one nests closures; both keep ref_eval's order and value
+def test_compile_expr_matches_reference_on_mixed_spines(steps, sides, env):
+    # each step nests the tree so far on its left or on its right, so
+    # both spines grow and either may be the one compiled as a loop
     e = sx.Var("x")
-    for op, left in steps:
-        e = CHAIN_OPS[op](op, left, e)
+    for (op, other), right in zip(steps, sides):
+        e = CHAIN_OPS[op](op, other, e) if right else CHAIN_OPS[op](op, e, other)
     _agree(e, env)
     _agree(e, env, {})
 
@@ -315,6 +315,21 @@ def test_compile_expr_folds_long_right_spines(terms):
         e = sx.BinOp("-", sx.IntLit(1), e)
     assert compile_expr(e)({"x": 7}) == 7 - (terms % 2) * (2 * 7 - 1)
     assert compile_expr(e, {})({"x": 2**32 - 1}) == (2**32 - 1 if terms % 2 == 0 else 2)
+
+
+def test_compile_expr_long_spines_with_compound_operands():
+    # the VCs of x := x + 2 * y and of x := 2 * y - x repeated: a spine
+    # whose every other operand is itself a binary operator
+    terms = 10**4
+    two_y = sx.BinOp("*", sx.IntLit(2), sx.Var("y"))
+    left, right = sx.Var("x"), sx.Var("x")
+    for _ in range(terms):
+        left = sx.BinOp("+", left, two_y)
+        right = sx.BinOp("-", two_y, right)
+    env = {"x": 7, "y": 3}
+    assert compile_expr(left)(env) == 7 + terms * 6
+    assert compile_expr(right)(env) == 7
+    assert compile_expr(left, {})(env) == 7 + terms * 6
 
 
 def test_compile_expr_chain_of_shifts_masks_before_shifting_right():
