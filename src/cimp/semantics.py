@@ -225,13 +225,15 @@ def compile_expr(e, word: Optional[dict[int, Ty]] = None, memo: Optional[dict] =
     return f
 
 
-def _spine(n, side: str, wrap: bool) -> int:
-    """How many binary operators n's left or right spine holds."""
-    k = 0
-    while type(n) is BinOp or (wrap and type(n) is BitOp):
-        k += 1
-        n = getattr(n, side)
-    return k
+def _right_longer(n, wrap: bool) -> bool:
+    """Whether n's right spine of binary operators is longer than its
+    left one; the two are walked together, so the shorter ends it."""
+    left, right = n.left, n.right
+    while type(right) is BinOp or (wrap and type(right) is BitOp):
+        if not (type(left) is BinOp or (wrap and type(left) is BitOp)):
+            return True
+        left, right = left.left, right.right
+    return False
 
 
 def _right_chain(n, wrap: bool, sub):
@@ -281,7 +283,7 @@ def _compile_node(n, word: Optional[dict[int, Ty]], memo: dict):
         f = sub(n.operand)
         return lambda env: -f(env) & m
     if t is BinOp or t is BitOp:
-        if _spine(n.right, "right", wrap) > _spine(n.left, "left", wrap):
+        if _right_longer(n, wrap):
             return _right_chain(n, wrap, sub)
         steps = []
         while type(n) is BinOp or (wrap and type(n) is BitOp):
