@@ -3,28 +3,31 @@
 Two strategies share all control-flow lowering and differ only in how
 an arithmetic expression reaches $t0:
 
-* naive mirrors the operand-stack compiler onto $sp: every operand is
-  pushed, every operator pops twice and pushes once.
+* naive is the stack machine's code (``stack_machine.emit``) expanded
+  one instruction at a time onto $sp: an operand is loaded into $t0 and
+  pushed, an operator pops $t1 and $t0 and pushes its result.
 * regalloc runs the tree register allocator over $t0..$t7 and lowers
   its register code directly, spilling through $sp only when a subtree
   needs more than eight registers.  The allocator covers every
   arithmetic node, so typed bit code gets registers too: ``~`` is a
   ``nor`` in its operand's register and a cast generates no code.
 
-Variables live in the data segment under ``var_<name>``.  Typed
-programs pick slt or sltu from the declared comparison type; untyped
-programs are core-only and compare signed.  Multiplication has no
-hardware instruction here: with emulate_mul a shift-and-add loop is
-inlined, otherwise MulNotSupported reports every ``*`` position.
+Both evaluate a comparison's operands in the stack machine's order
+(``stack_machine.compare``: ``<`` takes its right operand first) into
+$t0 and $t1, then test and branch as the stack machine's branch class
+does, with slt or sltu from a typed program's comparison type; untyped
+programs are core-only and compare signed.  Variables live in the data
+segment under ``var_<name>``.  Multiplication has no hardware
+instruction here: with emulate_mul a shift-and-add loop is inlined,
+otherwise MulNotSupported reports every ``*`` position.
 
-Statements and conditions are laid out by ``stack_machine.lower``, the
-jump-code scheme the stack backend uses too; this module supplies the
-labels, jumps, assignments and compare-and-branch sequences.  Every
-``Ins`` checks its shape when it is built, and each distinct value is
-built once, the fixed ones at import and the rest when a program first
-emits them, so equal instructions of one program are one object.
-Lowering appends to one list and walks naive expressions from an
-explicit stack, so a long sequence costs no recursion.
+Statements and conditions are laid out by ``stack_machine.lower``; this
+module supplies the labels, jumps, assignments and compare-and-branch
+sequences.  Every ``Ins`` checks its shape when it is built, and each
+distinct value is built once, the fixed ones at import and the rest
+when a program first emits them, so equal instructions of one program
+are one object.  Lowering appends to one list, so a long sequence costs
+no recursion.
 
 ``codegen`` takes a typed program already checked, as a
 ``TypedProgram``, so a caller that needs the typing too checks once.
@@ -36,22 +39,21 @@ import itertools
 
 from ..errors import CimpError, UnsupportedNode
 from ..regalloc import OP_KINDS, LoadConst, LoadVar, Reload, Spill, alloc_codegen
-from ..stack_machine import lower
-from ..syntax import (
-    AExpr,
-    BinOp,
-    BitNot,
-    BitOp,
-    Cast,
-    Cmp,
-    IntLit,
-    Neg,
-    Program,
-    Ty,
-    Var,
-    program_vars,
-    walk,
+from ..stack_machine import (
+    ARITH_INSTR,
+    Ibeq,
+    Ible,
+    Ibgt,
+    Ibne,
+    Iconst,
+    Imul,
+    Isetvar,
+    Ivar,
+    compare,
+    emit,
+    lower,
 )
+from ..syntax import AExpr, BinOp, BitNot, BitOp, Cast, Cmp, Program, Ty, program_vars, walk
 from ..typecheck import TypedProgram, typing, word32
 from .isa import Ins, LabelDef, Mem, MipsInstr, MipsProgram, ins
 
@@ -90,25 +92,24 @@ _REG_OP = {
     for a, b in ((lo, lo + 1), (lo + 1, lo), (lo, lo))
     if max(a, b) < 8
 }
-# naive lowering: what follows an operator's operands, result pushed
+# naive lowering: the stack machine's operators, on the two values pushed
 _OPERANDS_TO_T0_T1 = _POP[1] + _POP[0]
-_NAIVE_TAIL = {
-    op: _OPERANDS_TO_T0_T1 + (_fixed(_MNEMONIC[kind], "$t0", "$t0", "$t1"),) + _PUSH[0]
-    for op, kind in OP_KINDS.items()
-    if kind != "mul"
+_NAIVE_OP = {
+    type(instr): _OPERANDS_TO_T0_T1
+    + (_fixed(_MNEMONIC[OP_KINDS[op]], "$t0", "$t0", "$t1"),) + _PUSH[0]
+    for op, instr in ARITH_INSTR.items()
+    if op != "*"
 }
-_NAIVE_TAIL[Neg] = _POP[0] + (_fixed("subu", "$t0", "$zero", "$t0"),) + _PUSH[0]
-_NAIVE_TAIL[BitNot] = _POP[0] + (_fixed("nor", "$t0", "$t0", "$zero"),) + _PUSH[0]
-_MUL = object()  # naive lowering: multiply the two pushed operands
-# comparisons: $at := a test of $t0 against $t1 that is zero exactly
-# when left = right, left <= right (not right < left) or not left < right
-_CMP_TEST = {
-    (op, ty): _fixed(mnemonic, "$at", *regs)
+# each stack branch class as a test of $t0 (pushed first) against $t1
+# (pushed second) into $at, then a branch on $at
+_CMP_AND_BRANCH = {
+    (cls, ty): (_fixed(mnemonic, "$at", *regs), branch)
     for ty, slt in ((Ty.I32, "slt"), (Ty.U32, "sltu"))
-    for op, mnemonic, regs in (
-        ("=", "subu", ("$t0", "$t1")),
-        ("<=", slt, ("$t1", "$t0")),
-        ("<", slt, ("$t0", "$t1")),
+    for cls, mnemonic, regs, branch in (
+        (Ibeq, "subu", ("$t0", "$t1"), "beq"),
+        (Ibne, "subu", ("$t0", "$t1"), "bne"),
+        (Ible, slt, ("$t1", "$t0"), "beq"),
+        (Ibgt, slt, ("$t1", "$t0"), "bne"),
     )
 }
 
@@ -171,14 +172,10 @@ class _Codegen:
     """``stack_machine.lower``'s target for MIPS, appending to ``out``.
 
     Labels are fresh names (``else_3``), placed as label definitions.
-    Naive expressions are lowered from an explicit work stack, which
-    also holds the instructions to append once everything pushed after
-    them is done, so a deep expression needs no recursion.
     """
 
-    def __init__(self, ty_of, strategy: str):
-        self.ty_of = ty_of
-        self.strategy = strategy
+    def __init__(self, ty_of, words: bool, strategy: str):
+        self.ty_of, self.words, self.strategy = ty_of, words, strategy
         self.out: list[MipsInstr] = []
         self._counter = itertools.count()  # numbers labels and multiplications
         self.made = dict(_FIXED)  # (op, args) -> this program's instruction
@@ -193,37 +190,31 @@ class _Codegen:
     def label(self, kind: str) -> str:
         return f"{kind}_{next(self._counter)}"
 
-    def mul_into(self, dst: str, lhs: str, rhs: str) -> None:
-        self.out += emit_mul_emulation(dst, lhs, rhs, tag=next(self._counter), ins=self.ins)
+    def mul_into(self, dst: int, lhs: str, rhs: str) -> None:
+        """$t<dst> := lhs * rhs, through $v0."""
+        self.out += emit_mul_emulation("$v0", lhs, rhs, tag=next(self._counter), ins=self.ins)
+        self.out.append(_FROM_V0[dst])
 
-    def naive_aexp(self, e: AExpr) -> None:
-        """Stack lowering: the value ends up pushed on the operand stack."""
+    def naive(self, code: list) -> None:
+        """Stack code expanded one instruction at a time onto $sp."""
         out = self.out
-        todo = [e]
-        while todo:
-            n = todo.pop()
-            t = type(n)
-            if t is tuple:
-                out += n
-            elif t is IntLit:
-                out += load_imm("$t0", n.value, self.ins)
+        for instr in code:
+            t = type(instr)
+            if t is Iconst:
+                out += load_imm("$t0", instr.n, self.ins)
                 out += _PUSH[0]
-            elif t is Var:
-                out.append(self.ins("lw", "$t0", f"var_{n.name}"))
+            elif t is Ivar:
+                out.append(self.ins("lw", "$t0", f"var_{instr.x}"))
                 out += _PUSH[0]
-            elif t is Cast:  # casts reinterpret bits and generate no code
-                todo.append(n.operand)
-            elif t is Neg or t is BitNot:
-                todo += (_NAIVE_TAIL[t], n.operand)
-            elif n is _MUL:
+            elif t is Isetvar:
+                out += _POP[0]
+                out.append(self.ins("sw", "$t0", f"var_{instr.x}"))
+            elif t is Imul:
                 out += _OPERANDS_TO_T0_T1
-                self.mul_into("$v0", "$t0", "$t1")
-                out.append(_FROM_V0[0])
+                self.mul_into(0, "$t0", "$t1")
                 out += _PUSH[0]
             else:
-                assert t is BinOp or t is BitOp
-                tail = _MUL if n.op == "*" else _NAIVE_TAIL[n.op]
-                todo += (tail, n.right, n.left)
+                out += _NAIVE_OP[t]
 
     def tree_aexp(self, e: AExpr) -> None:
         """Register-allocated lowering; the value ends up in $t0."""
@@ -239,8 +230,7 @@ class _Codegen:
             elif t is Reload:
                 out += _POP[instr.dst]
             elif instr.kind == "mul":
-                self.mul_into("$v0", _T[instr.lhs], _T[instr.rhs])
-                out.append(_FROM_V0[instr.dst])
+                self.mul_into(instr.dst, _T[instr.lhs], _T[instr.rhs])
             else:
                 out.append(_REG_OP[instr.kind, instr.dst, instr.lhs, instr.rhs])
 
@@ -253,28 +243,26 @@ class _Codegen:
     def assign(self, var: str, rhs: AExpr) -> None:
         if self.strategy == "regalloc":
             self.tree_aexp(rhs)
+            self.out.append(self.ins("sw", "$t0", f"var_{var}"))
         else:
-            self.naive_aexp(rhs)
-            self.out += _POP[0]
-        self.out.append(self.ins("sw", "$t0", f"var_{var}"))
+            self.naive(emit(rhs, [Isetvar(var), rhs], self.words))
 
     def branch(self, b: Cmp, cond: bool, target: str) -> None:
         """Branch to target when (left op right) == cond."""
         out = self.out
-        # comparison operands end up left in $t0, right in $t1
+        first, second, cls = compare(b, cond)
+        # the operands end up first in $t0, second in $t1
         if self.strategy == "regalloc":
-            self.tree_aexp(b.left)
+            self.tree_aexp(first)
             out += _PUSH[0]
-            self.tree_aexp(b.right)
+            self.tree_aexp(second)
             out.append(_T1_FROM_T0)
             out += _POP[0]
         else:
-            self.naive_aexp(b.left)
-            self.naive_aexp(b.right)
+            self.naive(emit(b, [second, first], self.words))
             out += _OPERANDS_TO_T0_T1
-        out.append(_CMP_TEST[b.op, self.ty_of(b)])
-        branch = "bne" if cond == (b.op == "<") else "beq"
-        out.append(self.ins(branch, "$at", "$zero", target))
+        test, branch = _CMP_AND_BRANCH[cls, self.ty_of(b)]
+        out += (test, self.ins(branch, "$at", "$zero", target))
 
 
 def codegen(
@@ -302,7 +290,7 @@ def codegen(
                 raise UnsupportedNode.at(n, "is only available in typed programs")
         if positions and not emulate_mul:
             raise MulNotSupported(positions)
-    gen = _Codegen(tp.ty_of if tp else lambda node: Ty.I32, strategy)
+    gen = _Codegen(tp.ty_of if tp else lambda node: Ty.I32, tp is not None, strategy)
     names = [name for name, _ in p.decls] if tp else sorted(program_vars(p))
     lower(p.body, gen)
     data = tuple((f"var_{name}", 0) for name in names)

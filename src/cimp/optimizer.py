@@ -201,15 +201,6 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
     return b
 
 
-def simplify_bool(b: BExpr, *, wrap: bool = False) -> BExpr:
-    """Dominance and unit laws for the connectives; fold literal tests.
-
-    Arithmetic operands are expected to be pre-simplified; this pass
-    only inspects them for literal-vs-literal comparisons.
-    """
-    return transform(b, lambda n: _bool_step(n, wrap))
-
-
 def _dead_step(c: Com) -> Com:
     t = type(c)
     if t is Seq:
@@ -225,11 +216,6 @@ def _dead_step(c: Com) -> Com:
     elif t is While and c.cond == _FALSE:
         return Skip()
     return c
-
-
-def dead_code(c: Com) -> Com:
-    """Remove decided conditionals, never-entered loops, and Skips."""
-    return transform(c, _dead_step)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,19 @@ arithmetic result are 32-bit words, ``~e`` is ``e`` xor 2^32 - 1 and a
 cast emits nothing.  Branches then order words unsigned, so an i32 ``<``
 or ``<=`` first flips the sign bit of both operands.
 
-Compilation is the classic scheme: expressions in postorder (leaving
-exactly one value on the stack), boolean expressions as conditional
-jumps parameterized by the polarity ``cond`` and a skip distance
-``ofs`` (fall through when the value differs from ``cond``, jump
-``ofs`` past the end of the emitted code when it matches), commands by
-structural composition.  ``lower`` owns that jump-code layout of
-commands and conditions for both backends; the stack machine and
-``mips.codegen`` each supply a target that emits labels, jumps,
-assignments and compare-and-branch code.  There is no branch
-instruction for a strict less-than, so ``l < r`` compiles its operands
-in swapped order and uses the greater-than branch; expressions are
-pure, so the evaluation-order change is unobservable.  The compiler
-appends to one list from work stacks and back-patches branches, so
-neither long sequences nor long operator chains recurse.
+Compilation is the classic scheme.  ``emit`` compiles expressions in
+postorder, leaving exactly one value on the stack; it is the one
+expression compiler, as naive MIPS is this code expanded one
+instruction at a time.  ``lower`` lays out commands and conditions as
+jump code for both backends, a condition branching to a label exactly
+when its value is ``cond``; the stack machine and ``mips.codegen`` each
+supply a target that emits labels, jumps, assignments and
+compare-and-branch code.  Every compiled backend pushes a comparison's
+operands in ``compare``'s order: there is no branch for a strict
+less-than, so ``l < r`` pushes ``r`` first and branches as ``r > l``;
+expressions are pure, so the evaluation order is unobservable.  The
+compiler appends to one list from work stacks and back-patches
+branches, so neither long sequences nor long operator chains recurse.
 
 Machine fuel counts executed instructions (every instruction, halt
 included), unlike the reference interpreter's fuel, which counts loop
@@ -33,7 +32,6 @@ runs it on a private dict store (``run_fragment``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, make_dataclass
 from typing import Union
 
 from .errors import UnsupportedNode
@@ -42,7 +40,6 @@ from .syntax import (
     AExpr,
     And,
     Assign,
-    BExpr,
     BinOp,
     BitNot,
     BitOp,
@@ -61,31 +58,33 @@ from .syntax import (
     Ty,
     Var,
     While,
+    frozen,
     walk,
 )
 from .typecheck import TypedProgram, typing
 
 # ---------------------------------------------------------------------------
-# Instructions: a frozen dataclass each, with at most one field.  The
-# listing prints an instruction as its upper-cased class name and field.
+# Instructions: a ``syntax.frozen`` record each, with at most one field.
+# The listing prints an instruction as its upper-cased class name and field.
 
-Iconst = make_dataclass("Iconst", [("n", int)], frozen=True)
-Ivar = make_dataclass("Ivar", [("x", str)], frozen=True)
-Isetvar = make_dataclass("Isetvar", [("x", str)], frozen=True)
-Iadd = make_dataclass("Iadd", [], frozen=True)
-Isub = make_dataclass("Isub", [], frozen=True)
-Imul = make_dataclass("Imul", [], frozen=True)
-Iand = make_dataclass("Iand", [], frozen=True)
-Ior = make_dataclass("Ior", [], frozen=True)
-Ixor = make_dataclass("Ixor", [], frozen=True)
-Ishl = make_dataclass("Ishl", [], frozen=True)
-Ishr = make_dataclass("Ishr", [], frozen=True)
-Ibranch = make_dataclass("Ibranch", [("delta", int)], frozen=True)
-Ibeq = make_dataclass("Ibeq", [("delta", int)], frozen=True)
-Ibne = make_dataclass("Ibne", [("delta", int)], frozen=True)
-Ible = make_dataclass("Ible", [("delta", int)], frozen=True)
-Ibgt = make_dataclass("Ibgt", [("delta", int)], frozen=True)
-Ihalt = make_dataclass("Ihalt", [], frozen=True)
+_instr = lambda name, **field: frozen(type(name, (), {"__annotations__": field}))  # noqa: E731
+Iconst = _instr("Iconst", n=int)
+Ivar = _instr("Ivar", x=str)
+Isetvar = _instr("Isetvar", x=str)
+Iadd = _instr("Iadd")
+Isub = _instr("Isub")
+Imul = _instr("Imul")
+Iand = _instr("Iand")
+Ior = _instr("Ior")
+Ixor = _instr("Ixor")
+Ishl = _instr("Ishl")
+Ishr = _instr("Ishr")
+Ibranch = _instr("Ibranch", delta=int)
+Ibeq = _instr("Ibeq", delta=int)
+Ibne = _instr("Ibne", delta=int)
+Ible = _instr("Ible", delta=int)
+Ibgt = _instr("Ibgt", delta=int)
+Ihalt = _instr("Ihalt")
 
 Instr = Union[
     Iconst, Ivar, Isetvar, Iadd, Isub, Imul, Iand, Ior, Ixor, Ishl, Ishr,
@@ -95,20 +94,20 @@ Instr = Union[
 Code = tuple[Instr, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class StackProgram:
     code: Code
     words: bool = False  # word mode: compiled from a typed program
 
 
-@dataclass(frozen=True)
+@frozen
 class VmState:
     pc: int
     stack: tuple[int, ...]
     store: Store
 
 
-@dataclass(frozen=True)
+@frozen
 class MachineError:
     reason: str
 
@@ -119,14 +118,23 @@ VmResult = Union[Done, OutOfFuel, MachineError]
 # ---------------------------------------------------------------------------
 # Compilation
 
-_ARITH_INSTR = {"+": Iadd, "-": Isub, "*": Imul,
-                "&": Iand, "|": Ior, "^": Ixor, "<<": Ishl, ">>": Ishr}
-# the branches taken when a comparison's value is (False, True);
-# l < r branches as r > l, with the operands swapped
-_CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
+# each operator's instruction, built once
+ARITH_INSTR = {"+": Iadd(), "-": Isub(), "*": Imul(), "&": Iand(), "|": Ior(),
+               "^": Ixor(), "<<": Ishl(), ">>": Ishr()}
+# the branches taken when a comparison's value is (False, True)
+CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
+_ZERO, _ALL_ONES, _FLIP = Iconst(0), Iconst(MASK), (ARITH_INSTR["^"], Iconst(SIGN))
 
 
-def _emit(root, todo: list, words: bool = False) -> list:
+def compare(b: Cmp, cond: bool) -> tuple[AExpr, AExpr, type]:
+    """(first, second, branch): every backend pushes first, then second,
+    and the branch is taken exactly when b's value is cond.  As there is
+    no strict less-than branch, l < r pushes r first to branch as r > l."""
+    first, second = (b.right, b.left) if b.op == "<" else (b.left, b.right)
+    return first, second, CMP_BRANCH[b.op][cond]
+
+
+def emit(root, todo: list, words: bool = False) -> list:
     """Postorder code for a work stack of expressions and instructions.
 
     The tasks are run last first.  Unless ``words``, a fixed-width node
@@ -142,12 +150,12 @@ def _emit(root, todo: list, words: bool = False) -> list:
         elif t is Var:
             out.append(Ivar(task.name))
         elif t is BinOp or (words and t is BitOp):
-            todo += (_ARITH_INSTR[task.op](), task.right, task.left)
+            todo += (ARITH_INSTR[task.op], task.right, task.left)
         elif t is Neg:
-            out.append(Iconst(0))
-            todo += (Isub(), task.operand)
+            out.append(_ZERO)
+            todo += (ARITH_INSTR["-"], task.operand)
         elif words and t is BitNot:
-            todo += (Ixor(), Iconst(MASK), task.operand)
+            todo += (ARITH_INSTR["^"], _ALL_ONES, task.operand)
         elif words and t is Cast:
             todo.append(task.operand)
         elif t is BitOp or t is BitNot or t is Cast:
@@ -231,47 +239,28 @@ class _StackTarget:
     def label(self, kind: str) -> list:
         return [None]
 
-    def place(self, label: list, ofs: int = 0) -> None:
-        label[0] = len(self.out) + ofs
+    def place(self, label: list) -> None:
+        label[0] = len(self.out)
 
     def jump(self, label: list, cls=Ibranch) -> None:
         self.patches.append((len(self.out), cls, label))
         self.out.append(None)
 
     def branch(self, b: Cmp, cond: bool, label: list) -> None:
-        first, second = (b.right, b.left) if b.op == "<" else (b.left, b.right)
+        first, second, cls = compare(b, cond)
         todo = [second, first]
         if self.ty_of is not None and b.op != "=" and self.ty_of(b) is Ty.I32:
-            todo = [Ixor(), Iconst(SIGN), second, Ixor(), Iconst(SIGN), first]
-        self.out += _emit(b, todo, self.ty_of is not None)
-        self.jump(label, _CMP_BRANCH[b.op][cond])
+            todo = [*_FLIP, second, *_FLIP, first]
+        self.out += emit(b, todo, self.ty_of is not None)
+        self.jump(label, cls)
 
     def assign(self, var: str, rhs: AExpr) -> None:
-        self.out += _emit(rhs, [Isetvar(var), rhs], self.ty_of is not None)
+        self.out += emit(rhs, [Isetvar(var), rhs], self.ty_of is not None)
 
     def code(self) -> Code:
         for at, cls, label in self.patches:
             self.out[at] = cls(label[0] - at - 1)
         return tuple(self.out)
-
-
-def compile_aexp(e: AExpr) -> Code:
-    """Postorder code that pushes aeval(store, e) and touches nothing else."""
-    return tuple(_emit(e, [e]))
-
-
-def compile_bexp(b: BExpr, cond: bool, ofs: int) -> Code:
-    """Jump code: branches ofs past its end iff the value equals cond.
-
-    The emitted code never touches the store and has zero net stack
-    effect on both paths.
-    """
-    if ofs < 0:
-        raise ValueError("ofs must be nonnegative")
-    target, end = _StackTarget(), [None]
-    lower((b, cond, end), target)
-    target.place(end, ofs)
-    return target.code()
 
 
 def compile_com(c: Com, ty_of=None) -> Code:
@@ -324,7 +313,7 @@ def _decode(code: Code, words: bool) -> list[tuple[int, object]]:
         op, fn = _DECODE[type(i)]
         if words and op == _ARITH:  # word mode: results are taken mod 2^32
             fn = lambda v, k, f=fn: f(v, k) & MASK  # noqa: E731
-        field = next(iter(vars(i).values()), None)
+        field = getattr(i, i.__slots__[0]) if i.__slots__ else None
         if op == _COND or op == _JUMP:
             field += 1
         out.append((op, (fn, field) if op == _COND else fn or field))
@@ -414,7 +403,7 @@ def listing(prog: StackProgram) -> str:
     """One instruction per line, its upper-cased class name and then its
     field; the line number is the instruction index."""
     return "".join(
-        " ".join([type(i).__name__.upper(), *map(str, vars(i).values())]) + "\n"
+        " ".join([type(i).__name__.upper(), *(str(getattr(i, f)) for f in i.__slots__)]) + "\n"
         for i in prog.code
     )
 

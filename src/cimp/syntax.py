@@ -56,7 +56,7 @@ def frozen(cls):
         body.append(f"set_{f.name}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n  " + "\n  ".join(body), env)
+    exec(f"def __init__(self, {', '.join(params)}):\n  " + ("\n  ".join(body) or "pass"), env)
     cls.__init__ = env["__init__"]
     return cls
 

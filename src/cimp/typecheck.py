@@ -17,7 +17,6 @@ that is all the engines read: ``TypedProgram.ty_of`` answers for
 comparisons only.
 ``ceval_fixed`` is ``semantics.run_fueled`` over 32-bit words: the type
 table it passes picks signed or unsigned order once per comparison.
-``eval_fixed`` and ``beval_fixed`` compile and apply one expression.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import chain
 from typing import Optional
 
 from .errors import CimpError
-from .semantics import MASK, SIGN, Outcome, Store, compile_expr, run_fueled
+from .semantics import MASK, SIGN, Outcome, Store, run_fueled
 from .syntax import (
     AExpr,
     Assertion,
@@ -172,16 +171,6 @@ def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
 
 # ---------------------------------------------------------------------------
 # Fixed-width evaluation
-
-
-def eval_fixed(s32: Store, e: AExpr) -> int:
-    """Value of e as a 32-bit word; arithmetic needs no types."""
-    return compile_expr(e, {})(s32._bindings)
-
-
-def beval_fixed(tp: TypedProgram, s32: Store, b: Assertion) -> bool:
-    """Truth of formula b under 32-bit semantics; tp must have typed b."""
-    return compile_expr(b, tp._types)(s32._bindings)
 
 
 def ceval_fixed(fuel: int, tp: TypedProgram, s32: Store) -> Outcome:

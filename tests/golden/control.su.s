@@ -17,14 +17,14 @@ loop_0:
 	subu $at, $t0, $t1
 	beq $at, $zero, endloop_1
 	j skip_2
-	lw $t0, var_y
+	li $t0, 2
 	addiu $sp, $sp, -4
 	sw $t0, 0($sp)
-	li $t0, 2
+	lw $t0, var_y
 	addu $t1, $t0, $zero
 	lw $t0, 0($sp)
 	addiu $sp, $sp, 4
-	slt $at, $t0, $t1
+	slt $at, $t1, $t0
 	beq $at, $zero, endloop_1
 skip_2:
 	lw $t0, var_x

@@ -14,9 +14,15 @@ main:
 	lw $t0, var_a
 	addiu $sp, $sp, -4
 	sw $t0, 0($sp)
+	lui $t0, 65535
+	ori $t0, $t0, 65535
+	addiu $sp, $sp, -4
+	sw $t0, 0($sp)
+	lw $t1, 0($sp)
+	addiu $sp, $sp, 4
 	lw $t0, 0($sp)
 	addiu $sp, $sp, 4
-	nor $t0, $t0, $zero
+	xor $t0, $t0, $t1
 	addiu $sp, $sp, -4
 	sw $t0, 0($sp)
 	li $t0, 4
@@ -60,17 +66,17 @@ main:
 	addiu $sp, $sp, 4
 	sw $t0, var_s
 loop_0:
-	lw $t0, var_s
+	li $t0, 0
 	addiu $sp, $sp, -4
 	sw $t0, 0($sp)
-	li $t0, 0
+	lw $t0, var_s
 	addiu $sp, $sp, -4
 	sw $t0, 0($sp)
 	lw $t1, 0($sp)
 	addiu $sp, $sp, 4
 	lw $t0, 0($sp)
 	addiu $sp, $sp, 4
-	slt $at, $t0, $t1
+	slt $at, $t1, $t0
 	beq $at, $zero, endloop_1
 	lw $t0, var_b
 	addiu $sp, $sp, -4

@@ -20,14 +20,14 @@ main:
 	subu $t0, $t0, $t1
 	sw $t0, var_s
 loop_0:
-	lw $t0, var_s
+	li $t0, 0
 	addiu $sp, $sp, -4
 	sw $t0, 0($sp)
-	li $t0, 0
+	lw $t0, var_s
 	addu $t1, $t0, $zero
 	lw $t0, 0($sp)
 	addiu $sp, $sp, 4
-	slt $at, $t0, $t1
+	slt $at, $t1, $t0
 	beq $at, $zero, endloop_1
 	lw $t0, var_b
 	addiu $sp, $sp, -4

@@ -13,19 +13,28 @@ from the allocator's own labeling.  ``reg_exec``, ``max_live`` and
 value (bit operations on 32-bit words), its peak live registers and its
 text.
 ``ref_simulate`` restates the MIPS simulator's flat dispatch loop over
-its decoded code: every instruction one at a time, no translated blocks.
+its decoded code: every instruction one at a time, no translated blocks;
+``on_store`` sees every store to a data label.  ``ref_vm_stores`` steps
+the stack VM the same way and lists the variable stores it makes.
+``compile_aexp``, ``compile_bexp``, ``simplify_bool``, ``dead_code``,
+``eval_fixed`` and ``beval_fixed`` apply one piece of a compiler,
+optimizer or evaluator to a lone expression or command, which only
+tests need.
 """
 
 from typing import Optional
 
+from cimp import optimizer
+from cimp import stack_machine as sm
 from cimp import syntax as sx
 from cimp.errors import CimpError, UnsupportedNode
 from cimp.hoare import MissingInvariant, VerificationCondition, subst_all
 from cimp.mips import sim
 from cimp.regalloc import LoadConst, LoadVar, Op, RegCode, RegInstr, Reload, Spill
-from cimp.semantics import Store
+from cimp.semantics import Store, compile_expr
 from cimp.stack_machine import (
     Iadd,
+    Iand,
     Ibeq,
     Ibgt,
     Ible,
@@ -34,9 +43,13 @@ from cimp.stack_machine import (
     Iconst,
     Ihalt,
     Imul,
+    Ior,
     Isetvar,
+    Ishl,
+    Ishr,
     Isub,
     Ivar,
+    Ixor,
     VmState,
 )
 
@@ -360,11 +373,13 @@ def listing(code: RegCode) -> str:
     return "".join(_mnemonic(i) + "\n" for i in code)
 
 
-def ref_simulate(prog, init=None, budget=10**6):
+def ref_simulate(prog, init=None, budget=10**6, on_store=None):
     """(outcome, executed): what ``sim.simulate`` returns, and how many
     instructions ran.  Unless the outcome is BudgetExhausted, executed is
     the least budget that gives the same outcome (an escape from the text
-    costs nothing; the trapping load or store, and the break, count)."""
+    costs nothing; the trapping load or store, and the break, count).
+    ``on_store(name, word, sp)`` is called at each store to a data label,
+    with the variable's name, the word stored and the value of $sp."""
     target = sim.check(prog)
     init = init or {}
     addr_of, mem = {}, {}
@@ -372,8 +387,10 @@ def ref_simulate(prog, init=None, budget=10**6):
         addr_of[label] = addr = sim.DATA_BASE + 4 * i
         mem[addr] = init.get(sim._var_name(label), word) & MASK
     code = sim._decode(prog.text, target, addr_of)
+    name_at = {addr: sim._var_name(label) for label, addr in addr_of.items()}
     regs = [0] * (sim._SINK + 1)
-    regs[sim._SLOT["$sp"]] = sim.STACK_TOP
+    sp = sim._SLOT["$sp"]
+    regs[sp] = sim.STACK_TOP
     pc = target["main"]
     escape = sim.Trap(f"pc {len(prog.text)} outside the text segment")
     for executed in range(budget):
@@ -397,6 +414,8 @@ def ref_simulate(prog, init=None, budget=10**6):
             regs[a] = mem[b]
         elif op == sim._SW:
             mem[b] = regs[a]
+            if on_store is not None:
+                on_store(name_at[b], regs[a], regs[sp])
         elif op == sim._LI:
             regs[a] = b
         elif op in (sim._BEQ, sim._BNE):
@@ -426,3 +445,94 @@ _REF_ALU = {
     sim._SLLV: lambda x, y: x << (y & 31),
     sim._SRLV: lambda x, y: x >> (y & 31),
 }
+
+
+def compile_aexp(e: sx.AExpr):
+    """Postorder code that pushes aeval(store, e) and touches nothing else."""
+    return tuple(sm.emit(e, [e]))
+
+
+def compile_bexp(b: sx.BExpr, cond: bool, ofs: int):
+    """Jump code: branches ofs past its end iff the value equals cond.
+
+    The emitted code never touches the store and has zero net stack
+    effect on both paths.
+    """
+    if ofs < 0:
+        raise ValueError("ofs must be nonnegative")
+    target, end = sm._StackTarget(), [None]
+    sm.lower((b, cond, end), target)
+    end[0] = len(target.out) + ofs
+    return target.code()
+
+
+def simplify_bool(b: sx.BExpr, *, wrap: bool = False) -> sx.BExpr:
+    """Dominance and unit laws for the connectives; fold literal tests.
+
+    Arithmetic operands are expected to be pre-simplified; this pass
+    only inspects them for literal-vs-literal comparisons.
+    """
+    return sx.transform(b, lambda n: optimizer._bool_step(n, wrap))
+
+
+def dead_code(c: sx.Com) -> sx.Com:
+    """Remove decided conditionals, never-entered loops, and Skips."""
+    return sx.transform(c, optimizer._dead_step)
+
+
+def eval_fixed(s32: Store, e: sx.AExpr) -> int:
+    """Value of e as a 32-bit word; arithmetic needs no types."""
+    return compile_expr(e, {})(s32._bindings)
+
+
+def beval_fixed(tp, s32: Store, b: sx.Assertion) -> bool:
+    """Truth of formula b under 32-bit semantics; tp must have typed b."""
+    return compile_expr(b, tp._types)(s32._bindings)
+
+
+_REF_VM_OPS = {
+    Iadd: lambda a, b: a + b,
+    Isub: lambda a, b: a - b,
+    Imul: lambda a, b: a * b,
+    Iand: lambda a, b: a & b,
+    Ior: lambda a, b: a | b,
+    Ixor: lambda a, b: a ^ b,
+    Ishl: lambda a, b: a << (b & 31),
+    Ishr: lambda a, b: a >> (b & 31),
+    Ibeq: lambda a, b: a == b,
+    Ibne: lambda a, b: a != b,
+    Ible: lambda a, b: a <= b,
+    Ibgt: lambda a, b: a > b,
+}
+
+
+def ref_vm_stores(prog, fuel):
+    """(status, stores): run a StackProgram from pc 0 on an empty store,
+    one instruction at a time, and list each Isetvar it executes as a
+    (name, value mod 2^32) pair.  status is "halt" or "outoffuel"; a word
+    mode program's arithmetic results are taken mod 2^32 as in the VM."""
+    code, pc, stack, stores = prog.code, 0, [], []
+    store: dict = {}
+    for _ in range(fuel):
+        instr = code[pc]
+        t = type(instr)
+        pc += 1
+        if t is Ihalt:
+            return "halt", stores
+        if t is Iconst:
+            stack.append(instr.n)
+        elif t is Ivar:
+            stack.append(store.get(instr.x, 0))
+        elif t is Isetvar:
+            store[instr.x] = stack.pop()
+            stores.append((instr.x, store[instr.x] & MASK))
+        elif t is Ibranch:
+            pc += instr.delta
+        else:
+            b, a = stack.pop(), stack.pop()
+            value = _REF_VM_OPS[t](a, b)
+            if t in (Ibeq, Ibne, Ible, Ibgt):
+                pc += instr.delta if value else 0
+            else:
+                stack.append(value & MASK if prog.words else value)
+    return "outoffuel", stores

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from oracles import min_registers
-from reference import ershov
+from reference import dead_code, ershov, simplify_bool
 from cimp.difftest import run_diff
 from cimp.frontend import parse_assertion_text, parse_program, pretty
 from cimp.generator import GenSpec, fuel_bound, gen_program
@@ -40,7 +40,7 @@ from cimp.mips import (
     parse_asm,
     simulate,
 )
-from cimp.optimizer import const_fold, dead_code, optimize, simplify_bool, simplify_structural
+from cimp.optimizer import const_fold, optimize, simplify_structural
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, OutOfFuel, Store, ceval_fuel, run_small
 from cimp.stack_machine import compile_program, vm_exec

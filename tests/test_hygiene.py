@@ -5,6 +5,8 @@ bench/ names is dead code.  Lines inside the definition itself do not
 count, so a function that only calls itself is flagged too.  Module
 protocol names such as ``__all__`` are exempt.  A module-level alias
 (``a = b``) of a name defined in src/cimp gives one thing two names.
+A module imports only public names from the other modules of src/cimp,
+so every seam between them is stated in names meant to be shared.
 """
 
 import ast
@@ -86,3 +88,18 @@ def test_word_format_is_stated_once():
             if type(v) is int and v in _WORD_CONSTANTS:
                 restated.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name} = {v:#x}")
     assert not restated, "word constants outside semantics.py:\n" + "\n".join(restated)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted((ROOT / "src" / "cimp").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "cimp"
+            ):
+                private += [
+                    f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, "private names imported across src/cimp:\n" + "\n".join(private)

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as gen
-from reference import ref_simulate
+from reference import ref_simulate, ref_vm_stores
 from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_program
 from cimp.generator import GenSpec, fuel_bound, gen_program
 from cimp.optimizer import optimize
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
+from cimp.stack_machine import ARITH_INSTR, CMP_BRANCH, Iconst, Isetvar, Ivar, compile_program
+from cimp.stack_machine import listing as stack_listing
 from cimp.syntax import Assign, BinOp, BitOp, IntLit, Program, SrcPos, Ty, Var
 from cimp.typecheck import ceval_fixed, typecheck, word32
 from cimp.mips.isa import check
@@ -905,6 +907,90 @@ def test_mul_inside_loop():
     for strategy in ("naive", "regalloc"):
         out = compile_run(src, strategy=strategy, emulate_mul=True)
         assert out.words["f"] == 720
+
+
+# ---------------------------------------------------------------------------
+# naive: the stack code expanded one instruction at a time
+
+
+def _naive_expansion(code):
+    gen = mips_codegen._Codegen(lambda node: Ty.I32, True, "naive")
+    gen.naive(code)
+    return gen.out
+
+
+_SP_DOWN, _SP_UP = ins("addiu", "$sp", "$sp", -4), ins("addiu", "$sp", "$sp", 4)
+
+
+def _sp_delta(text):
+    return sum(i.args[2] for i in text if i in (_SP_DOWN, _SP_UP))
+
+
+def test_every_stack_instruction_has_a_naive_expansion():
+    # what stack_machine.emit builds: constants, variables and stores,
+    # every operator of its table, and the branch classes of comparisons
+    pushes = [Iconst(1), Ivar("x")]
+    pops = [Isetvar("x"), *ARITH_INSTR.values()]
+    for instr in pushes + pops:
+        # a push moves $sp down one word, a binary operator or a store up one
+        assert _sp_delta(_naive_expansion([instr])) == (-4 if instr in pushes else 4), instr
+    branches = {cls for pair in CMP_BRANCH.values() for cls in pair}
+    assert {(cls, ty) for cls in branches for ty in Ty} <= set(mips_codegen._CMP_AND_BRANCH)
+
+
+def _li_t0(k):
+    if k <= 0xFFFF:
+        return [f"li $t0, {k}"]
+    return [f"lui $t0, {k >> 16}"] + ([f"ori $t0, $t0, {k & 0xFFFF}"] if k & 0xFFFF else [])
+
+
+_PUSH_T0 = ["addiu $sp, $sp, -4", "sw $t0, 0($sp)"]
+_POP_T1_T0 = ["lw $t1, 0($sp)", "addiu $sp, $sp, 4", "lw $t0, 0($sp)", "addiu $sp, $sp, 4"]
+# each line of a stack listing as naive MIPS, stated apart from codegen
+_EXPAND = {
+    "ICONST": lambda k: _li_t0(int(k)) + _PUSH_T0,
+    "IVAR": lambda x: [f"lw $t0, var_{x}"] + _PUSH_T0,
+    "ISETVAR": lambda x: ["lw $t0, 0($sp)", "addiu $sp, $sp, 4", f"sw $t0, var_{x}"],
+    **{
+        name: lambda op=op: _POP_T1_T0 + [f"{op} $t0, $t0, $t1"] + _PUSH_T0
+        for name, op in (("IADD", "addu"), ("ISUB", "subu"), ("IAND", "and"), ("IOR", "or"),
+                         ("IXOR", "xor"), ("ISHL", "sllv"), ("ISHR", "srlv"))
+    },
+    "IHALT": lambda: ["break"],
+}
+
+
+@pytest.mark.parametrize("src", [
+    "x := -y",
+    "var x: u32; var y: u32; x := ~y",
+    "var x: u32; var y: i32; x := (u32(-y) >> 3) - ~(70000 & x | 65536 ^ x << 2) + x",
+])
+def test_naive_code_is_the_expanded_stack_listing(src):
+    p = parse_program(src)
+    want = []
+    for line in stack_listing(compile_program(p)).splitlines():
+        name, *field = line.split()
+        want += _EXPAND[name](*field)
+    got = emit_asm(codegen(p)).split("main:\n")[1]
+    assert [line.strip() for line in got.splitlines()] == want
+
+
+@pytest.mark.parametrize("level", [0, 2])
+@pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+def test_naive_mips_stores_in_lockstep_with_the_stack_vm(typed, level):
+    # both machines make the same variable stores in the same order, and
+    # naive code stores a variable only with its operand stack empty
+    for seed in range(300):
+        p = optimize(gen_program(GenSpec(seed=seed, typed=typed)), level)
+        status, vm_stores = ref_vm_stores(compile_program(p), 10**7)
+        mips_stores = []
+        out, _ = ref_simulate(
+            codegen(p, emulate_mul=True), budget=10**7,
+            on_store=lambda name, word, sp: mips_stores.append((name, word, sp)),
+        )
+        assert status == "halt" and isinstance(out, Halted), seed
+        assert [(name, word) for name, word, _ in mips_stores] == vm_stores, seed
+        assert all(sp == STACK_TOP for *_, sp in mips_stores), seed
 
 
 # ---------------------------------------------------------------------------

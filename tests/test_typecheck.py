@@ -8,13 +8,12 @@ from cimp.frontend import parse_assertion_text as A
 from cimp.frontend import parse_program
 from cimp.hoare import HoareTriple, vcgen
 from cimp.semantics import OUT_OF_FUEL, Done, Store, aeval, beval
+from reference import beval_fixed, eval_fixed
 from cimp.typecheck import (
     MASK,
     TypeMismatch,
     UndeclaredVariable,
-    beval_fixed,
     ceval_fixed,
-    eval_fixed,
     to_signed,
     typecheck,
     word32,
