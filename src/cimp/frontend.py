@@ -22,12 +22,13 @@ printer always emits decimal.  Comments run from ``//`` to end of
 line.  ``;`` is a separator, not a terminator, and sequences associate
 to the right structurally.
 
-The parser is recursive descent, with one precedence-climbing method
-for the binary operators of a table and one for its prefix operators.
-The only backtracking point is an opening parenthesis in formula
-position, which may introduce either a parenthesized formula or the
-left operand of a comparison; both alternatives are tried and the error
-that made it furthest wins.
+The parser is recursive descent, except that one loop reads a chain of
+a table's operators: each operand's prefix operators and atom, then each
+binary operator, applied by level once no tighter one is pending.  The
+only backtracking point is an opening parenthesis in formula position,
+which may introduce either a parenthesized formula or the left operand
+of a comparison; both alternatives are tried and the error that made it
+furthest wins.
 
 Sequences and chains of binary operators are parsed in loops.  What
 nests opens one level each: a parenthesis (a cast's included), a unary
@@ -103,6 +104,11 @@ ARITH_PREFIX = {"-": Neg, "~": BitNot}
 FORMULA_PREFIX = {"!": Not}
 # The connectives' classes name their operator; BinOp and BitOp record it.
 _CONNECTIVE = {cls: lexeme for ops in FORMULA_OPS for lexeme, cls in ops.items()}
+# The parser's view of a table, lexeme -> (binding, level, node class): the
+# binding is one past the level for a right-associative operator.
+_ARITH, _FORMULA = ({lexeme: (level + (lexeme in RIGHT_ASSOC), level, cls)
+                     for level, ops in enumerate(table) for lexeme, cls in ops.items()}
+                    for table in (ARITH_OPS, FORMULA_OPS))
 
 
 class Token(NamedTuple):
@@ -201,12 +207,6 @@ def lex(source: str) -> list[Token]:
             return tokens
 
 
-def _binary_node(cls, op: Token, left, right):
-    if cls in _CONNECTIVE:
-        return cls(left, right, pos=op.pos)
-    return cls(op.lexeme, left, right, pos=op.pos)
-
-
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -220,8 +220,7 @@ class _Parser:
         return self.tokens[self.i]
 
     def at(self, *lexemes: str) -> bool:
-        t = self.peek()
-        return t.kind != "eoi" and t.lexeme in lexemes
+        return self.tokens[self.i].lexeme in lexemes  # end of input's lexeme is ""
 
     def advance(self) -> Token:
         t = self.tokens[self.i]
@@ -233,9 +232,11 @@ class _Parser:
         raise ParseError(tuple(expected), self.peek(), self.i)
 
     def expect(self, lexeme: str, label: Optional[str] = None) -> Token:
-        if not self.at(lexeme):
+        t = self.tokens[self.i]
+        if t.lexeme != lexeme:
             self.fail(label or f"'{lexeme}'")
-        return self.advance()
+        self.i += 1
+        return t
 
     def nest(self, opener: Token) -> None:
         """Open one nesting level; the caller closes it with depth -= 1."""
@@ -254,64 +255,58 @@ class _Parser:
     # -- operators ----------------------------------------------------------
 
     def aexp(self) -> AExpr:
-        return self.binary(ARITH_OPS, ARITH_PREFIX, self.aexp_atom)
+        return self.binary(_ARITH, ARITH_PREFIX, self.aexp_atom)
 
     def formula(self) -> Assertion:
-        return self.binary(FORMULA_OPS, FORMULA_PREFIX, self.formula_atom)
+        return self.binary(_FORMULA, FORMULA_PREFIX, self.formula_atom)
 
-    def binary(self, levels, prefix, atom, level: int = 0):
-        """A chain of the operators of levels[level] over tighter operands.
+    def binary(self, levels, prefix, atom):
+        """A chain of operands and the binary operators of levels, in one loop.
 
-        One nested call per tighter level, so recursion is as deep as the
-        table whatever the chain's length.  The chain is read in a loop;
-        a left-associative one folds as it goes, '->' folds from the right.
+        An operand is its prefix operators, each opening one nesting level,
+        then an atom.  Operators wait on a stack until one that binds no
+        tighter arrives (Pratt, "Top down operator precedence", POPL 1973),
+        so recursion is as deep as the nesting, whatever the chain's length.
         """
-        if level == len(levels):
-            return self.prefix(prefix, atom)
-        ops = levels[level]
-        left = self.binary(levels, prefix, atom, level + 1)
-        pending = []  # (left operand, operator) of each '->' so far
-        while (op := self.tokens[self.i]).lexeme in ops:
-            cls = ops[op.lexeme]
+        tokens, operands, pending = self.tokens, [], []  # pending: (level, class, token)
+        while True:
+            start = self.i
+            while (op := tokens[self.i]).lexeme in prefix:
+                self.nest(op)
+                self.i += 1
+            end, operand = self.i, atom()
+            if end > start:
+                self.depth -= end - start
+                for op in reversed(tokens[start:end]):
+                    operand = prefix[op.lexeme](operand, pos=op.pos)
+            operands.append(operand)
+            # an operator applies the pending ones of a level at least its binding
+            bind, level, cls = levels.get((op := tokens[self.i]).lexeme, (-1, None, None))
+            while pending and pending[-1][0] >= bind:
+                _, node, tok = pending.pop()
+                right = operands.pop()
+                operands[-1] = (node(operands[-1], right, pos=tok.pos) if node in _CONNECTIVE
+                                else node(tok.lexeme, operands[-1], right, pos=tok.pos))
+            if cls is None:
+                return operands[0]
             if cls is Implies and self.guard:
                 raise CimpError("'->' may appear in specifications only", op.pos)
             self.i += 1
-            right = self.binary(levels, prefix, atom, level + 1)
-            if op.lexeme in RIGHT_ASSOC:
-                pending.append((left, op))
-                left = right
-            else:
-                left = _binary_node(cls, op, left, right)
-        while pending:
-            first, op = pending.pop()
-            left = _binary_node(ops[op.lexeme], op, first, left)
-        return left
-
-    def prefix(self, prefix, atom):
-        """Prefix operators, each opening one nesting level, then an atom."""
-        op = self.tokens[self.i]
-        cls = prefix.get(op.lexeme)
-        if cls is None:
-            return atom()
-        self.i += 1
-        self.nest(op)
-        operand = self.prefix(prefix, atom)
-        self.depth -= 1
-        return cls(operand, pos=op.pos)
+            pending.append((level, cls, op))
 
     def aexp_atom(self) -> AExpr:
-        t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            base = 16 if t.lexeme[:2].lower() == "0x" else 10
-            return IntLit(int(t.lexeme, base), pos=t.pos)
+        t = self.tokens[self.i]
         if t.kind == "ident":
-            self.advance()
-            return Var(t.lexeme, pos=t.pos)
+            self.i += 1
+            return Var(t.lexeme, pos=SrcPos(t.line, t.col))
+        if t.kind == "int":
+            self.i += 1
+            base = 16 if t.lexeme[:2] in ("0x", "0X") else 10
+            return IntLit(int(t.lexeme, base), pos=SrcPos(t.line, t.col))
         if t.lexeme in ("i32", "u32") and t.kind == "keyword":
             self.advance()
             return Cast(Ty(t.lexeme), self.parenthesized(self.aexp), pos=t.pos)
-        if self.at("("):
+        if t.lexeme == "(":
             return self.parenthesized(self.aexp)
         self.fail("an integer literal", "an identifier", "'('")
 

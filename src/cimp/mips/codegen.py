@@ -3,9 +3,10 @@
 Two strategies share all control-flow lowering and differ only in how
 an arithmetic expression reaches $t0:
 
-* naive is the stack machine's code (``stack_machine.emit``) expanded
-  one instruction at a time onto $sp: an operand is loaded into $t0 and
-  pushed, an operator pops $t1 and $t0 and pushes its result.
+* naive is the stack machine's code expanded one instruction at a time
+  onto $sp, within ``stack_machine.emit``'s own walk: an operand is
+  loaded into $t0 and pushed, an operator pops $t1 and $t0 and pushes
+  its result.
 * regalloc runs the tree register allocator over $t0..$t7 and lowers
   its register code directly, spilling through $sp only when a subtree
   needs more than eight registers.  The allocator covers every
@@ -19,7 +20,8 @@ does, with slt or sltu from a typed program's comparison type; untyped
 programs are core-only and compare signed.  Variables live in the data
 segment under ``var_<name>``.  Multiplication has no hardware
 instruction here: with emulate_mul a shift-and-add loop is inlined,
-otherwise MulNotSupported reports every ``*`` position.
+otherwise MulNotSupported reports every ``*`` position.  An untyped
+program's bit node is an error, reported before any multiplication.
 
 Statements and conditions are laid out by ``stack_machine.lower``; this
 module supplies the labels, jumps, assignments and compare-and-branch
@@ -27,7 +29,10 @@ sequences.  Every ``Ins`` checks its shape when it is built, and each
 distinct value is built once, the fixed ones at import and the rest
 when a program first emits them, so equal instructions of one program
 are one object.  Lowering appends to one list, so a long sequence costs
-no recursion.
+no recursion.  The data segment's names are read off the loads and
+stores lowering made, and the whole program is searched for the errors
+above only once lowering meets one; regalloc checks each untyped
+expression for a bit node first, as a cast leaves no register code.
 
 ``codegen`` takes a typed program already checked, as a
 ``TypedProgram``, so a caller that needs the typing too checks once.
@@ -37,23 +42,10 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import CimpError, UnsupportedNode
+from ..errors import CimpError
 from ..regalloc import OP_KINDS, LoadConst, LoadVar, Reload, Spill, alloc_codegen
-from ..stack_machine import (
-    ARITH_INSTR,
-    Ibeq,
-    Ible,
-    Ibgt,
-    Ibne,
-    Iconst,
-    Imul,
-    Isetvar,
-    Ivar,
-    compare,
-    emit,
-    lower,
-)
-from ..syntax import AExpr, BinOp, BitNot, BitOp, Cast, Cmp, Program, Ty, program_vars, walk
+from ..stack_machine import Ibeq, Ible, Ibgt, Ibne, compare, emit, lower, reject_bit_nodes
+from ..syntax import AExpr, BinOp, Cmp, Program, Ty, com_vars, walk
 from ..typecheck import TypedProgram, typing, word32
 from .isa import Ins, LabelDef, Mem, MipsInstr, MipsProgram, ins
 
@@ -92,13 +84,14 @@ _REG_OP = {
     for a, b in ((lo, lo + 1), (lo + 1, lo), (lo, lo))
     if max(a, b) < 8
 }
-# naive lowering: the stack machine's operators, on the two values pushed
+# naive lowering: the stack machine's operators, on the two values pushed;
+# "*" is the shift-and-add loop, built afresh each time for fresh labels
 _OPERANDS_TO_T0_T1 = _POP[1] + _POP[0]
+_MUL = object()
 _NAIVE_OP = {
-    type(instr): _OPERANDS_TO_T0_T1
-    + (_fixed(_MNEMONIC[OP_KINDS[op]], "$t0", "$t0", "$t1"),) + _PUSH[0]
-    for op, instr in ARITH_INSTR.items()
-    if op != "*"
+    op: _MUL if kind == "mul" else
+    _OPERANDS_TO_T0_T1 + (_fixed(_MNEMONIC[kind], "$t0", "$t0", "$t1"),) + _PUSH[0]
+    for op, kind in OP_KINDS.items()
 }
 # each stack branch class as a test of $t0 (pushed first) against $t1
 # (pushed second) into $at, then a branch on $at
@@ -172,13 +165,18 @@ class _Codegen:
     """``stack_machine.lower``'s target for MIPS, appending to ``out``.
 
     Labels are fresh names (``else_3``), placed as label definitions.
+    For naive code it also supplies ``stack_machine.emit``'s
+    instructions: ``const``, ``var``, the ``_NAIVE_OP`` entries and
+    ``put``, so each stack instruction is expanded as the walk makes it.
     """
 
-    def __init__(self, ty_of, words: bool, strategy: str):
-        self.ty_of, self.words, self.strategy = ty_of, words, strategy
+    def __init__(self, p: Program, ty_of, strategy: str, emulate_mul: bool):
+        self.body, self.words, self.ty_of = p.body, p.typed, ty_of
+        self.strategy, self.emulate_mul = strategy, emulate_mul
         self.out: list[MipsInstr] = []
         self._counter = itertools.count()  # numbers labels and multiplications
         self.made = dict(_FIXED)  # (op, args) -> this program's instruction
+        self.spec_names: set[str] = set()  # the names loop invariants read
 
     def ins(self, op: str, *args) -> Ins:
         """``ins(op, *args)``, built once per distinct value in this program."""
@@ -190,31 +188,37 @@ class _Codegen:
     def label(self, kind: str) -> str:
         return f"{kind}_{next(self._counter)}"
 
+    def invariant(self, formula) -> None:
+        if formula is not None:
+            self.spec_names |= com_vars(formula)
+
     def mul_into(self, dst: int, lhs: str, rhs: str) -> None:
         """$t<dst> := lhs * rhs, through $v0."""
+        if not self.emulate_mul:
+            # an untyped program's bit node is reported before any multiplication
+            if not self.words:
+                reject_bit_nodes(self.body)
+            raise MulNotSupported(
+                n.pos for n in walk(self.body, code_only=True) if type(n) is BinOp and n.op == "*")
         self.out += emit_mul_emulation("$v0", lhs, rhs, tag=next(self._counter), ins=self.ins)
         self.out.append(_FROM_V0[dst])
 
-    def naive(self, code: list) -> None:
-        """Stack code expanded one instruction at a time onto $sp."""
-        out = self.out
-        for instr in code:
-            t = type(instr)
-            if t is Iconst:
-                out += load_imm("$t0", instr.n, self.ins)
-                out += _PUSH[0]
-            elif t is Ivar:
-                out.append(self.ins("lw", "$t0", f"var_{instr.x}"))
-                out += _PUSH[0]
-            elif t is Isetvar:
-                out += _POP[0]
-                out.append(self.ins("sw", "$t0", f"var_{instr.x}"))
-            elif t is Imul:
-                out += _OPERANDS_TO_T0_T1
-                self.mul_into(0, "$t0", "$t1")
-                out += _PUSH[0]
-            else:
-                out += _NAIVE_OP[t]
+    def const(self, k: int) -> tuple:
+        return (*load_imm("$t0", k, self.ins), *_PUSH[0])
+
+    def var(self, x: str) -> tuple:
+        return (self.ins("lw", "$t0", f"var_{x}"), *_PUSH[0])
+
+    def put(self, code) -> None:
+        """A stack instruction's naive code onto ``out``."""
+        if code is _MUL:
+            self.out += _OPERANDS_TO_T0_T1
+            self.mul_into(0, "$t0", "$t1")
+            code = _PUSH[0]
+        self.out += code
+
+    def naive(self, root, todo: list) -> None:
+        emit(root, todo, self.words, self.put, self.const, self.var, _NAIVE_OP)
 
     def tree_aexp(self, e: AExpr) -> None:
         """Register-allocated lowering; the value ends up in $t0."""
@@ -241,26 +245,30 @@ class _Codegen:
         self.out.append(self.ins("j", label))
 
     def assign(self, var: str, rhs: AExpr) -> None:
-        if self.strategy == "regalloc":
-            self.tree_aexp(rhs)
-            self.out.append(self.ins("sw", "$t0", f"var_{var}"))
-        else:
-            self.naive(emit(rhs, [Isetvar(var), rhs], self.words))
+        store = self.ins("sw", "$t0", f"var_{var}")
+        if self.strategy == "naive":
+            return self.naive(rhs, [(*_POP[0], store), rhs])
+        if not self.words:
+            reject_bit_nodes(rhs)
+        self.tree_aexp(rhs)
+        self.out.append(store)
 
     def branch(self, b: Cmp, cond: bool, target: str) -> None:
         """Branch to target when (left op right) == cond."""
         out = self.out
         first, second, cls = compare(b, cond)
         # the operands end up first in $t0, second in $t1
-        if self.strategy == "regalloc":
+        if self.strategy == "naive":
+            self.naive(b, [second, first])
+            out += _OPERANDS_TO_T0_T1
+        else:
+            if not self.words:
+                reject_bit_nodes(b)
             self.tree_aexp(first)
             out += _PUSH[0]
             self.tree_aexp(second)
             out.append(_T1_FROM_T0)
             out += _POP[0]
-        else:
-            self.naive(emit(b, [second, first], self.words))
-            out += _OPERANDS_TO_T0_T1
         test, branch = _CMP_AND_BRANCH[cls, self.ty_of(b)]
         out += (test, self.ins(branch, "$at", "$zero", target))
 
@@ -277,22 +285,10 @@ def codegen(
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     p, tp = typing(p)
-    if tp is None or not emulate_mul:
-        # one walk: an untyped program's bit node is reported before
-        # any multiplication
-        positions = []
-        for n in walk(p.body, code_only=True):
-            t = type(n)
-            if t is BinOp:
-                if n.op == "*":
-                    positions.append(n.pos)
-            elif tp is None and (t is BitOp or t is BitNot or t is Cast):
-                raise UnsupportedNode.at(n, "is only available in typed programs")
-        if positions and not emulate_mul:
-            raise MulNotSupported(positions)
-    gen = _Codegen(tp.ty_of if tp else lambda node: Ty.I32, tp is not None, strategy)
-    names = [name for name, _ in p.decls] if tp else sorted(program_vars(p))
+    gen = _Codegen(p, tp.ty_of if tp else lambda node: Ty.I32, strategy, emulate_mul)
     lower(p.body, gen)
+    names = [name for name, _ in p.decls] if tp else sorted(gen.spec_names.union(
+        a[1][4:] for op, a in gen.made if op in ("lw", "sw") and type(a[1]) is str))
     data = tuple((f"var_{name}", 0) for name in names)
     text = (LabelDef("main"), *gen.out, ins("break"))
     return MipsProgram(data=data, text=text)

@@ -1,9 +1,10 @@
 """Semantics-preserving AST rewrites, organized into -O levels.
 
-Level 0 is the identity.  Level 1 rewrites expressions: constant
-folding with re-association over additive spines, structural identities
-(``e - e -> 0`` and the 0/1 unit laws), and boolean dominance.  Level 2
-adds trivial dead-code removal on commands (decided conditionals,
+Level 0 is the identity.  Level 1 rewrites expressions with one fused
+fold, which re-associates constants over additive spines and applies
+the structural laws (``e - e -> 0`` and the 0/1 unit and zero laws) as
+it rebuilds each node, and formulas by boolean dominance.  Level 2 adds
+trivial dead-code removal on commands (decided conditionals,
 never-entered loops, Skip elimination in sequences).
 
 Loop invariants are specification, not code: the -O pass skips them
@@ -42,6 +43,7 @@ from .syntax import (
     Program,
     Seq,
     Skip,
+    Var,
     While,
     equal,
     literal_value,
@@ -58,67 +60,71 @@ def _make_lit(k: int, wrap: bool) -> AExpr:
     return IntLit(k) if k >= 0 else Neg(IntLit(-k))
 
 
-def _append_const(acc: AExpr, k: int, wrap: bool) -> AExpr:
-    if wrap:
-        k &= MASK
-        if k == 0:
-            return acc
-        # prefer the smaller magnitude: x + (2^32 - 5) reads as x - 5
-        if -k & MASK < k:
-            return BinOp("-", acc, IntLit(-k & MASK))
-        return BinOp("+", acc, IntLit(k))
-    if k == 0:
-        return acc
-    if k > 0:
-        return BinOp("+", acc, IntLit(k))
-    return BinOp("-", acc, IntLit(-k))
+def _sum_law(op: str, l: AExpr, r: AExpr, fired: list) -> AExpr:
+    """l op r for + and -, by the laws e - e = 0, e - 0 = e and 0 + e = e + 0 = e."""
+    if op == "-" and type(l) is type(r) and equal(l, r):
+        out = _ZERO
+    elif op == "+" and type(l) is IntLit and l.value == 0:
+        out = r
+    elif type(r) is IntLit and r.value == 0:
+        out = l
+    else:
+        return BinOp(op, l, r)
+    fired[0] = True
+    return out
 
 
-def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
-    """Fold literal operations, gathering constants across + and - chains.
-
-    The additive spine (nested +, -, unary -) is flattened into signed
-    terms; literal terms are summed and re-attached last, so
-    ``a + 1 + 2`` becomes ``a + 3``.  Non-additive operators fold only
-    when both operands are literal.  The result never contains a core
-    operator node with two literal operands.  A spine that rebuilds into
-    an equal tree is returned as it was given, like every other rewrite.
+def _fold(e: AExpr, wrap: bool, fired: list) -> tuple[AExpr, object]:
+    """One round: constants folded, then the unit and zero laws applied
+    bottom-up, rebuilding each node once.  Also returns the value of e's
+    constant-folded form when that is a literal (the laws only ever see
+    that form, so the next node up folds by it, not by the laws' result);
+    fired[0] is set when a law rewrote something.
     """
-    if (type(e) is BinOp and e.op != "*") or type(e) is Neg:
-        # the signed terms of the spine, leftmost first
-        terms: list[tuple[int, AExpr]] = []
-        todo = [(e, 1)]
+    t = type(e)
+    if t is IntLit:
+        return e, e.value
+    if t is Var:
+        return e, None
+    if (t is BinOp and e.op != "*") or t is Neg:
+        # The additive spine (nested +, -, unary -) is flattened into
+        # signed terms, leftmost first; literal terms are summed and
+        # re-attached last, so a + 1 + 2 becomes a + 3.
+        terms, todo = [], [(e, 1)]
         while todo:
             x, sign = todo.pop()
-            t = type(x)
-            if t is BinOp and x.op != "*":
+            tx = type(x)
+            if tx is BinOp and x.op != "*":
                 todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
-            elif t is Neg:
+            elif tx is Neg:
                 todo.append((x.operand, -sign))
             else:
-                terms.append((sign, const_fold(x, wrap=wrap)))
-        total = 0
-        rest: list[tuple[int, AExpr]] = []
-        for sign, t in terms:
-            v = literal_value(t)
-            if v is not None:
-                total += sign * v
+                terms.append((sign, x))
+        total, rest = 0, []
+        for sign, x in terms:
+            g, v = _fold(x, wrap, fired)
+            if v is None:
+                rest.append((sign, g))
             else:
-                rest.append((sign, t))
+                total += sign * v
+        if wrap:  # the smaller magnitude: x + (2^32 - 5) reads as x - 5
+            total &= MASK
+            total -= (MASK + 1) * (-total & MASK < total)
         if not rest:
             out = _make_lit(total, wrap)
-        # A negative leading term with a positive constant rebuilds
-        # as "k - ..." rather than "-t + k", which would add a node.
-        elif rest[0][0] < 0 and ((total & MASK) != 0 if wrap else total > 0):
-            out = IntLit(total & MASK if wrap else total)
-            for sign, t in rest:
-                out = BinOp("+" if sign > 0 else "-", out, t)
+            return (e if equal(out, e) else out), literal_value(out)
+        # A negative leading term with a positive constant rebuilds as
+        # "k - ..." rather than "-t + k", which would add a node.
+        if rest[0][0] < 0 and (total != 0 if wrap else total > 0):
+            out, total = IntLit(total & MASK if wrap else total), 0
         else:
-            out = rest[0][1] if rest[0][0] > 0 else Neg(rest[0][1])
-            for sign, t in rest[1:]:
-                out = BinOp("+" if sign > 0 else "-", out, t)
-            out = _append_const(out, total, wrap)
-        return e if equal(out, e) else out
+            sign, g = rest.pop(0)
+            out = g if sign > 0 else Neg(g)
+        if total:
+            rest.append((1 if total > 0 else -1, IntLit(abs(total))))
+        for sign, g in rest:
+            out = _sum_law("+" if sign > 0 else "-", out, g, fired)
+        return (e if equal(out, e) else out), None
     # the left spine of "*" and the bit operators folds bottom-up in a
     # loop, so a long chain does not recurse once per operator
     spine = []
@@ -126,47 +132,41 @@ def const_fold(e: AExpr, *, wrap: bool = False) -> AExpr:
         spine.append(e)
         e = e.left
     if not spine:
-        return map_children(e, lambda k: const_fold(k, wrap=wrap))
-    out = const_fold(e, wrap=wrap)
+        return map_children(e, lambda k: _fold(k, wrap, fired)[0]), None
+    out, v = _fold(e, wrap, fired)
     for node in reversed(spine):
-        right = const_fold(node.right, wrap=wrap)
+        right, rv = _fold(node.right, wrap, fired)
+        if type(node) is BinOp and v is not None and rv is not None:
+            out = _make_lit(v * rv, wrap)  # "*", folded only between literals
+            v = literal_value(out)
+            continue
         if out is not node.left or right is not node.right:
             node = type(node)(node.op, out, right, node.pos)
-        out = node
-        if type(out) is BinOp:  # "*", folded only between literals
-            lv, rv = literal_value(out.left), literal_value(out.right)
-            if lv is not None and rv is not None:
-                out = _make_lit(lv * rv, wrap)
-    return out
+        out, v = node, None
+        if type(node) is BinOp:  # the laws of "*"
+            law = _ZERO if _ZERO in (node.left, node.right) else (
+                right if node.left == _ONE else node.left if right == _ONE else None)
+            if law is not None:
+                out, fired[0] = law, True
+    return out, v
 
 
-def _structural_step(e: AExpr) -> AExpr:
-    if type(e) is not BinOp:
-        return e
-    op, l, r = e.op, e.left, e.right
-    if op == "-":
-        if equal(l, r):
-            return _ZERO
-        if r == _ZERO:
-            return l
-    elif op == "+":
-        if l == _ZERO:
-            return r
-        if r == _ZERO:
-            return l
-    else:  # "*"
-        if l == _ZERO or r == _ZERO:
-            return _ZERO
-        if l == _ONE:
-            return r
-        if r == _ONE:
-            return l
-    return e
+def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
+    """The -O rewrite of an arithmetic expression, to its fixed point.
 
-
-def simplify_structural(e: AExpr) -> AExpr:
-    """Structural identity and unit laws; every rule is wrap-safe."""
-    return transform(e, _structural_step)
+    Constants fold modulo 2^32 under wrap.  The result never contains a
+    core operator node with two literal operands, and an expression that
+    needs no rewrite is returned as it was given.  A round that applied
+    no law is already a fixed point, so only the rare round that did (say
+    ``1 * (10 - d) + 27``, whose product becomes a spine to flatten into
+    its parent) is followed by another.
+    """
+    while True:
+        fired = [False]
+        out = _fold(e, wrap, fired)[0]
+        if not fired[0] or out is e:
+            return out
+        e = out
 
 
 def _bool_step(b: BExpr, wrap: bool) -> BExpr:
@@ -222,14 +222,6 @@ def _dead_step(c: Com) -> Com:
 # The -O pipeline
 
 
-def _opt_aexp(e: AExpr, wrap: bool) -> AExpr:
-    while True:
-        out = simplify_structural(const_fold(e, wrap=wrap))
-        if out is e:
-            return e
-        e = out
-
-
 def optimize(p: Program, level: int) -> Program:
     """Apply the level's rewrites in one pass; level 0 is identity.
 
@@ -243,7 +235,7 @@ def optimize(p: Program, level: int) -> Program:
     if level == 0:
         return p
     wrap = p.typed
-    opt_aexp = lambda e: _opt_aexp(e, wrap)  # noqa: E731
+    opt_aexp = lambda e: fold(e, wrap=wrap)  # noqa: E731
 
     def step(n):
         # Arithmetic is optimized whole where code consumes it, at

@@ -11,12 +11,12 @@ or ``<=`` first flips the sign bit of both operands.
 
 Compilation is the classic scheme.  ``emit`` compiles expressions in
 postorder, leaving exactly one value on the stack; it is the one
-expression compiler, as naive MIPS is this code expanded one
-instruction at a time.  ``lower`` lays out commands and conditions as
-jump code for both backends, a condition branching to a label exactly
-when its value is ``cond``; the stack machine and ``mips.codegen`` each
-supply a target that emits labels, jumps, assignments and
-compare-and-branch code.  Every compiled backend pushes a comparison's
+expression compiler, which naive MIPS hands its own instructions to
+expand the code in the same walk.  ``lower`` lays out commands and
+conditions as jump code for both backends, a condition branching to a
+label exactly when its value is ``cond``; the stack machine and
+``mips.codegen`` each supply a target that emits labels, jumps,
+assignments and compare-and-branch code.  Every compiled backend pushes a comparison's
 operands in ``compare``'s order: there is no branch for a strict
 less-than, so ``l < r`` pushes ``r`` first and branches as ``r > l``;
 expressions are pure, so the evaluation order is unobservable.  The
@@ -123,7 +123,7 @@ ARITH_INSTR = {"+": Iadd(), "-": Isub(), "*": Imul(), "&": Iand(), "|": Ior(),
                "^": Ixor(), "<<": Ishl(), ">>": Ishr()}
 # the branches taken when a comparison's value is (False, True)
 CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
-_ZERO, _ALL_ONES, _FLIP = Iconst(0), Iconst(MASK), (ARITH_INSTR["^"], Iconst(SIGN))
+_ZERO, _ALL_ONES, _FLIP = IntLit(0), IntLit(MASK), (ARITH_INSTR["^"], Iconst(SIGN))
 
 
 def compare(b: Cmp, cond: bool) -> tuple[AExpr, AExpr, type]:
@@ -134,40 +134,46 @@ def compare(b: Cmp, cond: bool) -> tuple[AExpr, AExpr, type]:
     return first, second, CMP_BRANCH[b.op][cond]
 
 
-def emit(root, todo: list, words: bool = False) -> list:
+def emit(root, todo: list, words=False, put=None, const=Iconst, var=Ivar, ops=ARITH_INSTR) -> list:
     """Postorder code for a work stack of expressions and instructions.
 
-    The tasks are run last first.  Unless ``words``, a fixed-width node
-    raises UnsupportedNode: the first in root in source order.
+    The tasks are run last first, ``-e`` as ``0 - e`` and ``~e`` as ``e ^
+    (2^32 - 1)``.  ``put`` (by default, append to the list returned) gets
+    a literal's ``const(k)``, a variable's ``var(x)``, an operator's entry
+    in ``ops`` and any other task as it is.  Unless ``words``, a
+    fixed-width node raises UnsupportedNode: the first in root in source
+    order.
     """
     out: list = []
+    put = put or out.append
     m = MASK if words else -1
     while todo:
         task = todo.pop()
         t = type(task)
         if t is IntLit:
-            out.append(Iconst(task.value & m))
+            put(const(task.value & m))
         elif t is Var:
-            out.append(Ivar(task.name))
+            put(var(task.name))
         elif t is BinOp or (words and t is BitOp):
-            todo += (ARITH_INSTR[task.op], task.right, task.left)
+            todo += (ops[task.op], task.right, task.left)
         elif t is Neg:
-            out.append(_ZERO)
-            todo += (ARITH_INSTR["-"], task.operand)
+            todo += (ops["-"], task.operand, _ZERO)
         elif words and t is BitNot:
-            todo += (ARITH_INSTR["^"], _ALL_ONES, task.operand)
+            todo += (ops["^"], _ALL_ONES, task.operand)
         elif words and t is Cast:
             todo.append(task.operand)
         elif t is BitOp or t is BitNot or t is Cast:
-            # report the first one in source order, not in code order
-            nodes = walk(root, code_only=True)
-            first = next(n for n in nodes if type(n) in (BitOp, BitNot, Cast))
-            raise UnsupportedNode.at(first, "is only available in typed programs")
-        elif t in _DECODE:
-            out.append(task)
+            reject_bit_nodes(root)  # the first one in source order, not in code order
         else:
-            raise TypeError(f"not an AExpr: {task!r}")
+            put(task)
     return out
+
+
+def reject_bit_nodes(root) -> None:
+    """UnsupportedNode at root's first fixed-width node of code, if any."""
+    for n in walk(root, code_only=True):
+        if type(n) in (BitOp, BitNot, Cast):
+            raise UnsupportedNode.at(n, "is only available in typed programs")
 
 
 def lower(root, target) -> None:
@@ -178,10 +184,12 @@ def lower(root, target) -> None:
     through otherwise.  ``target`` supplies the rest: ``label(kind)``
     makes a label, ``place(label)`` puts it at the code so far,
     ``jump(label)`` and ``branch(cmp, cond, label)`` emit an
-    unconditional and a compare-and-branch, and ``assign(var, rhs)``
-    emits an assignment.  The work stack also holds (``place`` or
-    ``jump``, label) pairs to run once everything pushed after them is
-    done, so neither long sequences nor long conditions recurse.
+    unconditional and a compare-and-branch, ``assign(var, rhs)`` emits
+    an assignment, and ``invariant(formula)`` sees each loop's invariant
+    (or None), which no backend compiles.  The work stack also holds
+    (``place`` or ``jump``, label) pairs to run once everything pushed
+    after them is done, so neither long sequences nor long conditions
+    recurse.
     """
     place, jump = target.place, target.jump
     todo: list = [root]
@@ -222,6 +230,7 @@ def lower(root, target) -> None:
         elif t is While:
             top, end = target.label("loop"), target.label("endloop")
             place(top)
+            target.invariant(task.invariant)
             todo += ((place, end), (jump, top), task.body, (task.cond, False, end))
         elif t is not Skip:
             raise TypeError(f"not a Com: {task!r}")
@@ -235,6 +244,8 @@ class _StackTarget:
 
     def __init__(self, ty_of=None):
         self.out, self.patches, self.ty_of = [], [], ty_of
+
+    invariant = staticmethod(lambda formula: None)  # specification has no code
 
     def label(self, kind: str) -> list:
         return [None]

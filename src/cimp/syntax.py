@@ -40,15 +40,21 @@ they cost its distinct nodes.
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Iterator, Optional, Union, get_args, get_type_hints
+
+
+def _frozen_write(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def frozen(cls):
     """``dataclass(frozen=True, slots=True)``, whose ``__init__`` writes each
     slot through its member descriptor, not ``object.__setattr__``, then
-    calls ``__post_init__`` if the class has one; the rest is dataclass's."""
+    calls ``__post_init__`` if the class has one.  Writing or deleting any
+    attribute raises FrozenInstanceError; the rest is dataclass's."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__setattr__ = cls.__delattr__ = _frozen_write
     env, params, body = {}, [], []
     for f in fields(cls):
         env["set_" + f.name], env["default_" + f.name] = getattr(cls, f.name).__set__, f.default

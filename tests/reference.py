@@ -536,3 +536,159 @@ def ref_vm_stores(prog, fuel):
             else:
                 stack.append(value & MASK if prog.words else value)
     return "outoffuel", stores
+
+
+# ---------------------------------------------------------------------------
+# The -O rewrite of an expression as two passes run to their fixed point:
+# const_fold, then simplify_structural's generic transform, until a round
+# returns its input.  optimizer.fold must agree with it.
+
+_ZERO, _ONE = sx.IntLit(0), sx.IntLit(1)
+
+
+def _make_lit(k: int, wrap: bool) -> sx.AExpr:
+    if wrap:
+        return sx.IntLit(k & MASK)
+    return sx.IntLit(k) if k >= 0 else sx.Neg(sx.IntLit(-k))
+
+
+def _append_const(acc: sx.AExpr, k: int, wrap: bool) -> sx.AExpr:
+    if wrap:
+        k &= MASK
+        if k == 0:
+            return acc
+        # prefer the smaller magnitude: x + (2^32 - 5) reads as x - 5
+        if -k & MASK < k:
+            return sx.BinOp("-", acc, sx.IntLit(-k & MASK))
+        return sx.BinOp("+", acc, sx.IntLit(k))
+    if k == 0:
+        return acc
+    if k > 0:
+        return sx.BinOp("+", acc, sx.IntLit(k))
+    return sx.BinOp("-", acc, sx.IntLit(-k))
+
+
+def const_fold(e: sx.AExpr, *, wrap: bool = False) -> sx.AExpr:
+    """Fold literal operations, gathering constants across + and - chains.
+
+    The additive spine (nested +, -, unary -) is flattened into signed
+    terms; literal terms are summed and re-attached last, so
+    ``a + 1 + 2`` becomes ``a + 3``.  Non-additive operators fold only
+    when both operands are literal.  The result never contains a core
+    operator node with two literal operands.  A spine that rebuilds into
+    an equal tree is returned as it was given, like every other rewrite.
+    """
+    if (type(e) is sx.BinOp and e.op != "*") or type(e) is sx.Neg:
+        # the signed terms of the spine, leftmost first
+        terms: list[tuple[int, sx.AExpr]] = []
+        todo = [(e, 1)]
+        while todo:
+            x, sign = todo.pop()
+            t = type(x)
+            if t is sx.BinOp and x.op != "*":
+                todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
+            elif t is sx.Neg:
+                todo.append((x.operand, -sign))
+            else:
+                terms.append((sign, const_fold(x, wrap=wrap)))
+        total = 0
+        rest: list[tuple[int, sx.AExpr]] = []
+        for sign, t in terms:
+            v = sx.literal_value(t)
+            if v is not None:
+                total += sign * v
+            else:
+                rest.append((sign, t))
+        if not rest:
+            out = _make_lit(total, wrap)
+        # A negative leading term with a positive constant rebuilds
+        # as "k - ..." rather than "-t + k", which would add a node.
+        elif rest[0][0] < 0 and ((total & MASK) != 0 if wrap else total > 0):
+            out = sx.IntLit(total & MASK if wrap else total)
+            for sign, t in rest:
+                out = sx.BinOp("+" if sign > 0 else "-", out, t)
+        else:
+            out = rest[0][1] if rest[0][0] > 0 else sx.Neg(rest[0][1])
+            for sign, t in rest[1:]:
+                out = sx.BinOp("+" if sign > 0 else "-", out, t)
+            out = _append_const(out, total, wrap)
+        return e if sx.equal(out, e) else out
+    # the left spine of "*" and the bit operators folds bottom-up in a
+    # loop, so a long chain does not recurse once per operator
+    spine = []
+    while (type(e) is sx.BinOp and e.op == "*") or type(e) is sx.BitOp:
+        spine.append(e)
+        e = e.left
+    if not spine:
+        return sx.map_children(e, lambda k: const_fold(k, wrap=wrap))
+    out = const_fold(e, wrap=wrap)
+    for node in reversed(spine):
+        right = const_fold(node.right, wrap=wrap)
+        if out is not node.left or right is not node.right:
+            node = type(node)(node.op, out, right, node.pos)
+        out = node
+        if type(out) is sx.BinOp:  # "*", folded only between literals
+            lv, rv = sx.literal_value(out.left), sx.literal_value(out.right)
+            if lv is not None and rv is not None:
+                out = _make_lit(lv * rv, wrap)
+    return out
+
+
+def _structural_step(e: sx.AExpr) -> sx.AExpr:
+    if type(e) is not sx.BinOp:
+        return e
+    op, l, r = e.op, e.left, e.right
+    if op == "-":
+        if sx.equal(l, r):
+            return _ZERO
+        if r == _ZERO:
+            return l
+    elif op == "+":
+        if l == _ZERO:
+            return r
+        if r == _ZERO:
+            return l
+    else:  # "*"
+        if l == _ZERO or r == _ZERO:
+            return _ZERO
+        if l == _ONE:
+            return r
+        if r == _ONE:
+            return l
+    return e
+
+
+def simplify_structural(e: sx.AExpr) -> sx.AExpr:
+    """Structural identity and unit laws; every rule is wrap-safe."""
+    return sx.transform(e, _structural_step)
+
+
+def ref_fold(e: sx.AExpr, *, wrap: bool = False) -> sx.AExpr:
+    """const_fold then simplify_structural, until a round changes nothing."""
+    while True:
+        out = simplify_structural(const_fold(e, wrap=wrap))
+        if out is e:
+            return e
+        e = out
+
+
+def ref_optimize(p: sx.Program, level: int) -> sx.Program:
+    """optimizer.optimize's walk over statements, with ref_fold for arithmetic."""
+    if level == 0:
+        return p
+    wrap = p.typed
+
+    def step(n):
+        t = type(n)
+        if t is sx.Assign:
+            return sx.map_children(n, lambda e: ref_fold(e, wrap=wrap))
+        if t is sx.Cmp:
+            return optimizer._bool_step(sx.map_children(n, lambda e: ref_fold(e, wrap=wrap)), wrap)
+        if t is sx.Not or t is sx.And or t is sx.Or:
+            return optimizer._bool_step(n, wrap)
+        if level >= 2 and (t is sx.Seq or t is sx.If or t is sx.While):
+            return optimizer._dead_step(n)
+        return n
+
+    body = sx.transform(p.body, step, code_only=True, stop_at=(sx.Assign, sx.Cmp))
+    return sx.Program(p.decls, body)

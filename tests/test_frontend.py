@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -333,6 +335,45 @@ def test_parse_error_furthest_alternative_wins():
     with pytest.raises(ParseError) as ei:
         parse_program("if (x then skip else skip end")
     assert "'then'" in ei.value.found.describe() or "then" in ei.value.msg
+
+
+@pytest.mark.parametrize(
+    "src, msg, col",
+    [
+        ("x := 1 + * 2", "expected an integer literal, an identifier or '(' but found '*'", 10),
+        ("x := (a +", "expected an integer literal, an identifier or '(' but found end of input", 10),
+        ("x := " + "-" * (MAX_NESTING + 1) + "1", f"nesting deeper than {MAX_NESTING} levels", 106),
+        ("x := " + "-~" * (MAX_NESTING // 2) + "~1", f"nesting deeper than {MAX_NESTING} levels", 106),
+    ],
+)
+def test_chain_errors_keep_their_message_and_position(src, msg, col):
+    with pytest.raises(CimpError) as ei:
+        parse_program(src)
+    assert (ei.value.msg, ei.value.pos) == (msg, sx.SrcPos(1, col))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_long_mixed_chain_parses_in_a_loop_and_round_trips():
+    # 10^4 operands under + - * & << ^, every third with a prefix - or ~
+    ops = ("+", "-", "*", "&", "<<", "^")
+    text = "x := " + " ".join(
+        f"{('-', '~', '')[i % 3]}{'ab'[i % 2]} {ops[i % len(ops)]}" for i in range(10**4 - 1)
+    ) + " c"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)  # far below one frame per operand
+    try:
+        e = rhs(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sx.equal(rhs("x := " + pretty_expr(e)), e)
+    # the chain is left-associative level by level: its root is the last '+' or '-'
+    assert isinstance(e, sx.BinOp) and e.op in "+-" and e.right == rhs("x := a * c")
 
 
 # ---------------------------------------------------------------------------

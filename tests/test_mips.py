@@ -15,7 +15,7 @@ from cimp.generator import GenSpec, fuel_bound, gen_program
 from cimp.optimizer import optimize
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
-from cimp.stack_machine import ARITH_INSTR, CMP_BRANCH, Iconst, Isetvar, Ivar, compile_program
+from cimp.stack_machine import ARITH_INSTR, CMP_BRANCH, compile_program
 from cimp.stack_machine import listing as stack_listing
 from cimp.syntax import Assign, BinOp, BitOp, IntLit, Program, SrcPos, Ty, Var
 from cimp.typecheck import ceval_fixed, typecheck, word32
@@ -700,10 +700,22 @@ def test_codegen_rejects_unknown_strategy():
 
 
 def test_codegen_untyped_rejects_bit_ops():
-    with pytest.raises(UnsupportedNode):
-        codegen(parse_program("x := 1 & 2"))
-    with pytest.raises(UnsupportedNode):
-        codegen(parse_program("x := u32(1)"))
+    # on both strategies, before any multiplication, at the first one in
+    # source order (the right operand of '<' is compiled first)
+    for src, col in [("x := 1 & 2", 8), ("x := u32(1)", 6),
+                     ("x := 2 * y; if y * 3 < (x & 1) + ~y then skip else skip end", 27)]:
+        for strategy in ("naive", "regalloc"):
+            for emulate_mul in (False, True):
+                with pytest.raises(UnsupportedNode) as err:
+                    codegen(parse_program(src), strategy=strategy, emulate_mul=emulate_mul)
+                assert err.value.pos == SrcPos(1, col), (src, strategy, emulate_mul)
+
+
+def test_untyped_data_segment_holds_every_name_mentioned():
+    # an invariant's names get a slot too, though no code reads them
+    p = parse_program("b := a; while b < 3 invariant { zz < 1 } do b := b + 1 done")
+    for strategy in ("naive", "regalloc"):
+        assert [label for label, _ in codegen(p, strategy).data] == ["var_a", "var_b", "var_zz"]
 
 
 def test_codegen_signed_vs_unsigned_compare():
@@ -913,9 +925,10 @@ def test_mul_inside_loop():
 # naive: the stack code expanded one instruction at a time
 
 
-def _naive_expansion(code):
-    gen = mips_codegen._Codegen(lambda node: Ty.I32, True, "naive")
-    gen.naive(code)
+def _naive_expansion(step):
+    typed = Program((("x", Ty.I32), ("y", Ty.I32)), Assign("x", Var("y")))
+    gen = mips_codegen._Codegen(typed, lambda node: Ty.I32, "naive", True)
+    step(gen)
     return gen.out
 
 
@@ -927,13 +940,15 @@ def _sp_delta(text):
 
 
 def test_every_stack_instruction_has_a_naive_expansion():
-    # what stack_machine.emit builds: constants, variables and stores,
-    # every operator of its table, and the branch classes of comparisons
-    pushes = [Iconst(1), Ivar("x")]
-    pops = [Isetvar("x"), *ARITH_INSTR.values()]
-    for instr in pushes + pops:
-        # a push moves $sp down one word, a binary operator or a store up one
-        assert _sp_delta(_naive_expansion([instr])) == (-4 if instr in pushes else 4), instr
+    # what stack_machine.emit makes: constants and variables, which push,
+    # every operator of its table, which pops two values and pushes one,
+    # and the branch classes of comparisons
+    for push in (lambda g: g.put(g.const(1)), lambda g: g.put(g.var("x"))):
+        assert _sp_delta(_naive_expansion(push)) == -4
+    for op in ARITH_INSTR:
+        assert _sp_delta(_naive_expansion(lambda g: g.put(mips_codegen._NAIVE_OP[op]))) == 4, op
+    # an assignment pushes its value and pops it into the variable
+    assert _sp_delta(_naive_expansion(lambda g: g.assign("x", Var("y")))) == 0
     branches = {cls for pair in CMP_BRANCH.values() for cls in pair}
     assert {(cls, ty) for cls in branches for ty in Ty} <= set(mips_codegen._CMP_AND_BRANCH)
 

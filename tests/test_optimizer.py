@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 import strategies as gen
 from cimp import syntax as sx
-from cimp.frontend import parse_program
+from cimp.frontend import parse_program, pretty
 from cimp.generator import GenSpec, gen_program
-from cimp.optimizer import const_fold, optimize, simplify_structural
+from cimp.optimizer import fold, optimize
 from cimp.semantics import Done, OutOfFuel, aeval, beval, ceval_fuel
 from cimp.stack_machine import compile_program
-from reference import dead_code, simplify_bool
+from reference import dead_code, ref_fold, ref_optimize, simplify_bool, simplify_structural
 
 
 def rhs(src):
@@ -21,55 +21,55 @@ def cond(src):
 
 
 # ---------------------------------------------------------------------------
-# const_fold
+# fold: constant folding with the unit and zero laws, to the fixed point
 
 
 def test_const_fold_additive_spine():
-    assert const_fold(rhs("a + 1 + 2")) == sx.BinOp("+", sx.Var("a"), sx.IntLit(3))
+    assert fold(rhs("a + 1 + 2")) == sx.BinOp("+", sx.Var("a"), sx.IntLit(3))
 
 
 def test_const_fold_literal_product():
-    assert const_fold(rhs("2 * 3")) == sx.IntLit(6)
+    assert fold(rhs("2 * 3")) == sx.IntLit(6)
 
 
 def test_const_fold_through_subtraction():
-    assert const_fold(rhs("a + 5 - 2")) == sx.BinOp("+", sx.Var("a"), sx.IntLit(3))
-    assert const_fold(rhs("a + 2 - 5")) == sx.BinOp("-", sx.Var("a"), sx.IntLit(3))
-    assert const_fold(rhs("1 + a - 1")) == sx.Var("a")
+    assert fold(rhs("a + 5 - 2")) == sx.BinOp("+", sx.Var("a"), sx.IntLit(3))
+    assert fold(rhs("a + 2 - 5")) == sx.BinOp("-", sx.Var("a"), sx.IntLit(3))
+    assert fold(rhs("1 + a - 1")) == sx.Var("a")
 
 
 def test_const_fold_negative_result_is_neg_literal():
-    assert const_fold(rhs("2 - 5")) == sx.Neg(sx.IntLit(3))
-    assert const_fold(rhs("-2 * 3")) == sx.Neg(sx.IntLit(6))
+    assert fold(rhs("2 - 5")) == sx.Neg(sx.IntLit(3))
+    assert fold(rhs("-2 * 3")) == sx.Neg(sx.IntLit(6))
 
 
 def test_const_fold_leading_negative_term():
-    assert const_fold(rhs("5 - a + 1")) == sx.BinOp(
+    assert fold(rhs("5 - a + 1")) == sx.BinOp(
         "-", sx.IntLit(6), sx.Var("a")
     )
-    assert const_fold(rhs("0 - a")) == sx.Neg(sx.Var("a"))
+    assert fold(rhs("0 - a")) == sx.Neg(sx.Var("a"))
 
 
 def test_const_fold_keeps_nonliteral_order():
-    e = const_fold(rhs("1 + a + 2 + b + 3"))
+    e = fold(rhs("1 + a + 2 + b + 3"))
     assert e == sx.BinOp(
         "+", sx.BinOp("+", sx.Var("a"), sx.Var("b")), sx.IntLit(6)
     )
 
 
 def test_const_fold_folds_inside_mul_operands():
-    assert const_fold(rhs("(1 + 2) * a")) == sx.BinOp("*", sx.IntLit(3), sx.Var("a"))
+    assert fold(rhs("(1 + 2) * a")) == sx.BinOp("*", sx.IntLit(3), sx.Var("a"))
 
 
 def test_const_fold_wrap_mode_modulo():
     e = sx.BinOp("+", sx.IntLit(0xFFFFFFFF), sx.IntLit(1))
-    assert const_fold(e, wrap=True) == sx.IntLit(0)
-    assert const_fold(sx.Neg(sx.IntLit(5)), wrap=True) == sx.IntLit(2**32 - 5)
+    assert fold(e, wrap=True) == sx.IntLit(0)
+    assert fold(sx.Neg(sx.IntLit(5)), wrap=True) == sx.IntLit(2**32 - 5)
 
 
 def test_const_fold_wrap_mode_prefers_small_subtrahend():
     e = sx.BinOp("-", sx.Var("a"), sx.IntLit(5))
-    assert const_fold(e, wrap=True) == e
+    assert fold(e, wrap=True) == e
 
 
 def _no_two_literal_children(e):
@@ -94,20 +94,20 @@ def _no_two_literal_children(e):
 @settings(max_examples=400)
 @given(gen.aexprs(), gen.stores())
 def test_const_fold_preserves_aeval(e, s):
-    assert aeval(s, const_fold(e)) == aeval(s, e)
+    assert aeval(s, fold(e)) == aeval(s, e)
 
 
 @settings(max_examples=300)
 @given(gen.aexprs())
 def test_const_fold_no_foldable_residue(e):
-    assert _no_two_literal_children(const_fold(e))
+    assert _no_two_literal_children(fold(e))
 
 
 @settings(max_examples=300)
 @given(gen.aexprs())
 def test_const_fold_idempotent_and_nonincreasing(e):
-    folded = const_fold(e)
-    assert const_fold(folded) == folded
+    folded = fold(e)
+    assert fold(folded) == folded
     assert sx.node_count(folded) <= sx.node_count(e)
 
 
@@ -116,9 +116,9 @@ def test_const_fold_idempotent_and_nonincreasing(e):
 def test_rewrites_return_their_input_exactly_when_nothing_changes(e, wrap):
     # the -O fixed point is an identity test, so a rewrite that finds
     # nothing to do must hand back the very node it was given
-    folded = const_fold(e, wrap=wrap)
+    folded = fold(e, wrap=wrap)
     assert (folded is e) == (folded == e)
-    assert const_fold(folded, wrap=wrap) is folded
+    assert fold(folded, wrap=wrap) is folded
     out = simplify_structural(e)
     assert (out is e) == (out == e)
 
@@ -141,7 +141,41 @@ def test_deep_expressions_optimize_without_recursion():
 
 
 # ---------------------------------------------------------------------------
-# simplify_structural
+# fold against the reference: const_fold, then simplify_structural's
+# generic transform, until a round changes nothing
+
+
+@pytest.mark.parametrize("src, want", [
+    ("1 * (10 - d) + 27", "37 - d"),
+    ("c - 1 * (i32(d) - b)", "c - i32(d) + b"),
+    ("c + d - 1 * (c + d)", "0"),  # the product is dropped before the spine is flattened
+])
+def test_fold_flattens_a_spine_that_a_unit_law_exposes(src, want):
+    e = rhs(src)
+    assert fold(e) == ref_fold(e) == rhs(want)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+def test_optimize_is_the_reference_fixed_point_on_generated_programs(typed, level):
+    for seed in range(1000):
+        p = gen_program(GenSpec(seed=seed, typed=typed))
+        got, want = optimize(p, level), ref_optimize(p, level)
+        assert got == want and pretty(got) == pretty(want), seed
+        assert optimize(got, level).body is got.body, seed
+
+
+@settings(max_examples=300)
+@given(gen.coms(bits=True), st.booleans(), st.sampled_from([1, 2]))
+def test_optimize_is_the_reference_fixed_point_on_bit_code(c, typed, level):
+    p = sx.Program((("a", sx.Ty.U32),) if typed else (), c)  # declarations set wrap mode
+    got, want = optimize(p, level), ref_optimize(p, level)
+    assert got == want and pretty(got) == pretty(want)
+    assert optimize(got, level).body is got.body
+
+
+# ---------------------------------------------------------------------------
+# simplify_structural, the reference's second pass
 
 
 def test_structural_sub_self():

@@ -9,6 +9,7 @@ from cimp import syntax as sx
 from cimp.mips import codegen, simulate
 from cimp.optimizer import optimize
 from cimp.semantics import Done, Store, ceval_fuel
+from cimp.stack_machine import Ihalt
 from cimp.syntax import (
     And,
     Assign,
@@ -139,6 +140,15 @@ def test_frozen_builds_a_class_with_no_fields():
 
     assert Halt() == Halt() and hash(Halt()) == hash(Halt())
     assert Halt.__slots__ == () and not hasattr(Halt(), "__dict__")
+
+
+@pytest.mark.parametrize("node, name", [(Ihalt(), "x"), (Var("a"), "zzz")], ids=["Ihalt", "Var"])
+def test_frozen_refuses_an_attribute_that_is_not_a_field(node, name):
+    # as writing a field does, on a class with fields and on one without
+    with pytest.raises(FrozenInstanceError):
+        setattr(node, name, 1)
+    with pytest.raises(FrozenInstanceError):
+        delattr(node, name)
 
 
 def test_absent_invariant_is_not_a_child():
