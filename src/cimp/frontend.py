@@ -104,8 +104,7 @@ ARITH_PREFIX = {"-": Neg, "~": BitNot}
 FORMULA_PREFIX = {"!": Not}
 # The connectives' classes name their operator; BinOp and BitOp record it.
 _CONNECTIVE = {cls: lexeme for ops in FORMULA_OPS for lexeme, cls in ops.items()}
-# The parser's view of a table, lexeme -> (binding, level, node class): the
-# binding is one past the level for a right-associative operator.
+# lexeme -> (binding, level, class) for the parser; binding > level if right-associative
 _ARITH, _FORMULA = ({lexeme: (level + (lexeme in RIGHT_ASSOC), level, cls)
                      for level, ops in enumerate(table) for lexeme, cls in ops.items()}
                     for table in (ARITH_OPS, FORMULA_OPS))
@@ -278,15 +277,16 @@ class _Parser:
             if end > start:
                 self.depth -= end - start
                 for op in reversed(tokens[start:end]):
-                    operand = prefix[op.lexeme](operand, pos=op.pos)
+                    operand = prefix[op.lexeme](operand, pos=SrcPos(op.line, op.col))
             operands.append(operand)
             # an operator applies the pending ones of a level at least its binding
             bind, level, cls = levels.get((op := tokens[self.i]).lexeme, (-1, None, None))
             while pending and pending[-1][0] >= bind:
                 _, node, tok = pending.pop()
                 right = operands.pop()
-                operands[-1] = (node(operands[-1], right, pos=tok.pos) if node in _CONNECTIVE
-                                else node(tok.lexeme, operands[-1], right, pos=tok.pos))
+                pos = SrcPos(tok.line, tok.col)
+                operands[-1] = (node(operands[-1], right, pos=pos) if node in _CONNECTIVE
+                                else node(tok.lexeme, operands[-1], right, pos=pos))
             if cls is None:
                 return operands[0]
             if cls is Implies and self.guard:
@@ -362,7 +362,11 @@ class _Parser:
         return c
 
     def com_single(self) -> Com:
-        t = self.peek()
+        t = self.tokens[self.i]
+        if t.kind == "ident":
+            self.i += 1
+            self.expect(":=")
+            return Assign(t.lexeme, self.aexp(), pos=SrcPos(t.line, t.col))
         if t.lexeme == "skip" and t.kind == "keyword":
             self.advance()
             return Skip(pos=t.pos)
@@ -390,11 +394,6 @@ class _Parser:
             self.expect("done")
             self.depth -= 1
             return While(cond, invariant, body, pos=t.pos)
-        if t.kind == "ident":
-            self.advance()
-            self.expect(":=")
-            rhs = self.aexp()
-            return Assign(t.lexeme, rhs, pos=t.pos)
         self.fail("'skip'", "'if'", "'while'", "an assignment")
 
     def decls(self) -> tuple[tuple[str, Optional[Ty]], ...]:

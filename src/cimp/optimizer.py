@@ -154,12 +154,11 @@ def _fold(e: AExpr, wrap: bool, fired: list) -> tuple[AExpr, object]:
 def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
     """The -O rewrite of an arithmetic expression, to its fixed point.
 
-    Constants fold modulo 2^32 under wrap.  The result never contains a
-    core operator node with two literal operands, and an expression that
-    needs no rewrite is returned as it was given.  A round that applied
-    no law is already a fixed point, so only the rare round that did (say
-    ``1 * (10 - d) + 27``, whose product becomes a spine to flatten into
-    its parent) is followed by another.
+    Constants fold modulo 2^32 under wrap; the result never has a core
+    operator node with two literal operands, and an expression needing no
+    rewrite is returned as it was given.  A pass that applied no law is a
+    fixed point, so another runs only after one that did (as in ``1 * (10
+    - d) + 27``, whose product becomes a spine to flatten into its parent).
     """
     while True:
         fired = [False]

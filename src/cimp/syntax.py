@@ -333,14 +333,16 @@ def map_children(node, f):
     return node if args is None else t(*args)
 
 
-def walk(node, *, code_only: bool = False) -> Iterator:
+def walk(node, *, code_only: bool = False, stop_at: tuple[type, ...] = ()) -> Iterator:
     """node and every node below it in pre-order, leftmost subtree first.
 
     Iterative, so depth is not limited by recursion; a subtree shared by
     several parents is visited once per occurrence.  With code_only,
-    loop invariants and the nodes below them are skipped.
+    loop invariants and the nodes below them are skipped; nothing below
+    a node of a class in stop_at is visited.
     """
     subtrees = _CODE_SUBTREES if code_only else _SUBTREES
+    subtrees = {**subtrees, **dict.fromkeys(stop_at, ())} if stop_at else subtrees
     todo = [node]
     while todo:
         n = todo.pop()

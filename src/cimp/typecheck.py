@@ -158,7 +158,7 @@ def typecheck(p: Program, *formulas: Assertion) -> TypedProgram:
     env = {name: ty if ty is not None else Ty.I32 for name, ty in p.decls}
     checker = _Checker(env)
     types: dict[int, Ty] = {}
-    for n in chain(walk(p.body), *map(walk, formulas)):
+    for n in chain(*(walk(a, stop_at=(Assign, Cmp)) for a in (p.body, *formulas))):
         if type(n) is Assign:
             declared = env.get(n.var)
             if declared is None:
