@@ -11,17 +11,17 @@ or ``<=`` first flips the sign bit of both operands.
 
 Compilation is the classic scheme.  ``emit`` compiles expressions in
 postorder, leaving exactly one value on the stack; it is the one
-expression compiler, which naive MIPS hands its own instructions to
-expand the code in the same walk.  ``lower`` lays out commands and
-conditions as jump code for both backends, a condition branching to a
-label exactly when its value is ``cond``; the stack machine and
-``mips.codegen`` each supply a target that emits labels, jumps,
-assignments and compare-and-branch code.  Every compiled backend pushes a comparison's
-operands in ``compare``'s order: there is no branch for a strict
-less-than, so ``l < r`` pushes ``r`` first and branches as ``r > l``;
-expressions are pure, so the evaluation order is unobservable.  The
-compiler appends to one list from work stacks and back-patches
-branches, so neither long sequences nor long operator chains recurse.
+expression compiler, and naive MIPS expands its code in the same walk.
+``lower`` lays out commands and conditions as jump code for both
+backends, a condition branching to a label exactly when its value is
+``cond``; the stack machine and ``mips.codegen`` each supply a target
+that emits labels, jumps, assignments and compare-and-branch code.
+Every compiled backend pushes a comparison's operands in ``compare``'s
+order: there is no branch for a strict less-than, so ``l < r`` pushes
+``r`` first and branches as ``r > l``; expressions are pure, so the
+evaluation order is unobservable.  The compiler appends to one list
+from work stacks and back-patches branches, so neither long sequences
+nor long operator chains recurse.
 
 Machine fuel counts executed instructions (every instruction, halt
 included), unlike the reference interpreter's fuel, which counts loop
