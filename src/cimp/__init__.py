@@ -6,11 +6,11 @@ Subpackages and modules:
 * ``frontend``: lexer, recursive-descent parser, pretty printer.
 * ``semantics``: one fueled command loop for the big-step and
   small-step reference interpreters.
-* ``stack_machine``: the jump-code lowering both backends share,
-  stack-code compiler and fueled virtual machine.
+* ``stack_machine``: the jump-code lowering both backends share, the
+  one expression compiler of all three targets, and the stack VM.
 * ``hoare``: weakest liberal preconditions, verification conditions,
   SMT-LIB export, and a bounded-model validity check.
-* ``regalloc``: optimal register allocation for expression trees.
+* ``regalloc``: that compiler's operand stack held in registers, optimally.
 * ``optimizer``: AST-level rewrites behind -O levels.
 * ``typecheck``: the fixed-width (i32/u32) type system and wrapping
   evaluator.

@@ -1,27 +1,27 @@
 """Compilation from source programs to the MIPS subset.
 
-Two strategies share all control-flow lowering and differ only in how
-an arithmetic expression reaches $t0:
+Two strategies share all control-flow lowering and the one expression
+compiler, ``stack_machine.emit``, and differ only in where its operand
+stack lives:
 
-* naive is the stack machine's code expanded one instruction at a time
-  onto $sp, within ``stack_machine.emit``'s own walk: an operand is
-  loaded into $t0 and pushed, an operator pops $t1 and $t0 and pushes
-  its result.
-* regalloc runs the tree register allocator over $t0..$t7 and lowers
-  its register code directly, spilling through $sp only when a subtree
-  needs more than eight registers.  The allocator covers every
-  arithmetic node, so typed bit code gets registers too: ``~`` is a
-  ``nor`` in its operand's register and a cast generates no code.
+* naive keeps it on $sp, expanding the stack machine's code within
+  emit's own walk: an operand is loaded into $t0 and pushed, an
+  operator pops $t1 and $t0 and pushes its result.
+* regalloc keeps depth d in $t<d>, through ``regalloc.alloc_codegen``,
+  spilling through $sp only when a subtree needs more than the free
+  registers.  ``~`` is a ``nor`` in its operand's register and a cast
+  generates no code.
 
 Both evaluate a comparison's operands in the stack machine's order
 (``stack_machine.compare``: ``<`` takes its right operand first) into
-$t0 and $t1, then test and branch as the stack machine's branch class
-does, with slt or sltu from a typed program's comparison type; untyped
-programs are core-only and compare signed.  Variables live in the data
-segment under ``var_<name>``.  Multiplication has no hardware
-instruction here: with emulate_mul a shift-and-add loop is inlined,
-otherwise MulNotSupported reports every ``*`` position.  An untyped
-program's bit node is an error, reported before any multiplication.
+$t0 and $t1, regalloc with no memory traffic, then test and branch as
+the stack machine's branch class does, with slt or sltu from a typed
+program's comparison type; untyped programs are core-only and compare
+signed.  Variables live in the data segment under ``var_<name>``.
+Multiplication has no hardware instruction here: with emulate_mul a
+shift-and-add loop is inlined, otherwise MulNotSupported reports every
+``*`` position.  An untyped program's bit node is an error, reported
+before any multiplication.
 
 Statements and conditions are laid out by ``stack_machine.lower``; this
 module supplies the labels, jumps, assignments and compare-and-branch
@@ -32,7 +32,8 @@ are one object.  Lowering appends to one list, so a long sequence costs
 no recursion.  The data segment's names are read off the loads and
 stores lowering made, and the whole program is searched for the errors
 above only once lowering meets one; regalloc checks each untyped
-expression for a bit node first, as a cast leaves no register code.
+expression for a bit node first, as ``alloc_codegen`` has no word mode
+and compiles every fixed-width node.
 
 ``codegen`` takes a typed program already checked, as a
 ``TypedProgram``, so a caller that needs the typing too checks once.
@@ -69,7 +70,6 @@ _FROM_V0 = tuple(_fixed("addu", r, "$v0", "$zero") for r in _T)
 _MUL_LOW_BIT = _fixed("sll", "$at", "$t9", 31)
 _MUL_SHIFT_LHS = _fixed("sll", "$t8", "$t8", 1)
 _MUL_SHIFT_RHS = _fixed("srl", "$t9", "$t9", 1)
-_T1_FROM_T0 = _fixed("addu", "$t1", "$t0", "$zero")
 # the instruction for each regalloc Op kind but mul, which is emulated
 _MNEMONIC = {
     "add": "addu", "sub": "subu", "and": "and", "or": "or", "xor": "xor",
@@ -220,8 +220,11 @@ class _Codegen:
     def naive(self, root, todo: list) -> None:
         emit(root, todo, self.words, self.put, self.const, self.var, _NAIVE_OP)
 
-    def tree_aexp(self, e: AExpr) -> None:
-        """Register-allocated lowering; the value ends up in $t0."""
+    def tree_aexp(self, e: AExpr | Cmp) -> None:
+        """Register-allocated lowering: e's value ends up in $t0, or a
+        comparison's operands in $t0 and $t1."""
+        if not self.words:
+            reject_bit_nodes(e)
         out = self.out
         for instr in alloc_codegen(e, 8):
             t = type(instr)
@@ -248,8 +251,6 @@ class _Codegen:
         store = self.ins("sw", "$t0", f"var_{var}")
         if self.strategy == "naive":
             return self.naive(rhs, [(*_POP[0], store), rhs])
-        if not self.words:
-            reject_bit_nodes(rhs)
         self.tree_aexp(rhs)
         self.out.append(store)
 
@@ -262,13 +263,7 @@ class _Codegen:
             self.naive(b, [second, first])
             out += _OPERANDS_TO_T0_T1
         else:
-            if not self.words:
-                reject_bit_nodes(b)
-            self.tree_aexp(first)
-            out += _PUSH[0]
-            self.tree_aexp(second)
-            out.append(_T1_FROM_T0)
-            out += _POP[0]
+            self.tree_aexp(b)
         test, branch = _CMP_AND_BRANCH[cls, self.ty_of(b)]
         out += (test, self.ins(branch, "$at", "$zero", target))
 

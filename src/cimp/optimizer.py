@@ -19,7 +19,9 @@ arithmetic folds modulo 2^32 (exact for the fixed-width evaluator,
 since + - * are ring homomorphisms), while literal comparisons fold
 only when both constants lie below 2^31, where the signed and unsigned
 orders agree.  Bit operations and casts are never folded; rewriting
-recurses through them untouched.
+recurses through them untouched.  In an untyped program they raise when
+evaluated, so no law drops a subtree that holds one: ``0 * (a & b)``
+keeps its error at every level.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .syntax import (
     Assign,
     BExpr,
     BinOp,
+    BitNot,
     BitOp,
     BoolLit,
+    Cast,
     Cmp,
     Com,
     If,
@@ -49,6 +53,7 @@ from .syntax import (
     literal_value,
     map_children,
     transform,
+    walk,
 )
 
 OPT_LEVELS = (0, 1, 2)
@@ -60,9 +65,15 @@ def _make_lit(k: int, wrap: bool) -> AExpr:
     return IntLit(k) if k >= 0 else Neg(IntLit(-k))
 
 
-def _sum_law(op: str, l: AExpr, r: AExpr, fired: list) -> AExpr:
+def _droppable(e, wrap: bool) -> bool:
+    """Whether a law may drop e unevaluated: not if e holds a fixed-width
+    node of an untyped program, whose evaluation raises."""
+    return wrap or not any(type(n) in (BitOp, BitNot, Cast) for n in walk(e))
+
+
+def _sum_law(op: str, l: AExpr, r: AExpr, wrap: bool, fired: list) -> AExpr:
     """l op r for + and -, by the laws e - e = 0, e - 0 = e and 0 + e = e + 0 = e."""
-    if op == "-" and type(l) is type(r) and equal(l, r):
+    if op == "-" and type(l) is type(r) and equal(l, r) and _droppable(l, wrap):
         out = _ZERO
     elif op == "+" and type(l) is IntLit and l.value == 0:
         out = r
@@ -123,7 +134,7 @@ def _fold(e: AExpr, wrap: bool, fired: list) -> tuple[AExpr, object]:
         if total:
             rest.append((1 if total > 0 else -1, IntLit(abs(total))))
         for sign, g in rest:
-            out = _sum_law("+" if sign > 0 else "-", out, g, fired)
+            out = _sum_law("+" if sign > 0 else "-", out, g, wrap, fired)
         return (e if equal(out, e) else out), None
     # the left spine of "*" and the bit operators folds bottom-up in a
     # loop, so a long chain does not recurse once per operator
@@ -144,7 +155,8 @@ def _fold(e: AExpr, wrap: bool, fired: list) -> tuple[AExpr, object]:
             node = type(node)(node.op, out, right, node.pos)
         out, v = node, None
         if type(node) is BinOp:  # the laws of "*"
-            law = _ZERO if _ZERO in (node.left, node.right) else (
+            law = _ZERO if (node.left == _ZERO and _droppable(right, wrap)) or (
+                right == _ZERO and _droppable(node.left, wrap)) else (
                 right if node.left == _ONE else node.left if right == _ONE else None)
             if law is not None:
                 out, fired[0] = law, True
@@ -175,7 +187,7 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
             return _FALSE if b.operand.value else _TRUE
     elif t is And:
         l, r = b.left, b.right
-        if l == _FALSE or r == _FALSE:
+        if l == _FALSE or (r == _FALSE and _droppable(l, wrap)):
             return _FALSE
         if l == _TRUE:
             return r
@@ -183,7 +195,7 @@ def _bool_step(b: BExpr, wrap: bool) -> BExpr:
             return l
     elif t is Or:
         l, r = b.left, b.right
-        if l == _TRUE or r == _TRUE:
+        if l == _TRUE or (r == _TRUE and _droppable(l, wrap)):
             return _TRUE
         if l == _FALSE:
             return r

@@ -1,56 +1,34 @@
 """Register allocation for expression trees.
 
-Ershov (Sethi-Ullman) numbering assigns each tree node the number of
-registers needed to evaluate it without touching memory; the labels are
-computed once per node, bottom-up, before code generation.  `alloc_codegen`
-turns every arithmetic expression into straight-line register code for a
-machine with k general registers, evaluating the heavier subtree first and
-spilling to a LIFO stack only when both subtrees need every available
-register.
+``alloc_codegen`` is ``stack_machine.emit`` with its operand stack in k
+registers: stack depth d lives in register d (static stack caching;
+Ertl, PLDI 1995).  Ershov (Sethi-Ullman) numbers, the registers each
+node needs without touching memory, are computed once per node,
+bottom-up.  ``_Registers.order`` visits the heavier operand of each
+binary node first, so the peak depth is the Ershov number, and parks a
+value on a LIFO spill stack only when both operands need every free
+register (Sethi and Ullman, JACM 1970).
 
 Leaves are labeled 1, and a binary node, core or bitwise, by the join
-rule.  Negation is read as ``0 - e``, so its labels and code are those of
-a subtraction from a literal zero.  ``~e`` is computed in e's register
-and a cast generates no code, so each is labeled as its operand.
+rule.  ``emit`` reads negation as ``0 - e``, so its labels and code are
+those of a subtraction from a literal zero.  ``~e`` is computed in e's
+register and a cast generates no code, so each is labeled as its
+operand.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .syntax import AExpr, BinOp, BitNot, BitOp, Cast, IntLit, Neg, Var, frozen, walk
+from .stack_machine import ZERO, compare, emit
+from .syntax import AExpr, BinOp, BitNot, BitOp, Cast, Cmp, IntLit, Neg, Var, record, walk
 
-
-@frozen
-class LoadConst:
-    dst: int
-    value: int
-
-
-@frozen
-class LoadVar:
-    dst: int
-    name: str
-
-
-@frozen
-class Op:
-    kind: str  # an OP_KINDS value, or "not" with lhs = rhs = dst
-    dst: int
-    lhs: int
-    rhs: int
-
-
-@frozen
-class Spill:
-    src: int
-
-
-@frozen
-class Reload:
-    dst: int
-
-
+LoadConst = record("LoadConst", dst=int, value=int)
+LoadVar = record("LoadVar", dst=int, name=str)
+# kind is an OP_KINDS value, or "not" with lhs = rhs = dst
+Op = record("Op", kind=str, dst=int, lhs=int, rhs=int)
+Spill = record("Spill", src=int)
+Reload = record("Reload", dst=int)
 RegInstr = Union[LoadConst, LoadVar, Op, Spill, Reload]
 RegCode = tuple[RegInstr, ...]
 
@@ -58,21 +36,22 @@ OP_KINDS = {
     "+": "add", "-": "sub", "*": "mul",
     "&": "and", "|": "or", "^": "xor", "<<": "sll", ">>": "srl",
 }
-_ZERO = IntLit(0)  # the left operand every Neg is read with
+_KINDS = {**OP_KINDS, "~": "not"}  # emit's operator table: ~ is unary
+_HEIGHT = {LoadConst: 1, LoadVar: 1, Reload: 1, Spill: -1, Op: -1}  # each instruction's push
 
 
 def _join(left: int, right: int) -> int:
     return max(left, right) if left != right else left + 1
 
 
-def _labels(e: AExpr) -> dict[int, int]:
+def _labels(e: AExpr | Cmp) -> dict[int, int]:
     """Ershov number of every node of e, keyed by id, in one bottom-up pass."""
-    labels = {id(_ZERO): 1}
+    labels = {id(ZERO): 1}
     for n in reversed(list(walk(e))):  # every node after its subtrees
         t = type(n)
         if t is IntLit or t is Var:
             labels[id(n)] = 1
-        elif t is BinOp or t is BitOp:
+        elif t is BinOp or t is BitOp or t is Cmp:
             labels[id(n)] = _join(labels[id(n.left)], labels[id(n.right)])
         elif t is Neg:
             labels[id(n)] = _join(1, labels[id(n.operand)])
@@ -83,51 +62,52 @@ def _labels(e: AExpr) -> dict[int, int]:
     return labels
 
 
-def alloc_codegen(e: AExpr, k: int) -> RegCode:
-    """Compile `e` to register code; the result lands in register 0."""
-    if k < 2:
-        raise ValueError("need at least 2 registers")
-    return tuple(_gen(e, _labels(e), k))
+class _Registers:
+    """``emit``'s target: the operand stack in registers 0..k-1, the
+    register code so far in ``code`` and the stack's height in ``depth``."""
 
+    def __init__(self, e: AExpr | Cmp, k: int):
+        self.labels, self.k, self.code, self.depth = _labels(e), k, [], 0
 
-def _gen(e: AExpr, labels: dict[int, int], k: int) -> list[RegInstr]:
-    # A work stack of instructions to emit and (subtree, lo) pairs to
-    # compile, where lo is the register that receives the subtree's value
-    # and registers lo..k-1 are free.  Each case pushes its steps last
-    # first.
-    out: list[RegInstr] = []
-    todo: list = [(e, 0)]
-    while todo:
-        item = todo.pop()
-        if type(item) is not tuple:
-            out.append(item)
-            continue
-        e, lo = item
-        t = type(e)
-        if t is IntLit:
-            out.append(LoadConst(lo, e.value))
-        elif t is Var:
-            out.append(LoadVar(lo, e.name))
-        elif t is Cast:
-            todo.append((e.operand, lo))
-        elif t is BitNot:
-            todo += (Op("not", lo, lo, lo), (e.operand, lo))
+    def const(self, value: int) -> LoadConst:
+        return LoadConst(self.depth, value)
+
+    def var(self, name: str) -> LoadVar:
+        return LoadVar(self.depth, name)
+
+    def put(self, instr) -> None:
+        if type(instr) is str:  # a unary kind, computed in the top register
+            top = self.depth - 1
+            instr = Op(instr, top, top, top)
         else:
-            if t is Neg:
-                kind, left, right = "sub", _ZERO, e.operand
-            else:
-                kind, left, right = OP_KINDS[e.op], e.left, e.right
-            ll, lr = labels[id(left)], labels[id(right)]
-            avail = k - lo
-            if ll >= avail and lr >= avail:
-                # Neither side fits while the other's value is pinned:
-                # evaluate the right operand, park it on the spill stack,
-                # then redo the left with every register free and bring the
-                # right back into a scratch.
-                todo += (Op(kind, lo, lo, lo + 1), Reload(lo + 1), (left, lo),
-                         Spill(lo), (right, lo))
-            elif lr > ll:
-                todo += (Op(kind, lo, lo + 1, lo), (left, lo + 1), (right, lo))
-            else:
-                todo += (Op(kind, lo, lo, lo + 1), (right, lo + 1), (left, lo))
-    return out
+            self.depth += _HEIGHT[type(instr)]
+        self.code.append(instr)
+
+    def order(self, kind: str, left: AExpr, right: AExpr) -> tuple:
+        """A binary node's tasks, last first, with registers lo..k-1 free."""
+        lo = self.depth
+        ll, lr = self.labels[id(left)], self.labels[id(right)]
+        if ll >= self.k - lo and lr >= self.k - lo:
+            # Neither side fits while the other's value is pinned: compute
+            # the right operand, park it on the spill stack, then redo the
+            # left with every register free and bring the right back.
+            return Op(kind, lo, lo, lo + 1), Reload(lo + 1), left, Spill(lo), right
+        if lr > ll:
+            return Op(kind, lo, lo + 1, lo), left, right
+        return Op(kind, lo, lo, lo + 1), right, left
+
+
+def alloc_codegen(e: AExpr | Cmp, k: int) -> RegCode:
+    """Register code for e, whose value lands in register 0; a
+    comparison's operands land in registers 0 and 1, in the order of
+    ``stack_machine.compare``."""
+    if k < 2 + (type(e) is Cmp):
+        raise ValueError("need at least 2 registers, 3 for a comparison")
+    regs = _Registers(e, k)
+    if type(e) is Cmp:
+        first, second, _ = compare(e, True)
+        todo = [second, first]
+    else:
+        todo = [e]
+    emit(e, todo, True, regs.put, regs.const, regs.var, _KINDS, regs.order)
+    return tuple(regs.code)

@@ -11,7 +11,8 @@ or ``<=`` first flips the sign bit of both operands.
 
 Compilation is the classic scheme.  ``emit`` compiles expressions in
 postorder, leaving exactly one value on the stack; it is the one
-expression compiler, and naive MIPS expands its code in the same walk.
+expression compiler, whose stack naive MIPS keeps on $sp (expanding its
+code in the same walk) and ``regalloc`` in registers.
 ``lower`` lays out commands and conditions as jump code for both
 backends, a condition branching to a label exactly when its value is
 ``cond``; the stack machine and ``mips.codegen`` each supply a target
@@ -59,32 +60,32 @@ from .syntax import (
     Var,
     While,
     frozen,
+    record,
     walk,
 )
 from .typecheck import TypedProgram, typing
 
 # ---------------------------------------------------------------------------
-# Instructions: a ``syntax.frozen`` record each, with at most one field.
+# Instructions: a ``syntax.record`` each, with at most one field.
 # The listing prints an instruction as its upper-cased class name and field.
 
-_instr = lambda name, **field: frozen(type(name, (), {"__annotations__": field}))  # noqa: E731
-Iconst = _instr("Iconst", n=int)
-Ivar = _instr("Ivar", x=str)
-Isetvar = _instr("Isetvar", x=str)
-Iadd = _instr("Iadd")
-Isub = _instr("Isub")
-Imul = _instr("Imul")
-Iand = _instr("Iand")
-Ior = _instr("Ior")
-Ixor = _instr("Ixor")
-Ishl = _instr("Ishl")
-Ishr = _instr("Ishr")
-Ibranch = _instr("Ibranch", delta=int)
-Ibeq = _instr("Ibeq", delta=int)
-Ibne = _instr("Ibne", delta=int)
-Ible = _instr("Ible", delta=int)
-Ibgt = _instr("Ibgt", delta=int)
-Ihalt = _instr("Ihalt")
+Iconst = record("Iconst", n=int)
+Ivar = record("Ivar", x=str)
+Isetvar = record("Isetvar", x=str)
+Iadd = record("Iadd")
+Isub = record("Isub")
+Imul = record("Imul")
+Iand = record("Iand")
+Ior = record("Ior")
+Ixor = record("Ixor")
+Ishl = record("Ishl")
+Ishr = record("Ishr")
+Ibranch = record("Ibranch", delta=int)
+Ibeq = record("Ibeq", delta=int)
+Ibne = record("Ibne", delta=int)
+Ible = record("Ible", delta=int)
+Ibgt = record("Ibgt", delta=int)
+Ihalt = record("Ihalt")
 
 Instr = Union[
     Iconst, Ivar, Isetvar, Iadd, Isub, Imul, Iand, Ior, Ixor, Ishl, Ishr,
@@ -123,7 +124,7 @@ ARITH_INSTR = {"+": Iadd(), "-": Isub(), "*": Imul(), "&": Iand(), "|": Ior(),
                "^": Ixor(), "<<": Ishl(), ">>": Ishr()}
 # the branches taken when a comparison's value is (False, True)
 CMP_BRANCH = {"=": (Ibne, Ibeq), "<=": (Ibgt, Ible), "<": (Ible, Ibgt)}
-_ZERO, _ALL_ONES, _FLIP = IntLit(0), IntLit(MASK), (ARITH_INSTR["^"], Iconst(SIGN))
+ZERO, _ALL_ONES, _FLIP = IntLit(0), IntLit(MASK), (ARITH_INSTR["^"], Iconst(SIGN))
 
 
 def compare(b: Cmp, cond: bool) -> tuple[AExpr, AExpr, type]:
@@ -134,32 +135,35 @@ def compare(b: Cmp, cond: bool) -> tuple[AExpr, AExpr, type]:
     return first, second, CMP_BRANCH[b.op][cond]
 
 
-def emit(root, todo: list, words=False, put=None, const=Iconst, var=Ivar, ops=ARITH_INSTR) -> list:
+def emit(root, todo: list, words=False, put=None, const=Iconst, var=Ivar, ops=ARITH_INSTR,
+         order=None) -> list:
     """Postorder code for a work stack of expressions and instructions.
 
-    The tasks are run last first, ``-e`` as ``0 - e`` and ``~e`` as ``e ^
-    (2^32 - 1)``.  ``put`` (by default, append to the list returned) gets
-    a literal's ``const(k)``, a variable's ``var(x)``, an operator's entry
-    in ``ops`` and any other task as it is.  Unless ``words``, a
-    fixed-width node raises UnsupportedNode: the first in root in source
-    order.
+    The tasks are run last first, ``-e`` as ``0 - e``, and ``~e`` as e
+    then ``ops["~"]`` if the table has that entry, else as ``e ^ (2^32 -
+    1)``.  ``put`` (by default, append to the list returned) gets a
+    literal's ``const(k)``, a variable's ``var(x)``, an operator's entry
+    in ``ops`` and any other task as it is.  ``order(entry, left,
+    right)``, if given, returns the tasks of a binary node, last first,
+    in place of (entry, right, left).  Unless ``words``, a fixed-width
+    node raises UnsupportedNode: the first in root in source order.
     """
     out: list = []
     put = put or out.append
-    m = MASK if words else -1
     while todo:
         task = todo.pop()
         t = type(task)
         if t is IntLit:
-            put(const(task.value & m))
+            put(const(task.value))
         elif t is Var:
             put(var(task.name))
         elif t is BinOp or (words and t is BitOp):
-            todo += (ops[task.op], task.right, task.left)
+            entry = ops[task.op]
+            todo += order(entry, task.left, task.right) if order else (entry, task.right, task.left)
         elif t is Neg:
-            todo += (ops["-"], task.operand, _ZERO)
+            todo += order(ops["-"], ZERO, task.operand) if order else (ops["-"], task.operand, ZERO)
         elif words and t is BitNot:
-            todo += (ops["^"], _ALL_ONES, task.operand)
+            todo += (ops["~"], task.operand) if "~" in ops else (ops["^"], _ALL_ONES, task.operand)
         elif words and t is Cast:
             todo.append(task.operand)
         elif t is BitOp or t is BitNot or t is Cast:
@@ -244,6 +248,7 @@ class _StackTarget:
 
     def __init__(self, ty_of=None):
         self.out, self.patches, self.ty_of = [], [], ty_of
+        self.const = Iconst if ty_of is None else lambda k: Iconst(k & MASK)  # literals as words
 
     invariant = staticmethod(lambda formula: None)  # specification has no code
 
@@ -262,11 +267,11 @@ class _StackTarget:
         todo = [second, first]
         if self.ty_of is not None and b.op != "=" and self.ty_of(b) is Ty.I32:
             todo = [*_FLIP, second, *_FLIP, first]
-        self.out += emit(b, todo, self.ty_of is not None)
+        self.out += emit(b, todo, self.ty_of is not None, const=self.const)
         self.jump(label, cls)
 
     def assign(self, var: str, rhs: AExpr) -> None:
-        self.out += emit(rhs, [Isetvar(var), rhs], self.ty_of is not None)
+        self.out += emit(rhs, [Isetvar(var), rhs], self.ty_of is not None, const=self.const)
 
     def code(self) -> Code:
         for at, cls, label in self.patches:

@@ -67,6 +67,12 @@ def frozen(cls):
     return cls
 
 
+def record(name: str, /, **fields) -> type:
+    """A ``frozen`` class named name with the given fields, such as an
+    instruction of a compiler's target."""
+    return frozen(type(name, (), {"__annotations__": fields}))
+
+
 @frozen
 class SrcPos:
     """1-based line/column of a token in the source text."""

@@ -8,32 +8,17 @@ main:
 	sw $t0, var_x
 loop_0:
 	lw $t0, var_x
-	addiu $sp, $sp, -4
-	sw $t0, 0($sp)
-	li $t0, 0
-	addu $t1, $t0, $zero
-	lw $t0, 0($sp)
-	addiu $sp, $sp, 4
+	li $t1, 0
 	subu $at, $t0, $t1
 	beq $at, $zero, endloop_1
 	j skip_2
 	li $t0, 2
-	addiu $sp, $sp, -4
-	sw $t0, 0($sp)
-	lw $t0, var_y
-	addu $t1, $t0, $zero
-	lw $t0, 0($sp)
-	addiu $sp, $sp, 4
+	lw $t1, var_y
 	slt $at, $t1, $t0
 	beq $at, $zero, endloop_1
 skip_2:
 	lw $t0, var_x
-	addiu $sp, $sp, -4
-	sw $t0, 0($sp)
-	li $t0, 1
-	addu $t1, $t0, $zero
-	lw $t0, 0($sp)
-	addiu $sp, $sp, 4
+	li $t1, 1
 	slt $at, $t1, $t0
 	beq $at, $zero, skip_5
 skip_5:

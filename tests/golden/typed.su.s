@@ -21,21 +21,11 @@ main:
 	sw $t0, var_s
 loop_0:
 	li $t0, 0
-	addiu $sp, $sp, -4
-	sw $t0, 0($sp)
-	lw $t0, var_s
-	addu $t1, $t0, $zero
-	lw $t0, 0($sp)
-	addiu $sp, $sp, 4
+	lw $t1, var_s
 	slt $at, $t1, $t0
 	beq $at, $zero, endloop_1
 	lw $t0, var_b
-	addiu $sp, $sp, -4
-	sw $t0, 0($sp)
-	lw $t0, var_a
-	addu $t1, $t0, $zero
-	lw $t0, 0($sp)
-	addiu $sp, $sp, 4
+	lw $t1, var_a
 	sltu $at, $t1, $t0
 	beq $at, $zero, endloop_1
 	lw $t0, var_a

@@ -9,9 +9,10 @@ substitution per assignment and one recursive call per statement, and
 the recursive SMT-LIB2 printer that formats each occurrence of a node.
 ``ershov`` labels a core expression by the textbook recursion, apart
 from the allocator's own labeling.  ``reg_exec``, ``max_live`` and
-``listing`` read the register code ``regalloc.alloc_codegen`` emits: its
-value (bit operations on 32-bit words), its peak live registers and its
-text.
+``listing`` read the register code ``regalloc.alloc_codegen`` emits,
+which is ``stack_machine.emit``'s third target, after stack code and
+naive MIPS: its value (bit operations on 32-bit words), its peak live
+registers and its text.
 ``ref_simulate`` restates the MIPS simulator's flat dispatch loop over
 its decoded code: every instruction one at a time, no translated blocks;
 ``on_store`` sees every store to a data label.  ``ref_vm_stores`` steps
@@ -634,12 +635,17 @@ def const_fold(e: sx.AExpr, *, wrap: bool = False) -> sx.AExpr:
     return out
 
 
-def _structural_step(e: sx.AExpr) -> sx.AExpr:
+def _holds_bits(e: sx.AExpr) -> bool:
+    return any(isinstance(n, (sx.BitOp, sx.BitNot, sx.Cast)) for n in sx.walk(e))
+
+
+def _structural_step(e: sx.AExpr, wrap: bool) -> sx.AExpr:
+    # untyped, a law may not drop a fixed-width node: its evaluation raises
     if type(e) is not sx.BinOp:
         return e
     op, l, r = e.op, e.left, e.right
     if op == "-":
-        if sx.equal(l, r):
+        if sx.equal(l, r) and (wrap or not _holds_bits(l)):
             return _ZERO
         if r == _ZERO:
             return l
@@ -649,7 +655,9 @@ def _structural_step(e: sx.AExpr) -> sx.AExpr:
         if r == _ZERO:
             return l
     else:  # "*"
-        if l == _ZERO or r == _ZERO:
+        if l == _ZERO and (wrap or not _holds_bits(r)):
+            return _ZERO
+        if r == _ZERO and (wrap or not _holds_bits(l)):
             return _ZERO
         if l == _ONE:
             return r
@@ -658,15 +666,15 @@ def _structural_step(e: sx.AExpr) -> sx.AExpr:
     return e
 
 
-def simplify_structural(e: sx.AExpr) -> sx.AExpr:
+def simplify_structural(e: sx.AExpr, *, wrap: bool = False) -> sx.AExpr:
     """Structural identity and unit laws; every rule is wrap-safe."""
-    return sx.transform(e, _structural_step)
+    return sx.transform(e, lambda n: _structural_step(n, wrap))
 
 
 def ref_fold(e: sx.AExpr, *, wrap: bool = False) -> sx.AExpr:
     """const_fold then simplify_structural, until a round changes nothing."""
     while True:
-        out = simplify_structural(const_fold(e, wrap=wrap))
+        out = simplify_structural(const_fold(e, wrap=wrap), wrap=wrap)
         if out is e:
             return e
         e = out

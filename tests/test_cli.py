@@ -225,6 +225,23 @@ def test_unreached_bit_operator_is_harmless_in_untyped_programs(tmp_path, capsys
         )
 
 
+@pytest.mark.parametrize("src, at", [
+    ("x := (a & b) - (a & b)\n", "1:9"),
+    ("x := 0 * (a & b)\n", "1:13"),
+    ("if (a & b) < 1 && false then x := 1 else x := 2 end\n", "1:7"),
+])
+def test_optimization_keeps_an_untyped_bit_operator_error(tmp_path, capsys, src, at):
+    # -O may not drop a subtree whose evaluation raises
+    path = _src(tmp_path, src)
+    err = f"{path}:{at}: error: bit operator '&' is only available in typed programs\n"
+    for level in ("0", "1", "2"):
+        for engine in difftest.DEFAULT_ENGINES:
+            assert _run(capsys, "run", path, "--engine", engine, "-O", level) == (1, "", err), engine
+        for backend in (["--backend", "stack"], ["--backend", "mips", "--regalloc", "naive"],
+                        ["--backend", "mips", "--regalloc", "su", "--emulate-mul"]):
+            assert _run(capsys, "compile", path, "-O", level, *backend) == (1, "", err), backend
+
+
 def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
     # the parser is built once per process: no command may see the
     # options of the one before it

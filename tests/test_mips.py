@@ -13,6 +13,7 @@ from cimp.errors import UnsupportedNode
 from cimp.frontend import parse_program
 from cimp.generator import GenSpec, fuel_bound, gen_program
 from cimp.optimizer import optimize
+from cimp import regalloc
 from cimp.regalloc import Spill, alloc_codegen
 from cimp.semantics import Done, Store, ceval_fuel
 from cimp.stack_machine import ARITH_INSTR, CMP_BRANCH, compile_program
@@ -992,15 +993,16 @@ def test_naive_code_is_the_expanded_stack_listing(src):
 
 @pytest.mark.parametrize("level", [0, 2])
 @pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
-def test_naive_mips_stores_in_lockstep_with_the_stack_vm(typed, level):
+@pytest.mark.parametrize("strategy", ["naive", "regalloc"])
+def test_mips_stores_in_lockstep_with_the_stack_vm(strategy, typed, level):
     # both machines make the same variable stores in the same order, and
-    # naive code stores a variable only with its operand stack empty
+    # MIPS code stores a variable only with its operand stack empty
     for seed in range(300):
         p = optimize(gen_program(GenSpec(seed=seed, typed=typed)), level)
         status, vm_stores = ref_vm_stores(compile_program(p), 10**7)
         mips_stores = []
         out, _ = ref_simulate(
-            codegen(p, emulate_mul=True), budget=10**7,
+            codegen(p, strategy, emulate_mul=True), budget=10**7,
             on_store=lambda name, word, sp: mips_stores.append((name, word, sp)),
         )
         assert status == "halt" and isinstance(out, Halted), seed
@@ -1033,8 +1035,28 @@ def test_regalloc_spills_on_mips():
 
 
 def test_regalloc_no_stack_traffic_for_shallow_trees():
-    text = emit_asm(codegen(parse_program("x := (1 + 2) + (3 + 4)"), strategy="regalloc"))
-    assert "$sp" not in text
+    # a comparison's operands both go straight to registers
+    for src in ("x := (1 + 2) + (3 + 4)", "while x < (a + b) * (c + d) do x := x + 1 done"):
+        text = emit_asm(codegen(parse_program(src), strategy="regalloc", emulate_mul=True))
+        assert "$sp" not in text, src
+
+
+def test_regalloc_calls_the_allocator_through_its_module_global(monkeypatch):
+    # the benchmark's traced run replaces codegen.alloc_codegen with an
+    # (e, k) wrapper and counts regalloc.Spill in each result
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return alloc_codegen(*args, **kwargs)
+
+    monkeypatch.setattr(importlib.import_module("cimp.mips.codegen"), "alloc_codegen", wrapper)
+    p = parse_program("x := a + 1; if x < a - b then y := 2 else skip end")
+    codegen(p, strategy="regalloc")
+    cond = p.body.second.cond
+    want = [p.body.first.rhs, cond, p.body.second.then_branch.rhs]
+    assert calls == [((e, 8), {}) for e in want]
+    assert Spill is regalloc.Spill
 
 
 def test_regalloc_typed_bit_code_stays_in_registers():

@@ -17,7 +17,7 @@ from cimp.regalloc import (
     alloc_codegen,
 )
 from cimp.semantics import MASK, Store, aeval
-from cimp.syntax import BinOp, BitNot, BitOp, Cast, IntLit, Neg, Ty, Var, node_count, transform, walk
+from cimp.syntax import BinOp, BitNot, BitOp, Cast, Cmp, IntLit, Neg, Ty, Var, node_count, transform, walk
 
 
 def V(n):
@@ -163,6 +163,19 @@ def test_codegen_spill_shape():
 def test_codegen_requires_two_registers():
     with pytest.raises(ValueError):
         alloc_codegen(V("a"), 1)
+
+
+def test_codegen_comparison_operands_in_r0_and_r1():
+    # in compare's order: "<" takes its right operand first
+    b = Cmp("<", V("a"), add(V("b"), V("c")))
+    assert alloc_codegen(b, 3) == (
+        LoadVar(0, "b"),
+        LoadVar(1, "c"),
+        Op("add", 0, 0, 1),
+        LoadVar(1, "a"),
+    )
+    with pytest.raises(ValueError):
+        alloc_codegen(b, 2)
 
 
 def _without_nots(code):
