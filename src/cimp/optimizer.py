@@ -1,27 +1,27 @@
 """Semantics-preserving AST rewrites, organized into -O levels.
 
-Level 0 is the identity.  Level 1 rewrites expressions with one fused
-fold, which re-associates constants over additive spines and applies
-the structural laws (``e - e -> 0`` and the 0/1 unit and zero laws) as
-it rebuilds each node, and formulas by boolean dominance.  Level 2 adds
+Level 0 is the identity.  Level 1 folds each expression in one pass to
+its linear form: a constant plus signed occurrences of opaque terms (any
+node but ``+``, ``-`` and unary ``-``), so equal terms cancel by value
+wherever they stand in a sum (``x + y - x`` and ``1 * (x + y) - x`` are
+both ``y``).  It rewrites formulas by boolean dominance.  Level 2 adds
 trivial dead-code removal on commands (decided conditionals,
 never-entered loops, Skip elimination in sequences).
 
 Loop invariants are specification, not code: the -O pass skips them
-(``transform`` with ``code_only``), so they stay as written.
-
-A loop whose guard is literally ``true`` is never removed even though
-its continuation is unreachable: divergence is an observable outcome
+(``transform`` with ``code_only``), so they stay as written.  A loop
+whose guard is literally ``true`` is never removed even though its
+continuation is unreachable: divergence is an observable outcome
 (OutOfFuel) that optimization must not erase.
 
-For typed programs the same rewrites run in wrapping mode: literal
-arithmetic folds modulo 2^32 (exact for the fixed-width evaluator,
+For typed programs the same rewrites run in wrapping mode: arithmetic
+folds and cancels modulo 2^32 (exact for the fixed-width evaluator,
 since + - * are ring homomorphisms), while literal comparisons fold
 only when both constants lie below 2^31, where the signed and unsigned
-orders agree.  Bit operations and casts are never folded; rewriting
-recurses through them untouched.  In an untyped program they raise when
-evaluated, so no law drops a subtree that holds one: ``0 * (a & b)``
-keeps its error at every level.
+orders agree.  Bit operations and casts are never folded.  In an
+untyped program they raise when evaluated, so nothing drops a subtree
+that holds one: ``0 * (a & b)`` and ``(a & b) - (a & b)`` keep their
+error at every level.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ from .syntax import (
 )
 
 OPT_LEVELS = (0, 1, 2)
-_ZERO, _ONE, _TRUE, _FALSE = IntLit(0), IntLit(1), BoolLit(True), BoolLit(False)  # built once
+_ZERO, _TRUE, _FALSE = IntLit(0), BoolLit(True), BoolLit(False)  # built once
+
 
 def _make_lit(k: int, wrap: bool) -> AExpr:
-    if wrap:
-        return IntLit(k & MASK)
-    return IntLit(k) if k >= 0 else Neg(IntLit(-k))
+    return IntLit(k & MASK) if wrap else IntLit(k) if k >= 0 else Neg(IntLit(-k))
 
 
 def _droppable(e, wrap: bool) -> bool:
@@ -71,113 +70,114 @@ def _droppable(e, wrap: bool) -> bool:
     return wrap or not any(type(n) in (BitOp, BitNot, Cast) for n in walk(e))
 
 
-def _sum_law(op: str, l: AExpr, r: AExpr, wrap: bool, fired: list) -> AExpr:
-    """l op r for + and -, by the laws e - e = 0, e - 0 = e and 0 + e = e + 0 = e."""
-    if op == "-" and type(l) is type(r) and equal(l, r) and _droppable(l, wrap):
-        out = _ZERO
-    elif op == "+" and type(l) is IntLit and l.value == 0:
-        out = r
-    elif type(r) is IntLit and r.value == 0:
-        out = l
-    else:
-        return BinOp(op, l, r)
-    fired[0] = True
-    return out
-
-
-def _fold(e: AExpr, wrap: bool, fired: list) -> tuple[AExpr, object]:
-    """One round: constants folded, then the unit and zero laws applied
-    bottom-up, rebuilding each node once.  Also returns the value of e's
-    constant-folded form when that is a literal (the laws only ever see
-    that form, so the next node up folds by it, not by the laws' result);
-    fired[0] is set when a law rewrote something.
-    """
-    t = type(e)
-    if t is IntLit:
-        return e, e.value
-    if t is Var:
-        return e, None
-    if (t is BinOp and e.op != "*") or t is Neg:
-        # The additive spine (nested +, -, unary -) is flattened into
-        # signed terms, leftmost first; literal terms are summed and
-        # re-attached last, so a + 1 + 2 becomes a + 3.
-        terms, todo = [], [(e, 1)]
-        while todo:
-            x, sign = todo.pop()
-            tx = type(x)
-            if tx is BinOp and x.op != "*":
-                todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
-            elif tx is Neg:
-                todo.append((x.operand, -sign))
-            else:
-                terms.append((sign, x))
-        total, rest = 0, []
-        for sign, x in terms:
-            g, v = _fold(x, wrap, fired)
-            if v is None:
-                rest.append((sign, g))
-            else:
-                total += sign * v
-        if wrap:  # the smaller magnitude: x + (2^32 - 5) reads as x - 5
-            total &= MASK
-            total -= (MASK + 1) * (-total & MASK < total)
-        if not rest:
-            out = _make_lit(total, wrap)
-            return (e if equal(out, e) else out), literal_value(out)
-        # A negative leading term with a positive constant rebuilds as
-        # "k - ..." rather than "-t + k", which would add a node.
-        if rest[0][0] < 0 and (total != 0 if wrap else total > 0):
-            out, total = IntLit(total & MASK if wrap else total), 0
-        else:
-            sign, g = rest.pop(0)
-            out = g if sign > 0 else Neg(g)
-        if total:
-            rest.append((1 if total > 0 else -1, IntLit(abs(total))))
-        for sign, g in rest:
-            out = _sum_law("+" if sign > 0 else "-", out, g, wrap, fired)
-        return (e if equal(out, e) else out), None
-    # the left spine of "*" and the bit operators folds bottom-up in a
-    # loop, so a long chain does not recurse once per operator
-    spine = []
-    while (type(e) is BinOp and e.op == "*") or type(e) is BitOp:
-        spine.append(e)
-        e = e.left
-    if not spine:
-        return map_children(e, lambda k: _fold(k, wrap, fired)[0]), None
-    out, v = _fold(e, wrap, fired)
-    for node in reversed(spine):
-        right, rv = _fold(node.right, wrap, fired)
-        if type(node) is BinOp and v is not None and rv is not None:
-            out = _make_lit(v * rv, wrap)  # "*", folded only between literals
-            v = literal_value(out)
-            continue
-        if out is not node.left or right is not node.right:
-            node = type(node)(node.op, out, right, node.pos)
-        out, v = node, None
-        if type(node) is BinOp:  # the laws of "*"
-            law = _ZERO if (node.left == _ZERO and _droppable(right, wrap)) or (
-                right == _ZERO and _droppable(node.left, wrap)) else (
-                right if node.left == _ONE else node.left if right == _ONE else None)
-            if law is not None:
-                out, fired[0] = law, True
-    return out, v
+def _cancel(terms: list) -> list:
+    """terms with equal droppable terms of opposite signs cancelled: of
+    each, the first |net| occurrences of its net sign are kept."""
+    net = {}
+    for term in terms:
+        net[term[2]] = net.get(term[2], 0) + term[0]
+    if sum(map(abs, net.values())) == len(terms):  # no term with both signs
+        return terms
+    kept = []
+    for term in terms:
+        sign, _, key, drop = term
+        if not drop or net[key] * sign > 0:
+            kept.append(term)
+            net[key] -= sign
+    return kept
 
 
 def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
-    """The -O rewrite of an arithmetic expression, to its fixed point.
+    """The -O rewrite of an arithmetic expression, in one bottom-up pass.
 
-    Constants fold modulo 2^32 under wrap; the result never has a core
-    operator node with two literal operands, and an expression needing no
-    rewrite is returned as it was given.  A pass that applied no law is a
-    fixed point, so another runs only after one that did (as in ``1 * (10
-    - d) + 27``, whose product becomes a spine to flatten into its parent).
+    Each node folds to its linear form, which a sum joins into its own
+    and ``1 * e`` hands on.  A form becomes a node only where a product,
+    a bit operator, a cast or the caller reads it, with equal droppable
+    terms of opposite signs cancelled and the constant last.  The result
+    is a fixed point; an expression needing no rewrite is returned as is.
     """
-    while True:
-        fired = [False]
-        out = _fold(e, wrap, fired)[0]
-        if not fired[0] or out is e:
-            return out
-        e = out
+    # (class, leaf fields, child keys) to a small int: terms compare without recursion
+    keys: dict = {}
+
+    def build(f):
+        """Form f = (k, terms, node folded from) as a node, key, droppable."""
+        k, terms, orig = f
+        if wrap:  # the smaller magnitude: x + (2^32 - 5) reads as x - 5
+            k &= MASK
+            k -= (MASK + 1) * (-k & MASK < k)
+        if k == 0 and len(terms) == 1 and terms[0][0] > 0:
+            return terms[0][1:]
+        terms = _cancel(terms)
+        if not terms:
+            out = orig if type(orig) is IntLit else _make_lit(k, wrap)
+            key = IntLit, literal_value(out)
+        else:
+            key = "+", k, tuple(t[0] * (t[2] + 1) for t in terms)
+            # A negative leading term with a positive constant rebuilds
+            # as "k - ..." rather than "-t + k", which would add a node.
+            if terms[0][0] < 0 and (k != 0 if wrap else k > 0):
+                out, rest, k = IntLit(k & MASK if wrap else k), terms, 0
+            else:
+                out, rest = terms[0][1] if terms[0][0] > 0 else Neg(terms[0][1]), terms[1:]
+            for sign, g, _, _ in rest:
+                out = BinOp("+" if sign > 0 else "-", out, g)
+            if k:
+                out = BinOp("+" if k > 0 else "-", out, IntLit(abs(k)))
+        drop = wrap or all(t[3] for t in terms)
+        return (orig if equal(out, orig) else out), keys.setdefault(key, len(keys)), drop
+
+    def lin(e):
+        """e's form: (constant, [(sign, term, key, droppable)...], e)."""
+        t = type(e)
+        if t is IntLit:
+            return e.value, [], e
+        if t is Var:
+            return 0, [(1, e, keys.setdefault((Var, e.name), len(keys)), True)], e
+        if (t is BinOp and e.op != "*") or t is Neg:
+            # a sum (nested +, -, unary -) joins its operands' forms in order
+            k, terms, todo = 0, [], [(e, 1)]
+            while todo:
+                x, sign = todo.pop()
+                tx = type(x)
+                if tx is BinOp and x.op != "*":
+                    todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
+                elif tx is Neg:
+                    todo.append((x.operand, -sign))
+                else:
+                    xk, xterms, _ = lin(x)
+                    k += sign * xk
+                    terms += xterms if sign > 0 else [(-s, g, key, d) for s, g, key, d in xterms]
+            return k, terms, e
+        if t is BitNot or t is Cast:
+            g, key, _ = build(lin(e.operand))
+            e = map_children(e, lambda _: g)
+            return 0, [(1, e, keys.setdefault((t, getattr(e, "target", None), key), len(keys)), wrap)], e
+        # the left spine of "*" and the bit operators folds bottom-up in a
+        # loop, so a long chain does not recurse once per operator
+        spine = []
+        while (type(e) is BinOp and e.op == "*") or type(e) is BitOp:
+            spine.append(e)
+            e = e.left
+        f = lin(e)
+        for node in reversed(spine):
+            rf = lin(node.right)
+            (l, lkey, ldrop), (r, rkey, rdrop) = build(f), build(rf)
+            drop = wrap
+            if type(node) is BinOp:  # "*": literals fold, then the zero and unit laws
+                lv, rv = literal_value(l), literal_value(r)
+                law = ((lv * rv, [], _make_lit(lv * rv, wrap)) if lv is not None and rv is not None
+                       else (0, [], _ZERO) if (lv == 0 and rdrop) or (rv == 0 and ldrop)
+                       else rf if lv == 1 else f if rv == 1 else None)
+                if law is not None:
+                    f = law
+                    continue
+                drop = ldrop and rdrop
+            if l is not node.left or r is not node.right:
+                node = type(node)(node.op, l, r, node.pos)
+            f = 0, [(1, node, keys.setdefault((type(node), node.op, lkey, rkey), len(keys)), drop)], node
+        return f
+
+    return build(lin(e))[0]
 
 
 def _bool_step(b: BExpr, wrap: bool) -> BExpr:
@@ -236,10 +236,9 @@ def _dead_step(c: Com) -> Com:
 def optimize(p: Program, level: int) -> Program:
     """Apply the level's rewrites in one pass; level 0 is identity.
 
-    The pass is bottom-up and optimizes each assignment's and
-    comparison's arithmetic to its own fixed point before the nodes
-    above see it, so its result is a fixed point: optimizing it again
-    returns the same body.
+    The pass is bottom-up and folds each assignment's and comparison's
+    arithmetic to its normal form before the nodes above see it, so its
+    result is a fixed point: optimizing it again returns the same body.
     """
     if level not in OPT_LEVELS:
         raise ValueError(f"optimization level must be one of {OPT_LEVELS}")

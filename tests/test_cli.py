@@ -228,6 +228,7 @@ def test_unreached_bit_operator_is_harmless_in_untyped_programs(tmp_path, capsys
 @pytest.mark.parametrize("src, at", [
     ("x := (a & b) - (a & b)\n", "1:9"),
     ("x := 0 * (a & b)\n", "1:13"),
+    ("x := (c + (a & b)) - (c + (a & b))\n", "1:14"),
     ("if (a & b) < 1 && false then x := 1 else x := 2 end\n", "1:7"),
 ])
 def test_optimization_keeps_an_untyped_bit_operator_error(tmp_path, capsys, src, at):
@@ -420,6 +421,18 @@ def test_compile_regalloc_su(tmp_path, capsys):
     assert code == 0
     prog = parse_asm(out)
     assert simulate(prog)["x"] == 10
+
+
+@pytest.mark.parametrize("src, want", [
+    ("z := (x + y) - (x + y)", "ICONST 0\nISETVAR z\n"),
+    ("w := 1 * (x + y) - 1 * (x + y)", "ICONST 0\nISETVAR w\n"),
+    ("v := x + y - x", "IVAR y\nISETVAR v\n"),
+])
+def test_compile_opt_cancels_equal_terms(tmp_path, capsys, src, want):
+    # -O cancels by value, however the terms are spelled
+    path = _src(tmp_path, src + "\n")
+    for level in ("1", "2"):
+        assert _run(capsys, "compile", path, "-O", level) == (0, want + "IHALT\n", ""), level
 
 
 def test_compile_opt_shrinks_constant_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 import strategies as gen
 from cimp import syntax as sx
 from cimp.frontend import parse_program, pretty
-from cimp.generator import GenSpec, gen_program
+from cimp.difftest import _WORD_ENGINES, DEFAULT_ENGINES, _init_store
+from cimp.errors import CimpError
+from cimp.generator import GenSpec, fuel_bound, gen_program
 from cimp.optimizer import fold, optimize
-from cimp.semantics import Done, OutOfFuel, aeval, beval, ceval_fuel
+from cimp.semantics import Done, OutOfFuel, Store, aeval, beval, ceval_fuel
 from cimp.stack_machine import compile_program
 from reference import dead_code, ref_fold, ref_optimize, simplify_bool, simplify_structural
 
@@ -20,8 +24,42 @@ def cond(src):
     return parse_program(f"if {src} then skip else skip end").body.cond
 
 
+def _signed_terms(e):
+    """The additive spine at e as (sign, term) pairs, leftmost first."""
+    terms, todo = [], [(e, 1)]
+    while todo:
+        x, sign = todo.pop()
+        if type(x) is sx.BinOp and x.op != "*":
+            todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
+        elif type(x) is sx.Neg:
+            todo.append((x.operand, -sign))
+        else:
+            terms.append((sign, x))
+    return terms
+
+
+def _cancellable(node, wrap=False):
+    """Whether an additive spine in node's code holds an equal term with
+    both signs that holds no untyped bit node (so -O may drop it)."""
+    def is_sum(n):
+        return (type(n) is sx.BinOp and n.op != "*") or type(n) is sx.Neg
+
+    def droppable(e):
+        return wrap or not any(type(n) in (sx.BitOp, sx.BitNot, sx.Cast) for n in sx.walk(e))
+
+    nodes = list(sx.walk(node, code_only=True))
+    inner = {id(k) for n in nodes if is_sum(n) for k in sx.children(n)}
+    for n in nodes:
+        if is_sum(n) and id(n) not in inner:
+            terms = _signed_terms(n)
+            for sign, t in terms:
+                if sign > 0 and droppable(t) and any(s < 0 and sx.equal(t, u) for s, u in terms):
+                    return True
+    return False
+
+
 # ---------------------------------------------------------------------------
-# fold: constant folding with the unit and zero laws, to the fixed point
+# fold: one pass to a linear form, equal terms cancelled by value
 
 
 def test_const_fold_additive_spine():
@@ -100,7 +138,9 @@ def test_const_fold_preserves_aeval(e, s):
 @settings(max_examples=300)
 @given(gen.aexprs())
 def test_const_fold_no_foldable_residue(e):
-    assert _no_two_literal_children(fold(e))
+    folded = fold(e)
+    assert _no_two_literal_children(folded)
+    assert not _cancellable(folded)
 
 
 @settings(max_examples=300)
@@ -123,46 +163,99 @@ def test_rewrites_return_their_input_exactly_when_nothing_changes(e, wrap):
     assert (out is e) == (out == e)
 
 
-def _deep_chain(n):
-    e = sx.Var("y")
+def _deep_chain(n, name="y"):
+    e = sx.Var(name)
     for _ in range(n - 1):
-        e = sx.BinOp("+", e, sx.Var("y"))
+        e = sx.BinOp("+", e, sx.Var(name))
     return e
 
 
 def test_deep_expressions_optimize_without_recursion():
-    t = _deep_chain(2000)
-    p = sx.program(sx.Assign("x", sx.BinOp("-", t, _deep_chain(2000))))
+    t, u = _deep_chain(2000), _deep_chain(2000, "z")
+    # a product is an opaque term; hashing this one would recurse 2,000 deep
+    prod = sx.BinOp("*", t, sx.IntLit(2))
     for level in (1, 2):
-        assert optimize(sx.program(sx.Assign("x", t)), level).body.rhs is t
-        out = optimize(p, level).body.rhs  # flattened into one 4,000-term chain
+        opt = lambda e: optimize(sx.program(sx.Assign("x", e)), level).body.rhs  # noqa: E731
+        assert opt(t) is t
+        assert opt(sx.BinOp("-", t, _deep_chain(2000))) == sx.IntLit(0)
+        out = opt(sx.BinOp("-", t, u))  # flattened into one 4,000-term chain
         assert sx.node_count(out) == 2 * 4000 - 1
+        assert opt(sx.BinOp("+", prod, sx.Var("z"))).left is prod
+        assert opt(sx.BinOp("-", prod, sx.BinOp("*", _deep_chain(2000), sx.IntLit(2)))) == sx.IntLit(0)
     assert simplify_structural(sx.BinOp("-", t, _deep_chain(2000))) == sx.IntLit(0)
 
 
 # ---------------------------------------------------------------------------
 # fold against the reference: const_fold, then simplify_structural's
-# generic transform, until a round changes nothing
+# generic transform, until a round changes nothing.  The reference
+# cancels e - e only where both sides meet whole, so where its output
+# still holds a cancellable pair, -O's must be smaller with the same outcome.
+
+
+def _bigstep(p, store, fuel):
+    try:
+        return DEFAULT_ENGINES["bigstep"](p, store, fuel, 0)
+    except CimpError as err:
+        return ("raised", str(err))
+
+
+def _same_outcome(p, q, store, fuel):
+    before, after = _bigstep(p, store, fuel), _bigstep(q, store, fuel)
+    # dead-code removal may save fuel, never spend it; -O runs before the
+    # typecheck, and a cancelled term takes its type error with it
+    return after == before or before[0] == "out_of_fuel" or (p.typed and before[0] == "raised")
 
 
 @pytest.mark.parametrize("src, want", [
     ("1 * (10 - d) + 27", "37 - d"),
     ("c - 1 * (i32(d) - b)", "c - i32(d) + b"),
-    ("c + d - 1 * (c + d)", "0"),  # the product is dropped before the spine is flattened
+    ("c + d - 1 * (c + d)", "0"),  # the product's form joins the spine, and cancels
 ])
 def test_fold_flattens_a_spine_that_a_unit_law_exposes(src, want):
     e = rhs(src)
     assert fold(e) == ref_fold(e) == rhs(want)
 
 
+@pytest.mark.parametrize("src, wrap, want", [
+    ("(x + y) - (x + y)", False, "0"),
+    ("1 * (x + y) - 1 * (x + y)", False, "0"),
+    ("x + y - x", False, "y"),
+    ("-x + y + x + x", False, "y + x"),  # the first occurrence of the net sign stays
+    ("x * 2 - (y - x * 2 + 1)", False, "x * 2 - y + x * 2 - 1"),  # no coefficients, no new "*"
+    ("(c + (a & b)) - (c + (a & b))", False, "a & b - a & b"),  # untyped, a bit node raises
+    ("(c + (a & b)) - (c + (a & b))", True, "0"),
+])
+def test_fold_cancels_equal_terms_wherever_they_stand(src, wrap, want):
+    assert fold(rhs(src), wrap=wrap) == rhs(want)
+
+
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
 def test_optimize_is_the_reference_fixed_point_on_generated_programs(typed, level):
     for seed in range(1000):
-        p = gen_program(GenSpec(seed=seed, typed=typed))
+        spec = GenSpec(seed=seed, typed=typed)
+        p = gen_program(spec)
         got, want = optimize(p, level), ref_optimize(p, level)
-        assert got == want and pretty(got) == pretty(want), seed
+        if _cancellable(want.body, typed):
+            store = _init_store(random.Random(seed), p, typed)
+            assert sx.node_count(got) < sx.node_count(want), seed
+            assert _same_outcome(p, got, store, fuel_bound(spec)), seed
+        else:
+            assert got == want and pretty(got) == pretty(want), seed
         assert optimize(got, level).body is got.body, seed
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["untyped", "typed"])
+def test_every_engine_gives_the_same_outcome_at_o0_and_o2(typed):
+    engines = [name for name in DEFAULT_ENGINES if typed or name not in _WORD_ENGINES]
+    for seed in range(1000):
+        spec = GenSpec(seed=seed, typed=typed)
+        p = gen_program(spec)
+        q, fuel = optimize(p, 2), fuel_bound(spec)
+        store = _init_store(random.Random(seed), p, typed)
+        for name in engines:
+            run = DEFAULT_ENGINES[name]
+            assert run(q, store, fuel, 10**7) == run(p, store, fuel, 10**7), (seed, name)
 
 
 @settings(max_examples=300)
@@ -170,7 +263,14 @@ def test_optimize_is_the_reference_fixed_point_on_generated_programs(typed, leve
 def test_optimize_is_the_reference_fixed_point_on_bit_code(c, typed, level):
     p = sx.Program((("a", sx.Ty.U32),) if typed else (), c)  # declarations set wrap mode
     got, want = optimize(p, level), ref_optimize(p, level)
-    assert got == want and pretty(got) == pretty(want)
+    if _cancellable(want.body, typed):
+        # run both with every name declared, so that they typecheck
+        decls = tuple((n, sx.Ty.U32) for n in sorted(sx.com_vars(c))) if typed else ()
+        store = Store({n: 3 for n in sx.com_vars(c)})
+        assert sx.node_count(got) < sx.node_count(want)
+        assert _same_outcome(sx.Program(decls, c), sx.Program(decls, got.body), store, 25)
+    else:
+        assert got == want and pretty(got) == pretty(want)
     assert optimize(got, level).body is got.body
 
 
