@@ -264,7 +264,7 @@ def test_optimize_is_the_reference_fixed_point_on_bit_code(c, typed, level):
     p = sx.Program((("a", sx.Ty.U32),) if typed else (), c)  # declarations set wrap mode
     got, want = optimize(p, level), ref_optimize(p, level)
     if _cancellable(want.body, typed):
-        # run both with every name declared, so that they typecheck
+        # every name declared, so that an undeclared one decides no outcome
         decls = tuple((n, sx.Ty.U32) for n in sorted(sx.com_vars(c))) if typed else ()
         store = Store({n: 3 for n in sx.com_vars(c)})
         assert sx.node_count(got) < sx.node_count(want)
