@@ -128,8 +128,16 @@ def _store_lines(p: Program, values) -> str:
     )
 
 
+def _optimized(p: Program, level: int) -> Program:
+    """p at -O level.  A typed program is typechecked first: -O drops
+    terms and branches by value, and would drop a type error with them."""
+    if p.typed:
+        typecheck(p)
+    return optimize(p, level)
+
+
 def _cmd_compile(args) -> int:
-    p = optimize(_read_program(args.file), args.opt)
+    p = _optimized(_read_program(args.file), args.opt)
     if args.backend == "stack":
         text = listing(compile_program(p))
     else:
@@ -147,7 +155,7 @@ def _cmd_run(args) -> int:
     store = Store({})
     if args.store_in:
         store = parse_store(Path(args.store_in).read_text())
-    p = optimize(p, args.opt)
+    p = _optimized(p, args.opt)
     kind, value = DEFAULT_ENGINES[args.engine](p, store, args.fuel, args.budget)
     if kind == "done":
         sys.stdout.write(_store_lines(p, value))
@@ -269,9 +277,9 @@ def _cmd_bench(args) -> int:
         prog = codegen(q, strategy=strategy, emulate_mul=True)
         return sum(isinstance(item, Ins) for item in prog.text)
 
+    optimized = [_optimized(p, level) for level in OPT_LEVELS]
     print(f"{'level':>5}  {'stack':>5}  {'mips-naive':>10}  {'mips-su':>7}")
-    for level in OPT_LEVELS:
-        q = optimize(p, level)
+    for level, q in zip(OPT_LEVELS, optimized):
         stack = size(lambda: len(compile_program(q).code))
         naive = size(lambda: mips_size(q, "naive"))
         su = size(lambda: mips_size(q, "regalloc"))

@@ -9,9 +9,10 @@ trivial dead-code removal on commands (decided conditionals,
 never-entered loops, Skip elimination in sequences).
 
 Loop invariants are specification, not code: the -O pass skips them
-(``transform`` with ``code_only``), so they stay as written.  A loop
-whose guard is literally ``true`` is never removed even though its
-continuation is unreachable: divergence is an observable outcome
+(``transform`` with ``code_only``), so they stay as written.
+
+A loop whose guard is literally ``true`` is never removed even though
+its continuation is unreachable: divergence is an observable outcome
 (OutOfFuel) that optimization must not erase.
 
 For typed programs the same rewrites run in wrapping mode: arithmetic
@@ -21,7 +22,8 @@ only when both constants lie below 2^31, where the signed and unsigned
 orders agree.  Bit operations and casts are never folded.  In an
 untyped program they raise when evaluated, so nothing drops a subtree
 that holds one: ``0 * (a & b)`` and ``(a & b) - (a & b)`` keep their
-error at every level.
+error at every level.  A typed program must typecheck before it is
+optimized: wrapping mode drops any term, a term with a type error too.
 """
 
 from __future__ import annotations
@@ -58,26 +60,31 @@ from .syntax import (
 
 OPT_LEVELS = (0, 1, 2)
 _ZERO, _TRUE, _FALSE = IntLit(0), BoolLit(True), BoolLit(False)  # built once
+# The fixed-width nodes: evaluating one in an untyped program raises, so
+# no rewrite of an untyped program drops a subtree that holds one.
+_WORD_NODES = (BitOp, BitNot, Cast)
 
 
 def _make_lit(k: int, wrap: bool) -> AExpr:
-    return IntLit(k & MASK) if wrap else IntLit(k) if k >= 0 else Neg(IntLit(-k))
+    if wrap:
+        return IntLit(k & MASK)
+    return IntLit(k) if k >= 0 else Neg(IntLit(-k))
 
 
 def _droppable(e, wrap: bool) -> bool:
     """Whether a law may drop e unevaluated: not if e holds a fixed-width
-    node of an untyped program, whose evaluation raises."""
-    return wrap or not any(type(n) in (BitOp, BitNot, Cast) for n in walk(e))
+    node of an untyped program."""
+    return wrap or not any(type(n) in _WORD_NODES for n in walk(e))
 
 
 def _cancel(terms: list) -> list:
     """terms with equal droppable terms of opposite signs cancelled: of
     each, the first |net| occurrences of its net sign are kept."""
+    if len({t[2] for t in terms}) == len(terms):  # no term occurs twice
+        return terms
     net = {}
     for term in terms:
         net[term[2]] = net.get(term[2], 0) + term[0]
-    if sum(map(abs, net.values())) == len(terms):  # no term with both signs
-        return terms
     kept = []
     for term in terms:
         sign, _, key, drop = term
@@ -92,16 +99,22 @@ def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
 
     Each node folds to its linear form, which a sum joins into its own
     and ``1 * e`` hands on.  A form becomes a node only where a product,
-    a bit operator, a cast or the caller reads it, with equal droppable
-    terms of opposite signs cancelled and the constant last.  The result
-    is a fixed point; an expression needing no rewrite is returned as is.
+    a bit operator, a cast or the caller reads it: occurrences of opposite
+    signs of one droppable term cancel (an untyped fixed-width node is
+    never dropped), and the constant goes last.  The result is a fixed
+    point; an expression needing no rewrite is returned as it was given.
     """
-    # (class, leaf fields, child keys) to a small int: terms compare without recursion
+    if type(e) is IntLit or type(e) is Var:  # a leaf is its own normal form
+        return e
+    # (class, leaf fields, child keys) to a small int: terms compare
+    # without recursion; a variable's key is its name
     keys: dict = {}
 
     def build(f):
         """Form f = (k, terms, node folded from) as a node, key, droppable."""
         k, terms, orig = f
+        if not terms and type(orig) is IntLit:  # a literal stands as written
+            return orig, keys.setdefault((IntLit, orig.value), len(keys)), True
         if wrap:  # the smaller magnitude: x + (2^32 - 5) reads as x - 5
             k &= MASK
             k -= (MASK + 1) * (-k & MASK < k)
@@ -109,7 +122,7 @@ def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
             return terms[0][1:]
         terms = _cancel(terms)
         if not terms:
-            out = orig if type(orig) is IntLit else _make_lit(k, wrap)
+            out = _make_lit(k, wrap)
             key = IntLit, literal_value(out)
         else:
             key = "+", k, tuple(t[0] * (t[2] + 1) for t in terms)
@@ -126,13 +139,19 @@ def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
         drop = wrap or all(t[3] for t in terms)
         return (orig if equal(out, orig) else out), keys.setdefault(key, len(keys)), drop
 
+    def term(node, key, drop):
+        """The form of an opaque node, by its interned key; drop says
+        whether its operands may be dropped (``_droppable``'s rule)."""
+        drop = wrap or (type(node) not in _WORD_NODES and drop)
+        return 0, [(1, node, keys.setdefault(key, len(keys)), drop)], node
+
     def lin(e):
         """e's form: (constant, [(sign, term, key, droppable)...], e)."""
         t = type(e)
         if t is IntLit:
             return e.value, [], e
         if t is Var:
-            return 0, [(1, e, keys.setdefault((Var, e.name), len(keys)), True)], e
+            return 0, [(1, e, keys.setdefault(e.name, len(keys)), True)], e
         if (t is BinOp and e.op != "*") or t is Neg:
             # a sum (nested +, -, unary -) joins its operands' forms in order
             k, terms, todo = 0, [], [(e, 1)]
@@ -143,15 +162,19 @@ def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
                     todo += ((x.right, sign if x.op == "+" else -sign), (x.left, sign))
                 elif tx is Neg:
                     todo.append((x.operand, -sign))
+                elif tx is Var:
+                    terms.append((sign, x, keys.setdefault(x.name, len(keys)), True))
+                elif tx is IntLit:
+                    k += sign * x.value
                 else:
                     xk, xterms, _ = lin(x)
                     k += sign * xk
-                    terms += xterms if sign > 0 else [(-s, g, key, d) for s, g, key, d in xterms]
+                    terms.extend((sign * s, g, key, d) for s, g, key, d in xterms)
             return k, terms, e
         if t is BitNot or t is Cast:
-            g, key, _ = build(lin(e.operand))
+            g, key, drop = build(lin(e.operand))
             e = map_children(e, lambda _: g)
-            return 0, [(1, e, keys.setdefault((t, getattr(e, "target", None), key), len(keys)), wrap)], e
+            return term(e, (t, getattr(e, "target", None), key), drop)
         # the left spine of "*" and the bit operators folds bottom-up in a
         # loop, so a long chain does not recurse once per operator
         spine = []
@@ -162,19 +185,22 @@ def fold(e: AExpr, *, wrap: bool = False) -> AExpr:
         for node in reversed(spine):
             rf = lin(node.right)
             (l, lkey, ldrop), (r, rkey, rdrop) = build(f), build(rf)
-            drop = wrap
             if type(node) is BinOp:  # "*": literals fold, then the zero and unit laws
                 lv, rv = literal_value(l), literal_value(r)
-                law = ((lv * rv, [], _make_lit(lv * rv, wrap)) if lv is not None and rv is not None
-                       else (0, [], _ZERO) if (lv == 0 and rdrop) or (rv == 0 and ldrop)
-                       else rf if lv == 1 else f if rv == 1 else None)
-                if law is not None:
-                    f = law
+                if lv is not None and rv is not None:
+                    f = lv * rv, [], _make_lit(lv * rv, wrap)
                     continue
-                drop = ldrop and rdrop
+                if (lv == 0 and rdrop) or (rv == 0 and ldrop):
+                    f = 0, [], _ZERO
+                    continue
+                if lv == 1:
+                    f = rf
+                    continue
+                if rv == 1:
+                    continue  # f, the left operand's form, stands
             if l is not node.left or r is not node.right:
                 node = type(node)(node.op, l, r, node.pos)
-            f = 0, [(1, node, keys.setdefault((type(node), node.op, lkey, rkey), len(keys)), drop)], node
+            f = term(node, (type(node), node.op, lkey, rkey), ldrop and rdrop)
         return f
 
     return build(lin(e))[0]

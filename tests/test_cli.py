@@ -243,6 +243,24 @@ def test_optimization_keeps_an_untyped_bit_operator_error(tmp_path, capsys, src,
             assert _run(capsys, "compile", path, "-O", level, *backend) == (1, "", err), backend
 
 
+@pytest.mark.parametrize("src, err", [
+    ("var x: u32;\nx := x + y - y\n", "2:10: error: undeclared variable y"),
+    ("var x: u32;\nvar y: i32;\nx := x + y - y\n", "3:10: error: found i32 where u32 expected"),
+])
+def test_optimization_keeps_a_type_error(tmp_path, capsys, src, err):
+    # a typed program is checked before -O, which would cancel y - y and
+    # its type error with it
+    path = _src(tmp_path, src)
+    for level in ("0", "1", "2"):
+        for engine in difftest.DEFAULT_ENGINES:
+            assert _run(capsys, "run", path, "--engine", engine, "-O", level) == (
+                1, "", f"{path}:{err}\n"), engine
+        for backend in ("stack", "mips"):
+            assert _run(capsys, "compile", path, "-O", level, "--backend", backend) == (
+                1, "", f"{path}:{err}\n"), backend
+    assert _run(capsys, "bench", path) == (1, "", f"{path}:{err}\n")
+
+
 def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
     # the parser is built once per process: no command may see the
     # options of the one before it
