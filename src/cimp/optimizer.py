@@ -73,7 +73,7 @@ def _make_lit(k: int, wrap: bool) -> AExpr:
 
 def _droppable(e, wrap: bool) -> bool:
     """Whether a law may drop e unevaluated: not if e holds a fixed-width
-    node of an untyped program."""
+    node of an untyped program, whose evaluation raises."""
     return wrap or not any(type(n) in _WORD_NODES for n in walk(e))
 
 
