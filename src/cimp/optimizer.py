@@ -78,20 +78,22 @@ def _droppable(e, wrap: bool) -> bool:
 
 
 def _cancel(terms: list) -> list:
-    """terms with equal droppable terms of opposite signs cancelled: of
-    each, the first |net| occurrences of its net sign are kept."""
+    """terms with equal droppable terms of opposite signs cancelled: read
+    in order, an occurrence cancels the latest standing one of the other
+    sign, so ``t - t`` at the head of ``t - t - u - t`` goes, as it would if
+    spelled ``(t - t) - u - t``."""
     if len({t[2] for t in terms}) == len(terms):  # no term occurs twice
         return terms
-    net = {}
-    for term in terms:
-        net[term[2]] = net.get(term[2], 0) + term[0]
-    kept = []
+    kept, standing = [], {}  # key: positions in kept of its standing occurrences
     for term in terms:
         sign, _, key, drop = term
-        if not drop or net[key] * sign > 0:
+        at = standing.setdefault(key, [])
+        if drop and at and kept[at[-1]][0] == -sign:
+            kept[at.pop()] = None
+        else:
+            at.append(len(kept))
             kept.append(term)
-            net[key] -= sign
-    return kept
+    return [t for t in kept if t is not None]
 
 
 def fold(e: AExpr, *, wrap: bool = False) -> AExpr:

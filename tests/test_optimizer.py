@@ -223,7 +223,8 @@ def test_fold_flattens_a_spine_that_a_unit_law_exposes(src, want):
     ("(x + y) - (x + y)", False, "0"),
     ("1 * (x + y) - 1 * (x + y)", False, "0"),
     ("x + y - x", False, "y"),
-    ("-x + y + x + x", False, "y + x"),  # the first occurrence of the net sign stays
+    ("-x + y + x + x", False, "y + x"),  # the first x cancels the -x
+    ("t - t - (z + t)", False, "-z - t"),  # the head pair goes, as in the reference
     ("x * 2 - (y - x * 2 + 1)", False, "x * 2 - y + x * 2 - 1"),  # no coefficients, no new "*"
     ("(c + (a & b)) - (c + (a & b))", False, "a & b - a & b"),  # untyped, a bit node raises
     ("(c + (a & b)) - (c + (a & b))", True, "0"),
