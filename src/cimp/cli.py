@@ -241,8 +241,10 @@ def _describe(outcome: tuple) -> str:
 
 def _cmd_fuzz(args) -> int:
     engines = None
-    if args.engines:
+    if args.engines is not None:
         engines = tuple(name.strip() for name in args.engines.split(",") if name.strip())
+        if not engines:
+            raise _UsageError("--engines names no engine")
     spec = GenSpec(seed=args.seed, typed=args.typed)
     report = run_diff(spec, args.count, engines=engines, fail_fast=args.fail_fast)
     print(f"cases run: {report.cases}")

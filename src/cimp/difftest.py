@@ -25,7 +25,7 @@ Engines:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -34,7 +34,7 @@ from .generator import GenSpec, fuel_bound, gen_program
 from .mips import Halted, Trap, codegen, simulate
 from .semantics import BIG_STEP, SMALL_STEP, Done, Store, run_fueled
 from .stack_machine import MachineError, compile_program, vm_exec
-from .syntax import Program
+from .syntax import Program, frozen
 from .typecheck import TypedProgram, to_signed, typecheck, word32
 
 ENGINE_NAMES = ("bigstep", "smallstep", "stackvm", "mips", "mips-su")
@@ -46,7 +46,7 @@ Outcome = tuple
 Engine = Callable[[Program, Store, int, int], Outcome]
 
 
-@dataclass(frozen=True)
+@frozen
 class Divergence:
     index: int
     program: str
@@ -54,7 +54,7 @@ class Divergence:
     outputs: dict
 
 
-@dataclass(frozen=True)
+@frozen
 class DiffReport:
     cases: int
     agreements: int
@@ -155,9 +155,11 @@ def run_diff(
     if count < 0:
         raise ValueError("count must be nonnegative")
     names = tuple(engines or (n for n in ENGINE_NAMES if spec.typed or n not in _WORD_ENGINES))
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ENGINE_NAMES:
             raise ValueError(f"unknown engine {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"engine {name} named twice")
         if name in _WORD_ENGINES and not spec.typed:
             raise ValueError(f"engine {name} requires typed generation")
     table = dict(DEFAULT_ENGINES)

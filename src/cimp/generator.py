@@ -17,7 +17,6 @@ Identical GenSpec values always yield the identical Program.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .syntax import (
     AExpr,
@@ -42,10 +41,11 @@ from .syntax import (
     Ty,
     Var,
     While,
+    frozen,
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class GenSpec:
     seed: int
     max_depth: int = 3

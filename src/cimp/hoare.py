@@ -35,9 +35,6 @@ which is complete only over that box but entirely self-contained.
 from __future__ import annotations
 
 import itertools
-import subprocess
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -67,6 +64,7 @@ from .syntax import (
     children,
     com_vars,
     distinct_nodes,
+    frozen,
     literal_value,
     statements,
     transform,
@@ -81,25 +79,25 @@ class BudgetExceeded(CimpError):
     """bounded_check would enumerate more stores than its cap allows."""
 
 
-@dataclass(frozen=True)
+@frozen
 class HoareTriple:
     pre: Assertion
     com: Com
     post: Assertion
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationCondition:
     origin: str  # "top", "preservation" or "exit"
     formula: Assertion
 
 
-@dataclass(frozen=True)
+@frozen
 class Valid:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Counterexample:
     store: Store
 
@@ -266,6 +264,10 @@ def solve_smtlib(script: str, solver: str, timeout: float = 60.0) -> str:
     The solver executable receives the script as a file path argument
     and is expected to print sat/unsat/unknown on the first line.
     """
+    # only a solver run needs these, so importing cimp does not load them
+    import subprocess
+    import tempfile
+
     with tempfile.NamedTemporaryFile(
         "w", suffix=".smt2", delete=False
     ) as handle:

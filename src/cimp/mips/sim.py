@@ -33,10 +33,10 @@ constants lifted out, in a bounded memo: equal loops of other programs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
 
+from ..syntax import frozen
 from .isa import REGISTERS, LabelDef, Mem, MipsProgram, check
 
 DATA_BASE = 0x10000000
@@ -46,7 +46,7 @@ _MASK = 0xFFFFFFFF
 _SIGN = 0x80000000
 
 
-@dataclass(frozen=True)
+@frozen
 class Halted:
     """Final data-segment words, keyed by variable name."""
 
@@ -56,12 +56,12 @@ class Halted:
         return self.words[name]
 
 
-@dataclass(frozen=True)
+@frozen
 class BudgetExhausted:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Trap:
     reason: str
 

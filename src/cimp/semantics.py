@@ -37,7 +37,6 @@ evaluation of a core expression always yields an integer.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Optional, Union
 
@@ -65,6 +64,7 @@ from .syntax import (
     Ty,
     Var,
     While,
+    frozen,
 )
 
 
@@ -138,12 +138,12 @@ def parse_store(text: str) -> Store:
 # Outcomes and step results
 
 
-@dataclass(frozen=True)
+@frozen
 class Done:
     store: Store
 
 
-@dataclass(frozen=True)
+@frozen
 class OutOfFuel:
     pass
 
@@ -153,13 +153,13 @@ Outcome = Union[Done, OutOfFuel]
 OUT_OF_FUEL = OutOfFuel()
 
 
-@dataclass(frozen=True)
+@frozen
 class Next:
     com: Com
     store: Store
 
 
-@dataclass(frozen=True)
+@frozen
 class Terminal:
     pass
 

@@ -19,8 +19,13 @@ only.  Invariants are specification: no engine runs them and no
 backend compiles them, and traversals called with ``code_only=True``
 pass them by.
 
-All nodes are frozen dataclasses with slots and a cheap ``__init__``
-(see ``frozen``), so structural equality and hashing come for free.
+All nodes are records made by ``frozen``, the one way src/cimp makes a
+record class: instructions and result classes elsewhere use it too.  A record
+behaves as a frozen dataclass with slots, so structural equality and
+hashing come for free, but it is cheaper to build.  ``dataclass`` supplies
+its fields, slots and ``__match_args__``; ``frozen`` generates
+``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` with one ``exec``
+per class, as every command pays for building each class at import.
 Source positions are carried in a ``pos`` field that is excluded from
 comparison: two trees that differ only in positions are equal, which is
 what round-trip and optimizer tests rely on.
@@ -40,7 +45,10 @@ they cost its distinct nodes.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from inspect import formatannotation
+from reprlib import recursive_repr
 from typing import Iterator, Optional, Union, get_args, get_type_hints
 
 
@@ -48,29 +56,84 @@ def _frozen_write(self, name, *value):
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+# copy and pickle restore a record's slots through these, as dataclass's
+# own frozen slotted classes do; ``__setattr__`` refuses every write
+def _getstate(self):
+    return [getattr(self, f.name) for f in fields(self)]
+
+
+def _setstate(self, state):
+    for f, value in zip(fields(self), state):
+        object.__setattr__(self, f.name, value)
+
+
+def _tuple(obj: str, names) -> str:
+    return "(" + "".join(f"{obj}.{name}," for name in names) + ")"
+
+
 def frozen(cls):
-    """``dataclass(frozen=True, slots=True)``, whose ``__init__`` writes each
-    slot through its member descriptor, not ``object.__setattr__``, then
-    calls ``__post_init__`` if the class has one.  Writing or deleting any
-    attribute raises FrozenInstanceError; the rest is dataclass's."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__setattr__ = cls.__delattr__ = _frozen_write
+    """Make cls a record, the one kind of record class in src/cimp: a
+    class that behaves as ``dataclass(frozen=True, slots=True)`` does,
+    made with one ``exec``.
+
+    ``dataclass`` supplies only what needs no generated code: the fields,
+    the slots and ``__match_args__``.  This function generates
+    ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` from one source
+    string, each as dataclass would write it, except that ``__init__``
+    writes each slot through its member descriptor and then calls
+    ``__post_init__`` if the class has one.  A method the class body
+    defines is kept.  Writing or deleting any attribute raises
+    FrozenInstanceError; ``__getstate__``/``__setstate__`` let copy and
+    pickle rebuild an instance all the same.  A class without a docstring
+    gets its constructor's signature, as dataclass would give it.
+    """
+    doc = cls.__dict__.get("__doc__")
+    cls.__doc__ = doc or cls.__name__  # a docstring spares dataclass an inspect.signature
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    flds = fields(cls)
     env, params, body = {}, [], []
-    for f in fields(cls):
+    for f in flds:
         env["set_" + f.name], env["default_" + f.name] = getattr(cls, f.name).__set__, f.default
         params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
         body.append(f"set_{f.name}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n  " + ("\n  ".join(body) or "pass"), env)
-    cls.__init__ = env["__init__"]
+    compared = [f.name for f in flds if f.compare]
+    hashed = [f.name for f in flds if (f.compare if f.hash is None else f.hash)]
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in flds if f.repr)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n  " + ("\n  ".join(body) or "pass") + "\n"
+        "def __eq__(self, other):\n"
+        "  if other.__class__ is self.__class__:\n"
+        f"    return {_tuple('self', compared)}=={_tuple('other', compared)}\n"
+        "  return NotImplemented\n"
+        f"def __hash__(self):\n  return hash({_tuple('self', hashed)})\n"
+        f'def __repr__(self):\n  return self.__class__.__qualname__ + f"({shown})"\n',
+        env,
+    )
+    env["__repr__"] = recursive_repr()(env["__repr__"])
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if name not in cls.__dict__:
+            env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, env[name])
+    cls.__setattr__ = cls.__delattr__ = _frozen_write
+    cls.__getstate__, cls.__setstate__ = _getstate, _setstate
+    if not doc:
+        cls.__doc__ = f"{cls.__name__}({', '.join(_param_text(f) for f in flds)})"
     return cls
+
+
+def _param_text(f) -> str:
+    text = f"{f.name}: {formatannotation(f.type)}"
+    return text if f.default is MISSING else f"{text} = {f.default!r}"
 
 
 def record(name: str, /, **fields) -> type:
     """A ``frozen`` class named name with the given fields, such as an
-    instruction of a compiler's target."""
-    return frozen(type(name, (), {"__annotations__": fields}))
+    instruction of a compiler's target.  It names the calling module as
+    its own, so pickle finds it there."""
+    module = sys._getframe(1).f_globals["__name__"]
+    return frozen(type(name, (), {"__annotations__": fields, "__module__": module}))
 
 
 @frozen

@@ -751,6 +751,20 @@ def test_fuzz_bad_engine(capsys):
     assert "unknown engine" in err
 
 
+@pytest.mark.parametrize(
+    "engines, message",
+    [("bigstep,bigstep", "engine bigstep named twice"),
+     (",", "--engines names no engine"),
+     ("", "--engines names no engine")],
+)
+def test_fuzz_engine_list_names_each_engine_once(capsys, engines, message):
+    # a repeated engine would run twice and double its tally; an empty
+    # list would quietly run the default engines
+    code, out, err = _run(capsys, "fuzz", "--seed", "1", "--count", "2", "--engines", engines)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -69,6 +69,8 @@ def test_engine_validation():
         run_diff(GenSpec(seed=0), 1, engines=("warp",))
     with pytest.raises(ValueError):
         run_diff(GenSpec(seed=0), 1, engines=("bigstep", "mips"))
+    with pytest.raises(ValueError, match="engine stackvm named twice"):
+        run_diff(GenSpec(seed=0), 1, engines=("stackvm", "bigstep", "stackvm"))
     with pytest.raises(ValueError):
         run_diff(GenSpec(seed=0), -1)
 

@@ -103,3 +103,74 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert not private, "private names imported across src/cimp:\n" + "\n".join(private)
+
+
+# ---------------------------------------------------------------------------
+# Start-up: every command pays cimp's import, and building record classes
+# was the largest part of it after compiling the source.
+
+
+def _frozen_lines():
+    tree = ast.parse((ROOT / "src" / "cimp" / "syntax.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "frozen"]
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def test_only_frozen_applies_dataclass():
+    makers = {"dataclass", "make_dataclass"}
+    inside = _frozen_lines()
+    applied = []
+    for path in sorted((ROOT / "src" / "cimp").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in makers:
+                if not (path.name == "syntax.py" and node.lineno in inside):
+                    applied.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert not applied, "records built outside syntax.frozen:\n" + "\n".join(applied)
+
+
+# counts the source strings exec'd and the inspect.signature calls made by
+# a fresh import of cimp.cli, and the record classes it defines
+_IMPORT_PROBE = """
+import builtins, inspect, json, sys
+seen = {"exec": 0, "signature": 0}
+real_exec, real_signature = builtins.exec, inspect.signature
+
+def counting_exec(source, *args, **kwargs):
+    seen["exec"] += isinstance(source, str)
+    return real_exec(source, *args, **kwargs)
+
+def counting_signature(*args, **kwargs):
+    seen["signature"] += 1
+    return real_signature(*args, **kwargs)
+
+builtins.exec, inspect.signature = counting_exec, counting_signature
+import cimp.cli
+builtins.exec, inspect.signature = real_exec, real_signature
+seen["records"] = len({
+    id(value)
+    for name, module in list(sys.modules.items()) if name.split(".")[0] == "cimp"
+    for value in vars(module).values()
+    if isinstance(value, type) and "__dataclass_fields__" in value.__dict__
+})
+print(json.dumps(seen))
+"""
+
+
+def test_import_builds_each_record_class_with_one_exec():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["records"] >= 60
+    assert seen["exec"] <= seen["records"], seen
+    assert seen["signature"] == 0, seen

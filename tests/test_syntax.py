@@ -1,12 +1,18 @@
-from dataclasses import FrozenInstanceError, fields, replace
+import copy
+import pickle
+import sys
+from dataclasses import FrozenInstanceError, field, fields, make_dataclass, replace
 from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 
 import strategies as gen
+import cimp.cli  # noqa: F401  (loads every module, for the record census)
+from cimp import difftest, generator, hoare, regalloc, semantics
+from cimp import stack_machine as sm
 from cimp import syntax as sx
-from cimp.mips import codegen, simulate
+from cimp.mips import codegen, isa, sim, simulate
 from cimp.optimizer import optimize
 from cimp.semantics import Done, Store, ceval_fuel
 from cimp.stack_machine import Ihalt
@@ -149,6 +155,121 @@ def test_frozen_refuses_an_attribute_that_is_not_a_field(node, name):
         setattr(node, name, 1)
     with pytest.raises(FrozenInstanceError):
         delattr(node, name)
+
+
+# ---------------------------------------------------------------------------
+# frozen against dataclass: one sample of every record class in src/cimp
+
+_STORE = Store({"x": 3, "y": -1})
+_RECORD_SAMPLES = SAMPLES + [
+    SrcPos(1, 2),
+    *(cls(*({int: 4, str: "x"}[f.type] for f in fields(cls))) for cls in get_args(sm.Instr)),
+    sm.StackProgram((sm.Iconst(1), sm.Isetvar("x"), Ihalt()), words=True),
+    sm.VmState(2, (1, 5), _STORE),
+    sm.MachineError("stack underflow"),
+    regalloc.LoadConst(0, 7),
+    regalloc.LoadVar(1, "x"),
+    regalloc.Op("+", 0, 0, 1),
+    regalloc.Spill(2),
+    regalloc.Reload(2),
+    isa.Mem(-4, "$sp"),
+    isa.Ins("addu", ("$t0", "$t1", "$t2")),
+    isa.LabelDef("loop"),
+    isa.MipsProgram((("var_x", 0),), (isa.LabelDef("main"), isa.Ins("lw", ("$t0", isa.Mem(0, "$sp"))))),
+    Done(_STORE),
+    semantics.OutOfFuel(),
+    semantics.Next(Skip(), _STORE),
+    semantics.Terminal(),
+    hoare.HoareTriple(BoolLit(True), Assign("x", IntLit(1)), Cmp("=", Var("x"), IntLit(1))),
+    hoare.VerificationCondition("top", BoolLit(True)),
+    hoare.Valid(),
+    hoare.Counterexample(_STORE),
+    sim.Halted({"x": 3}),
+    sim.BudgetExhausted(),
+    sim.Trap("division by zero"),
+    difftest.Divergence(0, "x := 1\n", _STORE, {"bigstep": ("done", 1), "stackvm": ("error", "r")}),
+    difftest.DiffReport(1, 1, 0, 0, {"bigstep": {"done": 1}}, None),
+    generator.GenSpec(seed=5, typed=True),
+]
+
+
+def _record_classes():
+    return {
+        value
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "cimp"
+        for value in vars(module).values()
+        if isinstance(value, type) and "__dataclass_fields__" in value.__dict__
+    }
+
+
+def _twin(cls):
+    """The class ``dataclass(frozen=True, slots=True)`` makes of cls's fields."""
+    specs = [
+        (f.name, f.type, field(default=f.default, repr=f.repr, hash=f.hash, compare=f.compare))
+        for f in fields(cls)
+    ]
+    twin = make_dataclass(cls.__name__, specs, frozen=True, slots=True)
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+def test_frozen_gives_a_class_without_docstring_its_signature():
+    @sx.frozen
+    class Pair:
+        left: int
+        right: "Optional[Pair]" = None
+
+    twin = _twin(Pair)
+    assert Pair.__doc__ == twin.__doc__ == "Pair(left: int, right: 'Optional[Pair]' = None)"
+    assert repr(Pair(1, Pair(2))) == repr(twin(1, twin(2)))
+    assert sx.record("Cell", n=int).__doc__ == "Cell(n: int)"
+
+
+def test_record_samples_cover_every_record_class():
+    assert {type(r) for r in _RECORD_SAMPLES} == _record_classes()
+
+
+def _field_table(cls):
+    return [(f.name, f.type, f.default, f.repr, f.hash, f.compare, f.init) for f in fields(cls)]
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("sample", _RECORD_SAMPLES, ids=lambda r: type(r).__name__)
+def test_frozen_matches_a_frozen_slotted_dataclass(sample):
+    cls = type(sample)
+    twin_cls = _twin(cls)
+    values = {f.name: getattr(sample, f.name) for f in fields(cls)}
+    twin = twin_cls(**values)
+    other = SrcPos(7, 7) if cls is not SrcPos else IntLit(7)
+    assert _field_table(cls) == _field_table(twin_cls)
+    assert cls.__match_args__ == twin_cls.__match_args__
+    assert cls.__slots__ == twin_cls.__slots__ and not hasattr(sample, "__dict__")
+    if cls.__doc__.startswith(f"{cls.__name__}("):  # no docstring of its own
+        assert cls.__doc__ == twin_cls.__doc__
+    assert repr(sample) == repr(twin)
+    assert _hash_or_error(sample) == _hash_or_error(twin)
+    again = cls(**values)
+    twin_again = twin_cls(**values)
+    assert (sample == again, sample != again) == (twin == twin_again, twin != twin_again) == (True, False)
+    assert (sample == other, sample != other) == (twin == other, twin != other) == (False, True)
+    assert sample.__eq__(twin) is NotImplemented
+    for f in fields(cls):
+        moved = replace(sample, **{f.name: values[f.name]})
+        assert type(moved) is cls and moved is not sample and moved == sample
+    for name in [f.name for f in fields(cls)] or ["x"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(sample, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(sample, name)
+    for clone in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample))):
+        assert type(clone) is cls and clone == sample and repr(clone) == repr(sample)
 
 
 def test_absent_invariant_is_not_a_child():
